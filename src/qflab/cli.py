@@ -235,10 +235,6 @@ def parse_invocation(argv) -> CommandPlan:
     return CommandPlan(group, action, params, output, fmt)
 
 
-def _fmt_float(v: float) -> str:
-    return format(v, ".17g")
-
-
 def _json_default(o):
     if isinstance(o, Fraction):
         return str(o)
@@ -248,8 +244,6 @@ def _json_default(o):
 def emit(records: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
         for rec in records:
-            rec = {k: (float(_fmt_float(v)) if isinstance(v, float) else v)
-                   for k, v in rec.items()}
             stream.write(json.dumps(rec, default=_json_default) + "\n")
         return
     if not records:

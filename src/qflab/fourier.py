@@ -19,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import hermite as _herm
 
-from .quadrature import (GAUSS_INDICES, GAUSS_WEIGHTS, KRONROD_NODES,
-                         KRONROD_WEIGHTS, adaptive_quad, quad_segments)
+from .quadrature import adaptive_quad, quad_segments
 
 __all__ = [
     "BandlimitedFn",
@@ -123,93 +122,58 @@ def hat_h(coeffs, t):
 
 # ----- L1 norm of H ---------------------------------------------------------
 
-_grid_cache: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _cosine_panel_grid(x0: float):
-    """Panel edges at the zeros of cos(2*pi*x): 0, 1/4, 3/4, ..., x0."""
-    if x0 in _grid_cache:
-        return _grid_cache[x0]
-    edges = [0.0]
-    z = 0.25
-    while z < x0:
-        edges.append(z)
-        z += 0.5
-    edges.append(x0)
-    edges = np.array(edges)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mids[:, None] + halfs[:, None] * KRONROD_NODES[None, :]
-    _grid_cache[x0] = (edges, halfs, nodes)
-    return _grid_cache[x0]
-
 
 def _rational_part_roots(coeffs) -> list[float]:
-    """Positive x where sum a_j/(m_j^2 - 16x^2) vanishes (numerator roots)."""
-    n = len(coeffs)
-    total = np.zeros(n, dtype=np.float64)
-    for j, aj in enumerate(coeffs, start=1):
-        if aj == 0:
-            continue
+    """Positive x where sum a_j/(m_j^2 - 16x^2) vanishes, ascending.
+
+    Over the nonzero terms the sum is N(y) / prod_j (m_j^2 - 16y) in y = x^2,
+    with N(y) = sum_j a_j prod_{k != j} (m_k^2 - 16y); N is built in ascending
+    powers of y and its positive real roots are returned as x = sqrt(y).
+    """
+    terms = [(2 * j - 1, aj) for j, aj in enumerate(coeffs, start=1) if aj]
+    total = np.zeros(len(terms), dtype=np.float64)
+    for j, (_, aj) in enumerate(terms):
         poly = np.array([1.0])
-        for k in range(1, n + 1):
-            if k == j:
-                continue
-            mk = 2 * k - 1
-            poly = np.convolve(poly, np.array([mk * mk, -16.0]))  # in y = x^2
-        total[: poly.size] += aj * poly[::-1]
-    scale = np.max(np.abs(total))
+        for k, (mk, _) in enumerate(terms):
+            if k != j:
+                poly = np.convolve(poly, np.array([mk * mk, -16.0]))
+        total += aj * poly
+    scale = np.max(np.abs(total), initial=0.0)
     if scale == 0:
         return []
     trimmed = np.trim_zeros(np.where(np.abs(total) > 1e-13 * scale, total, 0.0), "b")
     if trimmed.size < 2:
         return []
-    roots = np.roots(trimmed[::-1])
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-9 and r.real > 0:
-            out.append(math.sqrt(r.real))
-    return out
+    roots = np.polynomial.polynomial.polyroots(trimmed)
+    return sorted(math.sqrt(r.real) for r in roots if abs(r.imag) < 1e-9 and r.real > 0)
 
 
 def h_l1_norm(coeffs, tol: float = 1e-9) -> float:
     """Integral of |H| over the line.
 
-    [0, X0] is integrated on panels between consecutive zeros of cos(2*pi*x)
-    (refined where the rational part changes sign); the remaining tail uses
-    the mean of |cos| against the exact integral of the rational part, valid
-    once the rational part has constant sign.  The neglected oscillatory
-    remainder is of order sum|a_j| / X0^2, far below the acceptance
-    tolerances here.
+    H is even, so this is twice the integral over [0, inf).  [0, X0] is one
+    quad_segments call to tolerance tol/4 on panels whose edges are the zeros
+    of cos(2*pi*x) and the sign changes of the rational part, so |H| is
+    smooth on every panel.  X0 is 40, or 1.5 * (largest root) + 10 when a
+    root lies beyond 39.  The tail beyond X0 uses the mean of |cos| against
+    the exact integral of the rational part, valid once the rational part
+    has constant sign; the neglected oscillatory remainder is of order
+    sum|a_j| / X0^2, far below the acceptance tolerances here.
     """
     x0 = 40.0
     roots = _rational_part_roots(coeffs)
-    if roots and max(roots) >= x0 - 1.0:
-        x0 = 1.5 * max(roots) + 10.0
-    edges, halfs, nodes = _cosine_panel_grid(x0)
-    vals = np.abs(eval_h(coeffs, nodes.ravel()).reshape(nodes.shape))
-    ik = halfs * (vals @ KRONROD_WEIGHTS)
-    ig = halfs * (vals[:, GAUSS_INDICES] @ GAUSS_WEIGHTS)
-    errs = np.abs(ik - ig)
-    per_panel = tol / (4.0 * len(halfs))
-    bad = np.flatnonzero(errs > per_panel)
-    pieces = [float(v) for i, v in enumerate(ik) if i not in set(bad.tolist())]
-    absfun = lambda x: np.abs(eval_h(coeffs, x))
-    for i in bad:
-        sub_edges = [edges[i], edges[i + 1]]
-        for r in roots:
-            if edges[i] < r < edges[i + 1]:
-                sub_edges.insert(-1, r)
-        val, _ = quad_segments(absfun, sorted(sub_edges), tol=per_panel,
-                               max_panels=400)
-        pieces.append(val)
-    body = 2.0 * math.fsum(pieces)  # both half-lines, H even
+    if roots and roots[-1] >= x0 - 1.0:
+        x0 = 1.5 * roots[-1] + 10.0
+    # 0, the zeros 1/4, 3/4, ... of cos(2*pi*x) below x0, x0, and the roots
+    edges = np.union1d(np.r_[0.0, np.arange(0.25, x0, 0.5), x0], roots)
+    half_line, _ = quad_segments(lambda x: np.abs(eval_h(coeffs, x)), edges,
+                                 tol=tol / 4.0, max_panels=edges.size + 4000)
     tail_main = math.fsum(
         aj / (8.0 * (2 * j - 1)) * math.log((4 * x0 - (2 * j - 1)) / (4 * x0 + (2 * j - 1)))
         for j, aj in enumerate(coeffs, start=1) if aj
     )
     tail = 2.0 * (2.0 / math.pi) * abs(tail_main)
-    return body + tail
+    return 2.0 * half_line + tail
 
 
 # ----- functionals -----------------------------------------------------------
@@ -367,12 +331,15 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
     lam_lo, lam_hi = 0.1, 1.05
     evals = 0
     exhausted = False
+    norms: dict[tuple, float] = {}  # ||H||_1 per coefficient tuple; lam-free
 
     def objective(coeffs, lam):
         nonlocal evals
         evals += 1
         f0 = eval_h(coeffs, 0.0)
-        l1 = lam * h_l1_norm(coeffs, tol=1e-8)
+        if coeffs not in norms:
+            norms[coeffs] = h_l1_norm(coeffs, tol=1e-8)
+        l1 = lam * norms[coeffs]
         tp, _ = _hat_tails(coeffs, lam, tol=1e-10)
         return (f0 - A * tp) / l1
 
@@ -390,13 +357,13 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
     def refine_lam(coeffs, lam):
         nonlocal evals
         # coarse bracket first: the objective need not be unimodal in lam
-        grid = np.linspace(lam_lo, lam_hi, 20)
+        grid = np.linspace(lam_lo, lam_hi, 20).tolist()
         vals = [objective(coeffs, g) for g in grid]
         i = int(np.argmax(vals))
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
         x, fx, used = _golden_max(lambda g: objective(coeffs, g), lo, hi)
-        return (x, fx) if fx > vals[i] else (float(grid[i]), vals[i])
+        return (x, fx) if fx > vals[i] else (grid[i], vals[i])
 
     for coeffs, lam0 in zip(seeds, seed_lams):
         if not any(coeffs):

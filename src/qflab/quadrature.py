@@ -1,14 +1,17 @@
 """Adaptive Gauss-Kronrod panel quadrature.
 
-A 7/15-point Kronrod pair drives an error-directed panel heap; integrands
-are evaluated on numpy node arrays so callers should accept array input.
-Final sums run through math.fsum to avoid accumulation noise across many
-panels.
+Each panel carries QUADPACK's qk15 value and error estimate from a 7/15-point
+Kronrod pair.  The driver works in rounds: one call of the integrand
+evaluates every initial panel, then each round bisects the largest-error
+panels whose estimates together cover the excess of the total error over the
+tolerance and evaluates all the new halves in one further call.  Integrands
+therefore receive flat 1-D node arrays (15 nodes per panel) and must accept
+array input.  Totals run through math.fsum to avoid accumulation noise across
+many panels.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -44,15 +47,16 @@ GAUSS_WEIGHTS = np.array([
 GAUSS_INDICES = np.arange(1, 15, 2)
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * KRONROD_NODES
-    fv = np.asarray(f(nodes), dtype=np.float64)
-    ik = half * float(KRONROD_WEIGHTS @ fv)
-    ig = half * float(GAUSS_WEIGHTS @ fv[GAUSS_INDICES])
-    diff = abs(ik - ig)
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0 else 0.0
-    return ik, err
+def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qk15 values and error estimates of the panels [lo[i], hi[i]], from
+    one call of f on their flattened (k, 15) node array."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * KRONROD_NODES
+    fv = np.asarray(f(nodes.ravel()), dtype=np.float64).reshape(nodes.shape)
+    ik = half * (fv @ KRONROD_WEIGHTS)
+    ig = half * (fv[:, GAUSS_INDICES] @ GAUSS_WEIGHTS)
+    diff = np.abs(ik - ig)
+    return ik, np.minimum(diff, (200.0 * diff) ** 1.5)
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
@@ -67,28 +71,37 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
 
 def quad_segments(f, edges, tol: float = 1e-10,
                   max_panels: int = 4000) -> tuple[float, float]:
-    """Adaptive integration over the panels defined by an edge list."""
-    edges = [float(e) for e in edges]
-    panels = []  # (-err, a, b, value)
-    for a, b in zip(edges, edges[1:]):
-        if b <= a:
-            continue
-        val, err = _gk15(f, a, b)
-        panels.append((-err, a, b, val))
-    heapq.heapify(panels)
-    total_err = sum(-p[0] for p in panels)
-    n = len(panels)
-    while total_err > tol and panels:
+    """Adaptive integration over the panels defined by an edge list.
+
+    max_panels caps the initial panels plus bisections; returns
+    (value, error_estimate) like adaptive_quad.
+    """
+    edges = np.asarray(edges, dtype=np.float64).ravel()
+    lo, hi = edges[:-1], edges[1:]
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    if lo.size == 0:
+        return 0.0, 0.0
+    val, err = _gk15(f, lo, hi)
+    total_err = math.fsum(err)
+    while total_err > tol:
+        n = lo.size
         if n >= max_panels:
             raise ToleranceError(
                 f"error estimate {total_err:.3e} > tol {tol:.3e} after {n} panels")
-        neg_err, a, b, _ = heapq.heappop(panels)
-        total_err += neg_err  # remove old contribution
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            val, err = _gk15(f, lo, hi)
-            heapq.heappush(panels, (-err, lo, hi, val))
-            total_err += err
-        n += 1
-    value = math.fsum(p[3] for p in panels)
-    return value, total_err
+        # bisect the fewest largest-error panels whose estimates cover the excess
+        order = np.argsort(-err, kind="stable")
+        need = int(np.searchsorted(np.cumsum(err[order]), total_err - tol)) + 1
+        split = order[:min(need, max_panels - n)]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_val, new_err = _gk15(f, new_lo, new_hi)
+        rest = np.ones(n, dtype=bool)
+        rest[split] = False
+        lo = np.concatenate((lo[rest], new_lo))
+        hi = np.concatenate((hi[rest], new_hi))
+        val = np.concatenate((val[rest], new_val))
+        err = np.concatenate((err[rest], new_err))
+        total_err = math.fsum(err)
+    return math.fsum(val), total_err

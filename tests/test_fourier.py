@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,10 @@ from qflab.fourier import (
     h_l1_norm,
     hat_h,
 )
+from qflab import fourier
+from qflab.fourier import _rational_part_roots
 from qflab.quadrature import quad_segments
+from qflab.verify import TABLE_ROWS
 
 F3_COEFFS = (68.0, 5.0, 1.0)
 F3_LAM = 0.98644
@@ -97,6 +101,59 @@ def test_eval_h_near_poles_matches_high_precision():
                 mpmath.cos(2 * mpmath.pi * x) * a / ((2 * k - 1) ** 2 - 16 * mpmath.mpf(x) ** 2)
                 for k, a in enumerate(coeffs, 1))
             assert eval_h(coeffs, x) == pytest.approx(float(exact), rel=1e-10), (m, off)
+
+
+def _rational_part(coeffs, x):
+    return sum(a / ((2 * j - 1) ** 2 - 16 * x * x) for j, a in enumerate(coeffs, 1))
+
+
+def test_rational_part_roots():
+    roots = _rational_part_roots((270.0, 21.0, 4.0))
+    assert roots == pytest.approx([0.7254, 1.2421], abs=1e-4)
+    assert _rational_part_roots((81.0, -69.0, 0.0)) == pytest.approx([math.sqrt(3.4375)])
+    for _, coeffs, _, _ in TABLE_ROWS:
+        scale = sum(abs(a) for a in coeffs)
+        for r in _rational_part_roots(coeffs):
+            assert abs(_rational_part(coeffs, r)) < 1e-12 * scale, (coeffs, r)
+
+
+def l1_oracle(coeffs, x0=40.0):
+    """Independent ||H||_1: scipy.integrate.quad of |H| on each panel between
+    the zeros of cos(2 pi x) and the sign changes of the rational part
+    (bracketed on a fine grid, solved by brentq), plus the closed-form tail
+    of the mean of |cos| against the rational part beyond x0."""
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.optimize import brentq
+
+    terms = [(a, (2 * j - 1) ** 2) for j, a in enumerate(coeffs, 1) if a]
+
+    def numer(x):  # the rational part over a common denominator: same roots, no poles
+        return sum(a * math.prod(m2 - 16 * x * x for k, (_, m2) in enumerate(terms) if k != j)
+                   for j, (a, _) in enumerate(terms))
+
+    grid = np.linspace(0.0, x0, 4001)
+    vals = np.array([numer(x) for x in grid])
+    roots = [brentq(numer, grid[i], grid[i + 1], xtol=1e-15)
+             for i in np.flatnonzero(vals[:-1] * vals[1:] < 0)]
+    assert all(r < x0 - 1.0 for r in roots)
+    edges = sorted({0.0, x0, *roots, *np.arange(0.25, x0, 0.5).tolist()})
+    with warnings.catch_warnings():
+        # eval_h switches to its pole series 1e-3 from each pole; quad reports
+        # the ~1e-13 relative jump there as roundoff
+        warnings.simplefilter("ignore", IntegrationWarning)
+        body = math.fsum(
+            quad(lambda x: abs(eval_h(coeffs, x)), a, b, epsabs=1e-12, epsrel=1e-12,
+                 limit=200)[0]
+            for a, b in zip(edges, edges[1:]))
+    tail = math.fsum(
+        a / (8.0 * (2 * j - 1)) * math.log((4 * x0 - (2 * j - 1)) / (4 * x0 + (2 * j - 1)))
+        for j, a in enumerate(coeffs, 1) if a)
+    return 2.0 * body + 2.0 * (2.0 / math.pi) * abs(tail)
+
+
+@pytest.mark.parametrize("coeffs", [row[1] for row in TABLE_ROWS])
+def test_h_l1_norm_against_scipy_oracle(coeffs):
+    assert abs(h_l1_norm(coeffs) - l1_oracle(coeffs)) <= 1e-9
 
 
 def test_hat_h_inversion_and_support():
@@ -213,6 +270,23 @@ def test_greedy_search_budget_flag():
     res = greedy_search(28.0, 3, budget=40)
     assert res.exhausted
     assert res.report.j_plus > 0  # still returns best-so-far
+    assert type(res.fn.lam) is float
+
+
+def test_greedy_search_norm_once_per_tuple(monkeypatch):
+    calls = []
+    real = fourier.h_l1_norm
+
+    def counted(coeffs, tol=1e-9):
+        calls.append((tuple(coeffs), tol))
+        return real(coeffs, tol)
+
+    monkeypatch.setattr(fourier, "h_l1_norm", counted)
+    res = greedy_search(28.0, 3, budget=40)
+    search_calls = calls[:-1]  # the last call is the final report's, at its own tol
+    assert calls[-1] == (res.fn.coeffs, 1e-9)
+    assert len(search_calls) == len(set(search_calls))
+    assert res.evaluations == 42  # lam refinement finishes past the budget
 
 
 def test_gauss_poly_reports():

@@ -29,3 +29,46 @@ def test_segments_and_budget():
     with pytest.raises(ToleranceError):
         adaptive_quad(lambda x: np.abs(np.sin(300.0 * x)) ** 0.3, 0.0, 20.0,
                       tol=1e-13, max_panels=10)
+
+
+def _recording(f):
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x, copy=True))
+        return f(x)
+
+    return g, calls
+
+
+def test_one_integrand_call_per_refinement_round():
+    g, calls = _recording(lambda x: np.abs(x - 0.3))
+    val, err = adaptive_quad(g, 0.0, 1.0, tol=1e-10)
+    assert val == pytest.approx(0.5 * (0.3**2 + 0.7**2), abs=1e-9)
+    assert err <= 1e-10
+    assert len(calls) > 10
+    widths = []
+    for x in calls:
+        assert x.ndim == 1 and x.size % 15 == 0
+        panels = x.reshape(-1, 15)
+        widths.append(float(np.min(panels[:, -1] - panels[:, 0])))
+    # |x - 0.3| is linear off the kink, so each round bisects only the panel
+    # holding 0.3: call i sees panels of width 2**-i, one call per round
+    width0 = widths[0]
+    assert widths == pytest.approx([width0 / 2**i for i in range(len(widths))], rel=1e-9)
+    assert all(x.size == 30 for x in calls[1:])
+
+
+def test_initial_panels_share_one_call():
+    g, calls = _recording(lambda x: np.exp(-x))
+    quad_segments(g, [0.0, 1.0, 1.0, 5.0, 30.0], tol=1e-12)
+    assert calls[0].shape == (3 * 15,)  # the empty panel [1, 1] is dropped
+    assert all(x.ndim == 1 and x.size % 30 == 0 for x in calls[1:])
+
+
+def test_tolerance_error_at_max_panels():
+    g, calls = _recording(lambda x: np.abs(np.sin(300.0 * x)) ** 0.3)
+    with pytest.raises(ToleranceError, match=r"error estimate .* > tol .* after 10 panels"):
+        quad_segments(g, [0.0, 5.0, 10.0, 20.0], tol=1e-13, max_panels=10)
+    # 3 initial panels plus 7 bisections, each adding two halves
+    assert sum(x.size for x in calls) == 15 * (3 + 2 * 7)
