@@ -15,7 +15,6 @@ from .arith import (
     g_squarefree,
     is_fundamental,
     kronecker,
-    primes_up_to,
     residue_density,
 )
 from .forms import (

@@ -3,7 +3,7 @@
 Kronecker symbol, the multiplicative density g attached to a form via its
 character, the exact residue-count density that extends it to arbitrary
 moduli, L(1, chi) by accelerated period sums, the analytic class number,
-a segmented prime sieve, and small divisor functions.
+a prime sieve, and small divisor functions.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "divisor_tau3",
     "dirichlet_l1",
     "class_number_analytic",
-    "primes_up_to",
     "prime_mask",
 ]
 
@@ -259,50 +258,6 @@ def class_number_analytic(D: int, tol: float = 1e-10) -> int:
             f"analytic h(-{D}) = {value:.6f} rounds to {h}, enumeration gives {h_exact}"
         )
     return h
-
-
-def primes_up_to(x: int):
-    """Yield all primes <= x in increasing order (segmented sieve)."""
-    if x < 2:
-        return
-    yield 2
-    root = math.isqrt(x)
-    base = _odd_base_primes(root)
-    for p in base:
-        if p <= x:
-            yield int(p)
-    seg = 1 << 20
-    lo = root + 1 if root % 2 == 0 else root + 2
-    base_sq = base * base
-    while lo <= x:
-        hi = min(lo + seg, x + 1)
-        if lo % 2 == 0:
-            lo += 1
-        odds = np.arange(lo, hi, 2, dtype=np.int64)
-        mask = np.ones(odds.size, dtype=bool)
-        for p, p2 in zip(base, base_sq):
-            if p2 >= hi:
-                break
-            start = max(p2, ((lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start < hi:
-                mask[(start - lo) // 2 :: p] = False
-        for q in odds[mask]:
-            yield int(q)
-        lo = hi
-
-
-def _odd_base_primes(limit: int) -> np.ndarray:
-    if limit < 3:
-        return np.array([], dtype=np.int64)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:3] = False
-    sieve[4::2] = False
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if sieve[p]:
-            sieve[p * p :: 2 * p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
 
 
 def prime_mask(x: int) -> np.ndarray:

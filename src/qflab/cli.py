@@ -32,6 +32,7 @@ from .sieve import (
     bt_theoretical_bound,
     sieved_sum_exact,
     count_represented_primes,
+    normalized_gaps,
     prime_gap_scan,
     sieve_upper_bound,
 )
@@ -243,8 +244,9 @@ def _json_default(o):
 
 def emit(records: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
+        encode = json.JSONEncoder(default=_json_default).encode
         for rec in records:
-            stream.write(json.dumps(rec, default=_json_default) + "\n")
+            stream.write(encode(rec) + "\n")
         return
     if not records:
         return
@@ -343,11 +345,11 @@ def execute_plan(plan: CommandPlan) -> tuple[list[dict], int]:
         return [{"form": p["form"].triple(), "x": p["x"],
                  "pi_f": count_represented_primes(p["form"], p["x"])}], 0
     if key == ("sieve", "gaps"):
-        best, records = prime_gap_scan(p["form"], p["x"], p["min_p"])
-        rows = [r.record() for r in records]
-        for r in rows:
-            r["is_max"] = r["p_n"] == best.p_n
-        return rows, 0
+        best, primes = prime_gap_scan(p["form"], p["x"], p["min_p"])
+        ps = primes.tolist()
+        return [{"p_n": p_n, "p_next": q, "gap": q - p_n, "normalized": w,
+                 "is_max": p_n == best.p_n}
+                for p_n, q, w in zip(ps, ps[1:], normalized_gaps(ps))], 0
     if key == ("sieve", "bt-constants"):
         bt = bt_theoretical_bound(p["form"], p["x"], p["y"], p["variant"], p["eps"])
         return [{"form": p["form"].triple(), "x": p["x"], "y": p["y"],

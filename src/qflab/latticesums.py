@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _VMAX_BUDGET = 80_000_000
+_ROW_CHUNK = 1 << 20
+_WINDOW_BLOCK = 1 << 17
 
 
 class BudgetError(RuntimeError):
@@ -61,6 +63,40 @@ def _exact_isqrt(m: np.ndarray) -> np.ndarray:
     return t
 
 
+def _lattice_rows(f: QuadraticForm, N: int):
+    """Yield the rows of the ellipse f(u, v) <= N in chunks of v.
+
+    Each chunk is (v, u_lo, u_hi), int64 arrays over consecutive v from
+    -vmax to vmax: the lattice points with that v are exactly the u in
+    [u_lo, u_hi], solved from (2au + bv)^2 <= 4aN - Dv^2.  The single place
+    that refuses inputs beyond 64-bit exactness or the row budget.
+    """
+    a, b, D = f.a, f.b, f.D
+    if 4 * a * N > (1 << 52):
+        raise BudgetError(f"x = {N:g} too large for exact 64-bit enumeration")
+    vmax = math.isqrt(4 * a * N // D)
+    if vmax > _VMAX_BUDGET:
+        raise BudgetError(f"v-range {2 * vmax + 1} exceeds enumeration budget")
+    for start in range(-vmax, vmax + 1, _ROW_CHUNK):
+        v = np.arange(start, min(start + _ROW_CHUNK, vmax + 1), dtype=np.int64)
+        yield (v, *_row_bounds(f, N, v))
+
+
+def _row_bounds(f: QuadraticForm, N: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact u-range [u_lo, u_hi] of f(u, v) <= N for each v; rows that miss
+    the ellipse come back empty (u_hi = u_lo - 1).  Callers keep 4aN in
+    range (see _lattice_rows)."""
+    two_a, b = 2 * f.a, f.b
+    m = 4 * f.a * N - f.D * v * v
+    t = _exact_isqrt(np.maximum(m, 0))
+    hi = (t - b * v) // two_a
+    lo = -((t + b * v) // two_a)
+    miss = m < 0
+    if miss.any():
+        hi = np.where(miss, lo - 1, hi)
+    return lo, hi
+
+
 def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
     """#{(u, v) : 1 <= f(u, v) <= x and ell | f(u, v)}, exact."""
     if ell < 1:
@@ -68,36 +104,56 @@ def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
     X = math.floor(x)
     if X < 1:
         return 0
-    a, b, D = f.a, f.b, f.D
-    if 4 * a * X > (1 << 52):
-        raise BudgetError(f"x = {x:g} too large for exact 64-bit enumeration")
-    vmax = math.isqrt(4 * a * X // D)
-    if vmax > _VMAX_BUDGET:
-        raise BudgetError(f"v-range {2 * vmax + 1} exceeds enumeration budget")
     residues = _u_residues(f, ell) if ell > 1 else None
-    two_a = 2 * a
     total = 0
-    chunk = 1 << 20
-    four_a_x = 4 * a * X
-    for start in range(-vmax, vmax + 1, chunk):
-        v = np.arange(start, min(start + chunk, vmax + 1), dtype=np.int64)
-        m = four_a_x - D * v * v
-        t = _exact_isqrt(m)
-        hi = (t - b * v) // two_a
-        lo = -((t + b * v) // two_a)
+    for v, lo, hi in _lattice_rows(f, X):
         if ell == 1:
             total += int(np.sum(hi - lo + 1))
-        else:
-            vm = v % ell
-            lom1 = lo - 1
-            for cls in range(ell):
-                sel = vm == cls
-                if not sel.any():
-                    continue
-                h_s, l_s = hi[sel], lom1[sel]
-                for r in residues[cls]:
-                    total += int(np.sum((h_s - r) // ell - (l_s - r) // ell))
+            continue
+        vm = v % ell
+        lom1 = lo - 1
+        for cls in range(ell):
+            sel = vm == cls
+            if not sel.any():
+                continue
+            h_s, l_s = hi[sel], lom1[sel]
+            for r in residues[cls]:
+                total += int(np.sum((h_s - r) // ell - (l_s - r) // ell))
     return total - 1  # drop the origin, which contributes f = 0
+
+
+def _window_histogram(f: QuadraticForm, lo: int, hi: int):
+    """Yield (n0, r) block by block over the window lo < n <= hi, where
+    r[i] = r_f(n0 + i) and each block spans at most _WINDOW_BLOCK numbers.
+
+    A block [n0, n1) is the annulus between the ellipses f <= n1 - 1 and
+    f <= n0 - 1, so only its ~2*pi*(n1 - n0)/sqrt(D) points are touched;
+    they are binned by n = ((2au + bv)^2 + Dv^2) / 4a, which stays below
+    2^53 wherever the row kernel admits N.  A window starting below 0
+    begins at n = 0, whose only point is the origin (the inner ellipse
+    f <= -1 is empty).
+    """
+    a, b, D = f.a, f.b, f.D
+    for n0 in range(max(lo, -1) + 1, hi + 1, _WINDOW_BLOCK):
+        n1 = min(n0 + _WINDOW_BLOCK, hi + 1)
+        r = np.zeros(n1 - n0, dtype=np.int64)
+        for v, lo_o, hi_o in _lattice_rows(f, n1 - 1):
+            lo_i, hi_i = _row_bounds(f, n0 - 1, v)
+            # rows missing the inner ellipse keep the whole outer row
+            empty = hi_i < lo_i
+            lo_i = np.where(empty, hi_o + 1, lo_i)
+            hi_i = np.where(empty, hi_o, hi_i)
+            # each row of the annulus is [lo_o, lo_i - 1] plus [hi_i + 1, hi_o]
+            start = np.concatenate((lo_o, hi_i + 1))
+            length = np.concatenate((lo_i - lo_o, hi_o - hi_i))
+            vv = np.concatenate((v, v))
+            offset = np.cumsum(length) - length
+            u = np.repeat(start - offset, length) + np.arange(int(length.sum()))
+            vv = np.repeat(vv, length)
+            s = 2 * a * u + b * vv
+            n = (s * s + D * vv * vv) // (4 * a)
+            r += np.bincount(n - n0, minlength=n1 - n0)
+        yield n0, r
 
 
 def congruence_main_term(f: QuadraticForm, ell: int, x: float) -> float:

@@ -12,8 +12,8 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import DensityG, prime_mask
-from .forms import QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced
-from .latticesums import BudgetError, congruence_sum_exact
+from .forms import QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form
+from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
 
 __all__ = [
     "SingularWeightError",
@@ -30,6 +30,7 @@ __all__ = [
     "bt_theoretical_bound",
     "cor_brun_bound",
     "prime_gap_scan",
+    "normalized_gaps",
 ]
 
 _MASK_BUDGET = 300_000_000
@@ -37,14 +38,6 @@ _MASK_BUDGET = 300_000_000
 
 class SingularWeightError(ValueError):
     """A sieve weight g(p)/(1 - g(p)) is singular (g(p) = 1)."""
-
-
-def _primes_below(z: float) -> list[int]:
-    limit = int(math.floor(z))
-    if limit < 2:
-        return []
-    mask = prime_mask(limit)
-    return [int(p) for p in np.flatnonzero(mask)]
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class SieveSetup:
         if z < 2:
             raise ValueError("need z >= 2")
         density = DensityG(form)
-        primes = tuple(_primes_below(z))
+        primes = tuple(np.flatnonzero(prime_mask(int(z))).tolist())
         for p in primes:
             if density.at_prime(p) >= 1:
                 raise SingularWeightError(f"g({p}) = {density.at_prime(p)} >= 1")
@@ -92,7 +85,7 @@ def selberg_j(f: QuadraticForm, z: float) -> Fraction:
 
 def _error_moduli(primes: list[int], z: float) -> list[tuple[int, int]]:
     """Squarefree moduli ell = lcm(l1, l2) realizable with l1, l2 < z,
-    paired with their prime count; all satisfy ell < z^2."""
+    paired with their prime count, ell = 1 first; all satisfy ell < z^2."""
     out: list[tuple[int, int]] = []
 
     def realizable(factors: tuple[int, ...]) -> bool:
@@ -138,8 +131,9 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
     are coprime to every prime <= z.
 
     Main term (2*pi*y/sqrt(D))/J; the remainder sums tau_3(ell)*|E_ell| over
-    the moduli the sieve weights can actually reach, with each E_ell
-    computed exactly from two congruence sums.
+    the moduli the sieve weights can actually reach.  Each E_ell is exact:
+    its interval count is a strided sum over the window's r_f histogram,
+    whose total is checked against two full-ellipse counts.
     """
     if z < 2:
         raise ValueError("need z >= 2")
@@ -149,59 +143,62 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
     jj = selberg_j(f, z)
     sd = math.sqrt(f.D)
     main = 2.0 * math.pi * y / sd / float(jj)
+    g = reduce_form(f)
+    moduli = _error_moduli(np.flatnonzero(prime_mask(int(z))).tolist(), z)
+    intervals = [0] * len(moduli)
+    for n0, r in _window_histogram(g, math.floor(x - y), math.floor(x)):
+        for i, (ell, _) in enumerate(moduli):
+            intervals[i] += int(r[-n0 % ell::ell].sum())
+    # the ell = 1 count (moduli[0]) is the whole window, which two
+    # full-ellipse counts give by row lengths alone, without binning points
+    total = congruence_sum_exact(g, 1, x) - congruence_sum_exact(g, 1, x - y)
+    if intervals[0] != total:
+        raise RuntimeError(f"window histogram holds {intervals[0]} points, "
+                           f"the lattice count {total}")
     err = 0.0
-    for ell, nprimes in _error_moduli(_primes_below(z), z):
+    for (ell, nprimes), interval in zip(moduli, intervals):
         g_ell = float(density.at_squarefree(ell))
-        interval = congruence_sum_exact(f, ell, x) - congruence_sum_exact(f, ell, x - y)
         e_ell = interval - 2.0 * math.pi * y * g_ell / sd
         err += 3**nprimes * abs(e_ell)
     return SieveBound(main, err, x, y, z)
 
 
 def sieved_sum_exact(f: QuadraticForm, x: float, y: float, z: float) -> int:
-    """Exact r_f-weighted count of n in (x-y, x] coprime to every prime <= z,
-    by direct lattice enumeration against a coprimality mask.  Independent of
-    the Selberg machinery; the upper bound is validated against this."""
+    """Exact r_f-weighted count of n in (x-y, x] coprime to every prime <= z:
+    the window's r_f histogram summed under a coprimality mask.  It shares
+    no sieve weights with the Selberg bound, which is validated against it;
+    the histogram itself is checked against brute-force r_f in the tests."""
     X = math.floor(x)
-    lo = math.floor(x - y)
     if X < 1:
         return 0
-    a, b, c, D = f.a, f.b, f.c, f.D
-    coprime = np.ones(X + 1, dtype=bool)
-    for p in np.flatnonzero(prime_mask(int(z))):
-        coprime[::p] = False
+    primes = np.flatnonzero(prime_mask(int(z))).tolist()
     total = 0
-    vmax = math.isqrt(4 * a * X // D)
-    for v in range(-vmax, vmax + 1):
-        m = 4 * a * X - D * v * v
-        t = math.isqrt(m)
-        lo_u = -((t + b * v) // (2 * a))
-        hi_u = (t - b * v) // (2 * a)
-        u = np.arange(lo_u, hi_u + 1, dtype=np.int64)
-        vals = a * u * u + (b * v) * u + c * v * v
-        vals = vals[vals > lo]
-        total += int(np.count_nonzero(coprime[vals]))
+    for n0, r in _window_histogram(reduce_form(f), math.floor(x - y), X):
+        coprime = np.ones(r.size, dtype=bool)
+        for p in primes:
+            coprime[-n0 % p::p] = False
+        total += int(r[coprime].sum())
     return total
 
 
 def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
-    """Boolean array m with m[n] True iff 1 <= n <= x is represented by f."""
+    """Boolean array m with m[n] True iff 1 <= n <= x is represented by f.
+
+    Rows are taken from the reduced form, and only for v >= 0, since
+    f(-u, -v) = f(u, v) gives the other half the same values."""
     X = math.floor(x)
     if X < 1:
         return np.zeros(max(X + 1, 1), dtype=bool)
     if X > _MASK_BUDGET:
         raise BudgetError(f"representation mask of size {X} exceeds budget")
-    a, b, c, D = f.a, f.b, f.c, f.D
+    g = reduce_form(f)
+    a, b, c = g.a, g.b, g.c
     mask = np.zeros(X + 1, dtype=bool)
-    vmax = math.isqrt(4 * a * X // D)
-    for v in range(-vmax, vmax + 1):
-        m = 4 * a * X - D * v * v
-        tt = math.isqrt(m)
-        lo = -((tt + b * v) // (2 * a))
-        hi = (tt - b * v) // (2 * a)
-        u = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = a * u * u + (b * v) * u + c * v * v
-        mask[vals] = True
+    for v, lo, hi in _lattice_rows(g, X):
+        half = v >= 0
+        for vi, l, h in zip(v[half].tolist(), lo[half].tolist(), hi[half].tolist()):
+            u = np.arange(l, h + 1, dtype=np.int64)
+            mask[a * u * u + (b * vi) * u + c * vi * vi] = True
     mask[0] = False
     return mask
 
@@ -289,21 +286,31 @@ class PrimeGapRecord:
     def normalized_gap(self) -> float:
         return (self.p_next - self.p_n) / (math.sqrt(self.p_n) * math.log(self.p_n))
 
-    def record(self) -> dict:
-        return {"p_n": self.p_n, "p_next": self.p_next,
-                "gap": self.p_next - self.p_n, "normalized": self.normalized_gap}
-
 
 def prime_gap_scan(f: QuadraticForm, X: float,
-                   min_p: int = 100) -> tuple[PrimeGapRecord, list[PrimeGapRecord]]:
+                   min_p: int = 100) -> tuple[PrimeGapRecord, np.ndarray]:
     """Consecutive represented primes up to X with normalized gaps
     (p' - p)/(sqrt(p) log p); the maximum is taken over p >= min_p to keep
-    small-prime log noise out.  Returns (max_record, all_records)."""
+    small-prime log noise out.  Returns (max_record, primes), where primes
+    is the sorted array of represented primes whose consecutive pairs are
+    the scanned gaps."""
     primes = represented_primes(f, X)
     if primes.size < 2:
         raise ValueError(f"fewer than two represented primes up to {X:g}")
-    records = [PrimeGapRecord(int(p), int(q)) for p, q in zip(primes, primes[1:])]
-    eligible = [r for r in records if r.p_n >= min_p]
-    pool = eligible if eligible else records
-    best = max(pool, key=lambda r: r.normalized_gap)
-    return best, records
+    p, q = primes[:-1], primes[1:]
+    first = int(np.searchsorted(p, min_p))
+    if first == p.size:
+        first = 0
+    approx = ((q - p) / (np.sqrt(p) * np.log(p)))[first:]
+    # numpy's sqrt and log may differ from math's in the last ulp, so the
+    # scalar formula settles the maximum among the near-ties
+    near = first + np.flatnonzero(approx >= approx.max() * (1.0 - 1e-12))
+    records = [PrimeGapRecord(int(p[i]), int(q[i])) for i in near]
+    return max(records, key=lambda r: r.normalized_gap), primes
+
+
+def normalized_gaps(ps: list[int]) -> list[float]:
+    """(q - p)/(sqrt(p) log p) for each consecutive pair (p, q) of ps, with
+    the same scalar arithmetic as PrimeGapRecord.normalized_gap."""
+    sqrt, log = math.sqrt, math.log
+    return [(q - p) / (sqrt(p) * log(p)) for p, q in zip(ps, ps[1:])]

@@ -196,13 +196,8 @@ def check_transform(fast: bool = False) -> CheckResult:
         {"worst0": worst0, "h11": worst11, "h22": worst22})
 
 
-def brute_sieved_sum(f: QuadraticForm, x: float, y: float, z: float) -> int:
-    """Oracle route for criterion 8 (direct enumeration, no sieve weights)."""
-    return sieved_sum_exact(f, x, y, z)
-
-
 def check_sieve_soundness(fast: bool = False) -> CheckResult:
-    """Criterion 8: Selberg bound >= exact brute-force sieved sum on random
+    """Criterion 8: Selberg bound >= exact sieved sum on random
     (form, x, y, z) tuples."""
     t0 = time.time()
     rng = random.Random(20250809)
@@ -215,7 +210,7 @@ def check_sieve_soundness(fast: bool = False) -> CheckResult:
         y = rng.uniform(10.0, x / 2)
         z = rng.uniform(2.0, 20.0)
         bound = sieve_upper_bound(f, x, y, z).bound
-        exact = brute_sieved_sum(f, x, y, z)
+        exact = sieved_sum_exact(f, x, y, z)
         worst_margin = min(worst_margin, bound - exact)
         if bound < exact:
             return CheckResult(

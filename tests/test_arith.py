@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_form
@@ -16,7 +17,6 @@ from qflab.arith import (
     is_squarefree,
     kronecker,
     prime_mask,
-    primes_up_to,
     residue_density,
 )
 from qflab.forms import QuadraticForm, enumerate_reduced_forms
@@ -138,22 +138,23 @@ def test_class_number_analytic():
         class_number_analytic(108)
 
 
-def test_primes_up_to():
-    assert list(primes_up_to(10)) == [2, 3, 5, 7]
-    assert list(primes_up_to(2)) == [2]
-    assert list(primes_up_to(1)) == []
-    count = sum(1 for _ in primes_up_to(10**6))
-    assert count == 78498
+def test_prime_mask_counts():
+    def primes(x):
+        return np.flatnonzero(prime_mask(x)).tolist()
+
+    assert primes(10) == [2, 3, 5, 7]
+    assert primes(2) == [2]
+    assert primes(1) == [] and primes(0) == [] and primes(-3) == []
+    assert int(prime_mask(10**6).sum()) == 78498
     # spot checks by trial division
-    ps = list(primes_up_to(2000))
-    for p in ps[::97]:
+    for p in primes(2000)[::97]:
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
-def test_prime_mask_agrees_with_generator():
+def test_prime_mask_agrees_with_trial_division():
     mask = prime_mask(5000)
-    assert sorted(int(p) for p in primes_up_to(5000)) == \
-        [n for n in range(5001) if mask[n]]
+    assert [n for n in range(5001) if mask[n]] == \
+        [n for n in range(2, 5001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
 def test_divisor_functions():

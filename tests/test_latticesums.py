@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_congruence_sum, random_form
+from conftest import brute_congruence_sum, brute_rf, random_form
 from qflab.arith import divisor_tau, residue_density
-from qflab.forms import QuadraticForm, enumerate_reduced_forms, representation_count
+from qflab import latticesums
+from qflab.forms import QuadraticForm, enumerate_reduced_forms, reduce_form, representation_count
 from qflab.latticesums import (
     BudgetError,
     TestFunctionG,
@@ -53,6 +54,71 @@ def test_congruence_sum_brute_force():
 def test_congruence_sum_budget():
     with pytest.raises(BudgetError):
         congruence_sum_exact(QuadraticForm(1, 0, 1), 1, 1e18)
+
+
+def test_lattice_rows_match_box_search():
+    rng = random.Random(31)
+    for _ in range(30):
+        f = random_form(rng, max_a=9, max_extra=20)
+        N = rng.randint(0, 300)
+        got = {(u, v) for vs, lo, hi in latticesums._lattice_rows(f, N)
+               for v, l, h in zip(vs.tolist(), lo.tolist(), hi.tolist())
+               for u in range(l, h + 1)}
+        bu = math.isqrt(4 * f.c * N // f.D) + 2
+        bv = math.isqrt(4 * f.a * N // f.D) + 2
+        want = {(u, v) for u in range(-bu, bu + 1) for v in range(-bv, bv + 1)
+                if f(u, v) <= N}
+        assert got == want
+
+
+def _histogram(f, lo, hi):
+    """The window (lo, hi] as one list, with the blocks' starts."""
+    starts, values = [], []
+    for n0, r in latticesums._window_histogram(f, lo, hi):
+        starts.append(n0)
+        values.extend(r.tolist())
+    return starts, values
+
+
+def test_window_histogram_matches_brute_rf(monkeypatch):
+    rng = random.Random(17)
+    for block in (1 << 17, 7, 64):
+        monkeypatch.setattr(latticesums, "_WINDOW_BLOCK", block)
+        for _ in range(8):
+            f = reduce_form(random_form(rng, max_a=6, max_extra=12))
+            lo = rng.randint(-3, 250)
+            hi = lo + rng.randint(0, 150)
+            starts, values = _histogram(f, lo, hi)
+            first = max(lo, -1) + 1
+            assert starts == list(range(first, hi + 1, block))
+            assert values == [brute_rf(f, n) for n in range(first, hi + 1)]
+
+
+def test_window_strided_counts_match_brute_congruence(monkeypatch):
+    monkeypatch.setattr(latticesums, "_WINDOW_BLOCK", 50)
+    rng = random.Random(29)
+    for _ in range(20):
+        f = reduce_form(random_form(rng, max_a=5, max_extra=9))
+        lo = rng.randint(0, 200)
+        hi = lo + rng.randint(1, 200)
+        ell = rng.randint(1, 12)
+        count = sum(int(r[-n0 % ell::ell].sum())
+                    for n0, r in latticesums._window_histogram(f, lo, hi))
+        assert count == brute_congruence_sum(f, ell, hi) - brute_congruence_sum(f, ell, lo)
+
+
+def test_window_histogram_memory_is_one_block():
+    # a window of 3.5 blocks comes in blocks of at most _WINDOW_BLOCK numbers
+    # that together hold every lattice point of the annulus
+    f = QuadraticForm(1, 1, 3)
+    block = latticesums._WINDOW_BLOCK
+    hi, lo = 4 * block, block // 2
+    sizes, total = [], 0
+    for n0, r in latticesums._window_histogram(f, lo, hi):
+        sizes.append(r.size)
+        total += int(r.sum())
+    assert sizes == [block, block, block, block // 2]
+    assert total == congruence_sum_exact(f, 1, hi) - congruence_sum_exact(f, 1, lo)
 
 
 def test_main_term_examples():

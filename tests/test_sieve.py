@@ -2,22 +2,33 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import random_form
+from conftest import brute_rf, random_form
 from qflab.arith import prime_mask
-from qflab.forms import QuadraticForm, delta_f, enumerate_reduced_forms, reduce_form, unit_count
-from qflab.latticesums import congruence_sum_exact
+from qflab.forms import (
+    QuadraticForm,
+    delta_f,
+    enumerate_reduced_forms,
+    reduce_form,
+    representation_count,
+    unit_count,
+)
+from qflab.latticesums import BudgetError, congruence_sum_exact
 from qflab.sieve import (
+    PrimeGapRecord,
     bt_theoretical_bound,
     cor_brun_bound,
     count_represented_primes,
+    normalized_gaps,
     prime_gap_scan,
+    represented_mask,
     represented_primes,
     selberg_j,
     sieve_upper_bound,
+    sieved_sum_exact,
 )
-from qflab.verify import brute_sieved_sum
 
 
 def test_selberg_j_examples():
@@ -54,7 +65,7 @@ def test_sieve_bound_dominates_brute_force():
         y = rng.uniform(100.0, x / 2)
         z = rng.uniform(2.0, 15.0)
         bound = sieve_upper_bound(f, x, y, z).bound
-        assert bound >= brute_sieved_sum(f, x, y, z)
+        assert bound >= sieved_sum_exact(f, x, y, z)
         checked += 1
 
 
@@ -68,7 +79,7 @@ def test_weighted_prime_count_inequality():
     lhs = Fraction(w, 1) / df * (count_represented_primes(f, x)
                                  - count_represented_primes(f, x - y))
     for z in (5.0, 10.0, 20.0):
-        sieved = brute_sieved_sum(f, x, y, z)
+        sieved = sieved_sum_exact(f, x, y, z)
         pi_z = int(prime_mask(int(z)).sum())
         assert lhs <= sieved + Fraction(w, 1) / df * pi_z
 
@@ -81,8 +92,6 @@ def test_pi_f_examples():
 
 
 def test_pi_f_consistency_with_per_prime_rf():
-    from qflab.forms import representation_count
-
     for D in range(3, 101):
         if D % 4 not in (0, 3):
             continue
@@ -155,13 +164,27 @@ def test_cor_brun_bound():
 
 def test_prime_gap_scan_small():
     f = QuadraticForm(1, 0, 1)
-    best, records = prime_gap_scan(f, 100.0)
-    assert [(r.p_n, r.p_next) for r in records[:3]] == [(2, 5), (5, 13), (13, 17)]
-    # chain property
-    for a, b in zip(records, records[1:]):
-        assert a.p_next == b.p_n
+    best, primes = prime_gap_scan(f, 100.0)
+    assert primes[:4].tolist() == [2, 5, 13, 17]
+    assert primes.tolist() == represented_primes(f, 100.0).tolist()
+    # chain property: the best record is a pair of consecutive primes
+    assert np.all(np.diff(primes) > 0)
+    i = primes.tolist().index(best.p_n)
+    assert best.p_next == primes[i + 1]
     with pytest.raises(ValueError):
         prime_gap_scan(f, 3.0)
+
+
+def test_prime_gap_scan_max_matches_scalar_scan():
+    # the maximum over all pair records by the scalar formula, first one on ties
+    for f, X, min_p in ((QuadraticForm(1, 0, 1), 1e5, 100), (QuadraticForm(1, 1, 2), 3e4, 10),
+                        (QuadraticForm(2, 1, 3), 5e4, 100), (QuadraticForm(1, 0, 1), 90.0, 100)):
+        best, primes = prime_gap_scan(f, X, min_p)
+        ps = primes.tolist()
+        records = [PrimeGapRecord(p, q) for p, q in zip(ps, ps[1:])]
+        pool = [r for r in records if r.p_n >= min_p] or records
+        assert best == max(pool, key=lambda r: r.normalized_gap)
+        assert normalized_gaps(ps) == [r.normalized_gap for r in records]
 
 
 def test_prime_gap_scan_normalized_max():
@@ -177,3 +200,68 @@ def test_empirical_short_interval_bound():
         hi = count_represented_primes(f, x + math.sqrt(x))
         lo = count_represented_primes(f, x)
         assert hi - lo <= 1.5 * cor_brun_bound(f, x)
+
+
+def test_sieved_sum_matches_brute_rf():
+    rng = random.Random(5)
+    for _ in range(12):
+        f = reduce_form(random_form(rng, max_a=6, max_extra=10))
+        x = rng.uniform(50.0, 400.0)
+        y = rng.uniform(1.0, x + 20.0)
+        z = rng.uniform(0.0, 12.0)
+        primes = [p for p in range(2, int(z) + 1) if all(p % d for d in range(2, p))]
+        lo = max(math.floor(x - y), -1)
+        want = sum(brute_rf(f, n) for n in range(lo + 1, math.floor(x) + 1)
+                   if all(n % p for p in primes))
+        assert sieved_sum_exact(f, x, y, z) == want
+
+
+def test_sieve_bound_recorded_values():
+    # error sums recorded from the two-congruence-sum implementation
+    sb = sieve_upper_bound(QuadraticForm(2, 1, 3), 1e5, 1e3, 10)
+    assert sb.error_sum == 922.2418527282213
+    assert sieved_sum_exact(QuadraticForm(2, 1, 3), 1e5, 1e3, 10) == 142
+    sb = sieve_upper_bound(QuadraticForm(1, 0, 2), 9.9e6, 1e5, 20)
+    assert sb.error_sum == 27533.031922034745
+    assert sb.main == 43251.19033813049
+
+
+def test_sieve_bound_checks_window_total(monkeypatch):
+    import qflab.sieve as sieve
+
+    real = sieve._window_histogram
+
+    def one_point_lost(f, lo, hi):
+        for n0, r in real(f, lo, hi):
+            r = r.copy()
+            r[np.flatnonzero(r)[0]] -= 1
+            yield n0, r
+
+    f = QuadraticForm(2, 1, 3)
+    sieve_upper_bound(f, 1e4, 1e3, 7)
+    monkeypatch.setattr(sieve, "_window_histogram", one_point_lost)
+    with pytest.raises(RuntimeError, match="window histogram"):
+        sieve_upper_bound(f, 1e4, 1e3, 7)
+
+
+def test_sieve_routines_reduce_first():
+    # (1, 2*10^8, 10^16 + 1) is properly equivalent to u^2 + v^2
+    f, g = QuadraticForm(1, 2 * 10**8, 10**16 + 1), QuadraticForm(1, 0, 1)
+    assert reduce_form(f) == g
+    assert count_represented_primes(f, 1e4) == count_represented_primes(g, 1e4)
+    assert sieved_sum_exact(f, 1e4, 1e3, 10) == sieved_sum_exact(g, 1e4, 1e3, 10)
+    assert sieve_upper_bound(f, 1e4, 1e3, 10) == sieve_upper_bound(g, 1e4, 1e3, 10)
+
+
+def test_represented_mask_matches_rf():
+    rng = random.Random(8)
+    for _ in range(6):
+        f = random_form(rng, max_a=8, max_extra=15)
+        mask = represented_mask(f, 600)
+        assert mask.tolist() == [n > 0 and representation_count(f, n) > 0
+                                 for n in range(601)]
+
+
+def test_sieved_sum_budget():
+    with pytest.raises(BudgetError):
+        sieved_sum_exact(QuadraticForm(1, 0, 1), 1e18, 1e6, 5.0)
