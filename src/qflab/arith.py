@@ -166,10 +166,11 @@ class DensityG:
     def at_squarefree(self, ell: int) -> Fraction:
         if ell < 1:
             raise ValueError("need ell >= 1")
-        if not is_squarefree(ell):
+        primes = factorize(ell)
+        if any(e > 1 for e in primes.values()):
             raise ValueError(f"{ell} is not squarefree; use residue_density")
         out = Fraction(1)
-        for p in factorize(ell):
+        for p in primes:
             out *= self.at_prime(p)
         return out
 
@@ -179,20 +180,37 @@ def g_squarefree(f: QuadraticForm, ell: int) -> Fraction:
     return DensityG(f).at_squarefree(ell)
 
 
+_RESIDUE_BLOCK = 1 << 20
+_RESIDUE_ELL_LIMIT = 1 << 21
+
+
 def residue_density(f: QuadraticForm, ell: int) -> Fraction:
-    """(1/ell^2) * #{(u, v) in [0, ell)^2 : ell | f(u, v)}, exact."""
+    """(1/ell^2) * #{(u, v) in [0, ell)^2 : ell | f(u, v)}, exact; ell < 2^21."""
+    count = sum(int(np.count_nonzero(m)) for m in _residue_rows(f, ell))
+    return Fraction(count, ell * ell)
+
+
+def _residue_rows(f: QuadraticForm, ell: int):
+    """Yield the indicator m[v, u] = (ell | f(u, v)) over [0, ell)^2 as
+    boolean blocks of consecutive rows v = 0, 1, ..., ell - 1.
+
+    Each block holds at most _RESIDUE_BLOCK cells (one row when a row alone
+    is longer).  The coefficients are reduced mod ell first, so every
+    product stays below ell^3 and is exact in int64 for ell < 2^21; larger
+    ell is refused with ValueError before anything is allocated.
+    """
     if ell < 1:
         raise ValueError("need ell >= 1")
-    if ell == 1:
-        return Fraction(1)
+    if ell >= _RESIDUE_ELL_LIMIT:
+        raise ValueError(f"ell = {ell} too large for exact 64-bit residue counting "
+                         "(need ell < 2^21)")
     a, b, c = f.a % ell, f.b % ell, f.c % ell
     u = np.arange(ell, dtype=np.int64)
-    au2 = (a * u * u) % ell
-    count = 0
-    for v in range(ell):
-        vals = (au2 + (b * v) * u + c * v * v) % ell
-        count += int(np.count_nonzero(vals == 0))
-    return Fraction(count, ell * ell)
+    au2 = a * u * u % ell
+    step = max(1, _RESIDUE_BLOCK // ell)
+    for v0 in range(0, ell, step):
+        v = u[v0:v0 + step, None]
+        yield (au2 + (b * v % ell) * u + c * v * v % ell) % ell == 0
 
 
 def _chi_period(D: int) -> np.ndarray:

@@ -15,9 +15,11 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import verify as _verify
 from .arith import class_number_analytic, dirichlet_l1, is_fundamental
@@ -242,20 +244,37 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def emit(records: list[dict], fmt: str, stream) -> None:
+# rows per write: few write calls, and memory bounded by one chunk of text
+_EMIT_CHUNK = 4096
+
+
+def _chunks(rows):
+    return iter(lambda: list(islice(rows, _EMIT_CHUNK)), [])
+
+
+def emit(records, fmt: str, stream) -> None:
+    """Write records (any iterable of dicts, consumed once) to stream as
+    JSON lines or as CSV headed by the first record's keys, in joined
+    chunks of _EMIT_CHUNK rows."""
+    rows = iter(records)
     if fmt == "json":
         encode = json.JSONEncoder(default=_json_default).encode
-        for rec in records:
-            stream.write(encode(rec) + "\n")
+        for chunk in _chunks(rows):
+            stream.write("".join([encode(rec) + "\n" for rec in chunk]))
         return
-    if not records:
+    first = next(rows, None)
+    if first is None:
         return
-    writer = csv.writer(stream, lineterminator="\n")
-    keys = list(records[0].keys())
+    keys = list(first.keys())
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys)
-    for rec in records:
-        writer.writerow([format(v, ".6g") if isinstance(v, float) else v
-                         for v in (rec[k] for k in keys)])
+    for chunk in _chunks(chain([first], rows)):
+        writer.writerows([format(v, ".6g") if isinstance(v, float) else v
+                          for v in (rec[k] for k in keys)] for rec in chunk)
+        stream.write(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
 
 
 def _worker_count() -> int:
@@ -291,8 +310,9 @@ def _table_row(args) -> dict:
             "a2": coeffs[1], "a3": coeffs[2], "lambda": res.fn.lam}
 
 
-def execute_plan(plan: CommandPlan) -> tuple[list[dict], int]:
-    """Run the plan; returns (records, exit_status)."""
+def execute_plan(plan: CommandPlan) -> tuple[Iterable[dict], int]:
+    """Run the plan; returns (records, exit_status).  Records are a list,
+    or a generator where the rows are many (`sieve gaps`)."""
     p = plan.params
     key = (plan.group, plan.action)
     if key == ("forms", "reduce"):
@@ -347,9 +367,9 @@ def execute_plan(plan: CommandPlan) -> tuple[list[dict], int]:
     if key == ("sieve", "gaps"):
         best, primes = prime_gap_scan(p["form"], p["x"], p["min_p"])
         ps = primes.tolist()
-        return [{"p_n": p_n, "p_next": q, "gap": q - p_n, "normalized": w,
+        return ({"p_n": p_n, "p_next": q, "gap": q - p_n, "normalized": w,
                  "is_max": p_n == best.p_n}
-                for p_n, q, w in zip(ps, ps[1:], normalized_gaps(ps))], 0
+                for p_n, q, w in zip(ps, ps[1:], normalized_gaps(ps))), 0
     if key == ("sieve", "bt-constants"):
         bt = bt_theoretical_bound(p["form"], p["x"], p["y"], p["variant"], p["eps"])
         return [{"form": p["form"].triple(), "x": p["x"], "y": p["y"],
@@ -388,14 +408,11 @@ def main(argv=None) -> int:
     if plan.group == "verify":
         return _verify.run_suite(plan.action)
     records, status = execute_plan(plan)
-    buf = io.StringIO()
-    emit(records, plan.fmt, buf)
-    text = buf.getvalue()
     if plan.output:
         with open(plan.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit(records, plan.fmt, fh)
     else:
-        sys.stdout.write(text)
+        emit(records, plan.fmt, sys.stdout)
     return status
 
 

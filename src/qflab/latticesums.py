@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0
 
-from .arith import residue_density
+from .arith import _residue_rows, residue_density
 from .forms import QuadraticForm, is_reduced, lattice_basis
 from .quadrature import quad_segments
 
@@ -44,13 +44,7 @@ class BudgetError(RuntimeError):
 
 def _u_residues(f: QuadraticForm, ell: int) -> list[np.ndarray]:
     """For each v mod ell, the sorted u mod ell with ell | f(u, v)."""
-    a, b, c = f.a % ell, f.b % ell, f.c % ell
-    u = np.arange(ell, dtype=np.int64)
-    au2 = (a * u * u) % ell
-    return [
-        np.flatnonzero((au2 + (b * v) * u + c * v * v) % ell == 0).astype(np.int64)
-        for v in range(ell)
-    ]
+    return [np.flatnonzero(row) for m in _residue_rows(f, ell) for row in m]
 
 
 def _exact_isqrt(m: np.ndarray) -> np.ndarray:
@@ -225,11 +219,8 @@ def chi_hat(f: QuadraticForm, ell: int, r: int, s: int) -> complex:
 
 def _chi_hat_table(f: QuadraticForm, ell: int) -> np.ndarray:
     """All ell^2 coefficients at once, indexed [s, r], via a 2-D FFT."""
-    u = np.arange(ell, dtype=np.int64)
-    vals = (f.a * u[:, None] ** 2 + f.b * u[:, None] * u[None, :]
-            + f.c * u[None, :] ** 2) % ell
-    indicator = (vals == 0).astype(np.float64)  # indexed [u, v]
-    return np.fft.fft2(indicator) / ell**2
+    indicator = np.concatenate(list(_residue_rows(f, ell))).T  # indexed [u, v]
+    return np.fft.fft2(indicator.astype(np.float64)) / ell**2
 
 
 def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float, float]:
@@ -283,7 +274,7 @@ def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float,
             sq = (px - shift[0]) ** 2 + (py - shift[1]) ** 2
             theta = float(np.sum(np.exp(-math.pi * sq / t))) / t
             acc.append(coeff * theta)
-    rhs = math.sqrt(4.0 / D) * sum(acc).real
+    rhs = math.sqrt(4.0 / D) * float(sum(acc).real)
     return lhs, rhs
 
 

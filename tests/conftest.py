@@ -78,3 +78,9 @@ def random_unimodular(rng: random.Random, bound: int = 3):
             s = (1 + q * r) // p
             if abs(s) <= bound:
                 return p, q, r, s
+
+
+def random_big_form(rng: random.Random) -> QuadraticForm:
+    """Random non-reduced form, sheared so that c exceeds 1e12."""
+    f = random_form(rng, max_a=9, max_extra=15).transform(*random_unimodular(rng))
+    return f.transform(1, rng.randint(10**6, 10**7), 0, 1)

@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_form
+from conftest import random_big_form, random_form
+from qflab import arith
 from qflab.arith import (
+    _residue_rows,
     ConvergenceError,
     class_number_analytic,
     dirichlet_l1,
@@ -114,6 +116,43 @@ def test_residue_density_multiplicative():
                 continue
             assert residue_density(f, l1 * l2) == \
                 residue_density(f, l1) * residue_density(f, l2)
+
+
+def test_residue_rows_match_python_int_grid():
+    rng = random.Random(31)
+    for f in (random_big_form(rng) for _ in range(20)):
+        assert f.c >= 10**12
+        ell = rng.randint(1, 60)
+        grid = np.concatenate(list(_residue_rows(f, ell)))
+        want = np.array([[f(u, v) % ell == 0 for u in range(ell)] for v in range(ell)])
+        assert grid.dtype == bool and np.array_equal(grid, want), (f, ell)
+        assert residue_density(f, ell) == Fraction(int(want.sum()), ell * ell)
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_residue_rows_in_blocks(monkeypatch, block):
+    rng = random.Random(block)
+    cases = [(random_big_form(rng), ell) for _ in range(6) for ell in (1, 2, 7, 8, 30, 59)]
+    whole = [(np.concatenate(list(_residue_rows(f, ell))), residue_density(f, ell))
+             for f, ell in cases]
+    monkeypatch.setattr(arith, "_RESIDUE_BLOCK", block)
+    for (f, ell), (grid, density) in zip(cases, whole):
+        blocks = list(_residue_rows(f, ell))
+        rows = max(1, block // ell)
+        assert len(blocks) == -(-ell // rows)
+        assert all(m.shape[0] <= rows and m.shape[1] == ell for m in blocks)
+        assert np.array_equal(np.concatenate(blocks), grid)
+        assert residue_density(f, ell) == density
+
+
+def test_residue_rows_exact_at_largest_ell():
+    # ell = 2^21 - 1 = 7^2 * 127 * 337 and a = -1 mod ell, so the first row
+    # (v = 0) is ell | u^2, i.e. 7 * 127 * 337 | u; a*u^2 reaches ~2^63 here
+    ell = (1 << 21) - 1
+    f = QuadraticForm(10**18 * ell - 1, 0, 1)
+    first = next(_residue_rows(f, ell))
+    assert first.shape == (1, ell)
+    assert np.array_equal(np.flatnonzero(first[0]), np.arange(0, ell, 7 * 127 * 337))
 
 
 def test_l1_chi_closed_forms():

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+import qflab.cli as cli
 from qflab.cli import build_parser, emit, execute_plan, main, parse_invocation
 
 
@@ -71,6 +73,51 @@ def test_csv_round_trip():
     emit(records, "csv", buf)
     rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
     assert float(rows[0]["j_plus"]) == pytest.approx(records[0]["j_plus"], rel=1e-5)
+
+
+class WriteLog(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("chunk", [4096, 3])
+def test_emit_streams_iterables_in_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
+    rows = [{"n": i, "x": i / 7, "q": Fraction(i, 3), "odd": i % 2 == 1} for i in range(10)]
+    want_json = "".join(json.dumps(r, default=str) + "\n" for r in rows)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    for r in rows:
+        writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in r.values()])
+    for fmt, want in (("json", want_json), ("csv", ref.getvalue())):
+        for records in (rows, (r for r in rows)):
+            out = WriteLog()
+            emit(records, fmt, out)
+            assert out.getvalue() == want
+            assert out.writes == -(-len(rows) // chunk)
+        empty = WriteLog()
+        emit(iter(()), fmt, empty)
+        assert empty.getvalue() == "" and empty.writes == 0
+
+
+def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
+    for fmt in ("json", "csv"):
+        argv = ["--format", fmt, "sieve", "gaps", "--form", "1,1,2", "--x", "3000",
+                "--min-p", "10"]
+        records, _ = execute_plan(parse_invocation(argv))
+        assert not isinstance(records, list)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / f"gaps.{fmt}"
+        assert main(["--out", str(path)] + argv) == 0
+        assert path.read_bytes() == out.encode() and out.count("\n") > 20
 
 
 def test_determinism_byte_identical(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import brute_congruence_sum, brute_rf, random_form
+from conftest import brute_congruence_sum, brute_rf, random_big_form, random_form
+from qflab import arith
 from qflab.arith import divisor_tau, residue_density
 from qflab import latticesums
 from qflab.forms import QuadraticForm, enumerate_reduced_forms, reduce_form, representation_count
@@ -206,6 +209,73 @@ def test_chi_hat_matches_direct_sum():
         assert chi_hat(f, ell, r, s) == pytest.approx(acc / ell**2, abs=1e-12)
 
 
+def test_chi_hat_reduces_coefficients_first():
+    # (1, 2e8, 1e16 + 1) is equivalent to u^2 + v^2; f.c * u^2 on the raw
+    # coefficients wraps int64 from ell = 40 on
+    f = QuadraticForm(1, 2 * 10**8, 10**16 + 1)
+    for ell, count in ((40, 72), (97, 193)):
+        pairs = [(u, v) for u in range(ell) for v in range(ell) if f(u, v) % ell == 0]
+        assert len(pairs) == count
+        # DFT oracle: integer phases (u*s + v*r) mod ell into the ell-th roots
+        us, vs = (np.array(t, dtype=np.int64) for t in zip(*pairs))
+        k = np.arange(ell, dtype=np.int64)
+        phase = (k[:, None, None] * us + k[None, :, None] * vs) % ell  # [s, r, pair]
+        roots = np.exp(-2j * np.pi * np.arange(ell) / ell)
+        oracle = roots[phase].sum(axis=2) / ell**2
+        assert np.abs(latticesums._chi_hat_table(f, ell) - oracle).max() < 1e-12
+        for r, s in ((0, 0), (1, 0), (3, 5), (ell - 1, ell - 2)):
+            assert abs(chi_hat(f, ell, r, s) - oracle[s, r]) < 1e-12
+
+
+def old_u_residues(f, ell):
+    """The per-v reference the row kernel replaced."""
+    a, b, c = f.a % ell, f.b % ell, f.c % ell
+    u = np.arange(ell, dtype=np.int64)
+    au2 = (a * u * u) % ell
+    return [np.flatnonzero((au2 + (b * v) * u + c * v * v) % ell == 0).astype(np.int64)
+            for v in range(ell)]
+
+
+@pytest.mark.parametrize("block", [None, 7, 64])
+def test_residue_kernel_callers_match_references(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(arith, "_RESIDUE_BLOCK", block)
+    rng = random.Random(41)
+    for _ in range(12):
+        f = random_big_form(rng)
+        ell = rng.randint(2, 60)
+        got = latticesums._u_residues(f, ell)
+        want = old_u_residues(f, ell)
+        assert len(got) == ell
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
+        table = np.zeros((ell, ell))
+        for v, us in enumerate(want):
+            table[us, v] = 1.0
+        assert np.abs(latticesums._chi_hat_table(f, ell)
+                      - np.fft.fft2(table) / ell**2).max() < 1e-12
+
+
+def test_residue_kernel_refuses_ell_beyond_int64_bound():
+    f = QuadraticForm(1, 0, 1)
+    ell = 1 << 21
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        for call in (lambda: next(arith._residue_rows(f, ell)),
+                     lambda: residue_density(f, ell),
+                     lambda: chi_hat(f, ell, 0, 0),
+                     lambda: congruence_sum_exact(f, ell, 100),
+                     lambda: congruence_main_term(f, ell, 100.0)):
+            with pytest.raises(ValueError, match="2\\^21"):
+                call()
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 1 << 20
+
+
 def test_poisson_identity_selfdual_closed_form():
     theta = math.fsum(math.exp(-math.pi * n * n) for n in range(-40, 41))
     lhs, rhs = poisson_identity_check(QuadraticForm(1, 0, 1), 1, 1.0)
@@ -217,6 +287,7 @@ def test_poisson_identity_cases():
     for f, ell, t in [(QuadraticForm(1, 0, 1), 2, 1.0),
                       (QuadraticForm(1, 1, 1), 3, 0.7)]:
         lhs, rhs = poisson_identity_check(f, ell, t)
+        assert type(lhs) is float and type(rhs) is float
         assert abs(lhs - rhs) / lhs < 1e-10
 
 
