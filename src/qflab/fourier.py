@@ -164,8 +164,9 @@ def h_l1_norm(coeffs, tol: float = 1e-9) -> float:
     roots = _rational_part_roots(coeffs)
     if roots and roots[-1] >= x0 - 1.0:
         x0 = 1.5 * roots[-1] + 10.0
-    # 0, the zeros 1/4, 3/4, ... of cos(2*pi*x) below x0, x0, and the roots
-    edges = np.union1d(np.r_[0.0, np.arange(0.25, x0, 0.5), x0], roots)
+    # 0, the zeros 1/4, 3/4, ... of cos(2*pi*x) below x0, x0, and the roots,
+    # sorted without np.union1d, whose np.unique loads numpy.ma on first use
+    edges = np.array(sorted({0.0, *np.arange(0.25, x0, 0.5).tolist(), x0, *roots}))
     half_line, _ = quad_segments(lambda x: np.abs(eval_h(coeffs, x)), edges,
                                  tol=tol / 4.0, max_panels=edges.size + 4000)
     tail_main = math.fsum(

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +205,24 @@ def test_verify_subcommand_routing(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         parse_invocation(["verify", "slow"])
     assert exc.value.code == 2
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+from qflab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["verify", "fast"])
+heavy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+               or m == "concurrent.futures.process")
+print(json.dumps({"status": status, "heavy": heavy}))
+"""
+
+
+def test_cold_start_loads_no_scipy_or_process_pool():
+    """A fresh interpreter (this one already holds scipy) runs the CLI on
+    numpy and the standard library alone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"status": 0, "heavy": []}

@@ -7,7 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_congruence_sum, brute_rf, random_big_form, random_form
+from conftest import (
+    brute_congruence_sum,
+    brute_rf,
+    random_big_form,
+    random_form,
+    random_unimodular,
+)
 from qflab import arith
 from qflab.arith import divisor_tau, residue_density
 from qflab import latticesums
@@ -299,6 +305,27 @@ def test_poisson_identity_grid_subset():
                 assert abs(lhs - rhs) / abs(lhs) < 1e-9, (f, ell, t)
 
 
+def test_poisson_identity_reduces_first():
+    """(1, 2e8, 1e16+1) is u^2 + v^2 in disguise; sized from its own
+    coefficients the dual-side grid would have ~4e24 cells."""
+    big, square = QuadraticForm(1, 2 * 10**8, 10**16 + 1), QuadraticForm(1, 0, 1)
+    t0 = time.perf_counter()
+    for ell in (1, 2, 5):
+        lhs, rhs = poisson_identity_check(big, ell, 1.0)
+        assert (lhs, rhs) == poisson_identity_check(square, ell, 1.0)
+        assert abs(lhs - rhs) / lhs < 1e-10
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_poisson_identity_equivalence_invariant():
+    rng = random.Random(20260)
+    for _ in range(25):
+        g = random_form(rng).transform(*random_unimodular(rng))
+        ell, t = rng.randint(1, 6), rng.choice((0.5, 1.0, 2.0))
+        assert poisson_identity_check(g, ell, t) == \
+            poisson_identity_check(reduce_form(g), ell, t), (g, ell, t)
+
+
 # ---- translation exceptions --------------------------------------------------
 
 
@@ -384,10 +411,9 @@ def test_transform_decay_fixtures():
 
 
 def test_j0_against_series_oracle():
-    """scipy's Bessel J0 against a 50-term power series evaluated in
-    high-precision arithmetic."""
+    """J0 against a 50-term power series evaluated in high-precision
+    arithmetic."""
     import mpmath
-    from scipy.special import j0
 
     mpmath.mp.dps = 60
     for t in np.linspace(0.0, 30.0, 121):
@@ -396,7 +422,38 @@ def test_j0_against_series_oracle():
         term_base = (tm / 2) ** 2
         for k in range(50):
             acc += (-1) ** k * term_base**k / (mpmath.factorial(k)) ** 2
-        assert abs(float(j0(float(t))) - float(acc)) < 1e-10, t
+        assert abs(float(latticesums._j0(float(t))) - float(acc)) < 1e-10, t
+
+
+def test_j0_against_mpmath_besselj():
+    """Both branches and the switch at 25 against mpmath's J0."""
+    import mpmath
+
+    xs = np.r_[np.linspace(0.0, 25.0, 51), 24.999999, 25.000001,
+               np.geomspace(25.0, 1e6, 60)]
+    got = latticesums._j0(xs)
+    with mpmath.workdps(40):
+        for x, v in zip(xs.tolist(), got.tolist()):
+            assert abs(v - float(mpmath.besselj(0, x))) <= 1e-15, x
+
+
+def test_j0_parity_with_scipy():
+    from scipy.special import j0
+
+    near = np.linspace(0.0, 200.0, 400_001)
+    assert np.max(np.abs(latticesums._j0(near) - j0(near))) <= 2e-15
+    far = np.geomspace(200.0, 1e6, 400_001)
+    assert np.max(np.abs(latticesums._j0(far) - j0(far))) <= 1e-13
+
+
+def test_j0_even_and_shape_preserving():
+    assert latticesums._j0(0.0) == 1.0
+    assert latticesums._j0(0.0).shape == ()
+    assert latticesums._j0(30.0).shape == ()
+    xs = np.r_[np.linspace(0.0, 40.0, 81), 1e3, 1e6]
+    out = latticesums._j0(xs)
+    assert out.shape == xs.shape
+    assert np.array_equal(latticesums._j0(-xs), out)
 
 
 def test_adaptive_quad_tolerance_error():
