@@ -7,7 +7,6 @@ bandlimited Fourier functionals behind the gap constant.
 
 from .arith import (
     DensityG,
-    KroneckerChar,
     class_number_analytic,
     dirichlet_l1,
     divisor_tau,

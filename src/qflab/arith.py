@@ -20,7 +20,6 @@ __all__ = [
     "ConvergenceError",
     "ConsistencyError",
     "kronecker",
-    "KroneckerChar",
     "DensityG",
     "g_squarefree",
     "residue_density",
@@ -123,20 +122,6 @@ def divisor_tau3(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class KroneckerChar:
-    """The quadratic character n -> (-D/n) attached to discriminant -D."""
-
-    D: int
-
-    def __post_init__(self):
-        if self.D < 3:
-            raise ValueError("need D >= 3")
-
-    def __call__(self, n: int) -> int:
-        return kronecker(-self.D, n)
-
-
-@dataclass(frozen=True)
 class DensityG:
     """Multiplicative density of multiples among values of a form.
 
@@ -152,10 +137,6 @@ class DensityG:
     def D(self) -> int:
         return self.form.D
 
-    @property
-    def char(self) -> KroneckerChar:
-        return KroneckerChar(self.D)
-
     def chi(self, n: int) -> int:
         return kronecker(-self.D, n)
 
@@ -169,10 +150,7 @@ class DensityG:
         primes = factorize(ell)
         if any(e > 1 for e in primes.values()):
             raise ValueError(f"{ell} is not squarefree; use residue_density")
-        out = Fraction(1)
-        for p in primes:
-            out *= self.at_prime(p)
-        return out
+        return math.prod((self.at_prime(p) for p in primes), start=Fraction(1))
 
 
 def g_squarefree(f: QuadraticForm, ell: int) -> Fraction:
@@ -180,22 +158,30 @@ def g_squarefree(f: QuadraticForm, ell: int) -> Fraction:
     return DensityG(f).at_squarefree(ell)
 
 
-_RESIDUE_BLOCK = 1 << 20
+_RESIDUE_BLOCK = 1 << 16
 _RESIDUE_ELL_LIMIT = 1 << 21
 
 
 def residue_density(f: QuadraticForm, ell: int) -> Fraction:
     """(1/ell^2) * #{(u, v) in [0, ell)^2 : ell | f(u, v)}, exact; ell < 2^21."""
-    count = sum(int(np.count_nonzero(m)) for m in _residue_rows(f, ell))
-    return Fraction(count, ell * ell)
+    return Fraction(int(_residue_counts([f.triple()], ell)[0]), ell * ell)
 
 
-def _residue_rows(f: QuadraticForm, ell: int):
-    """Yield the indicator m[v, u] = (ell | f(u, v)) over [0, ell)^2 as
-    boolean blocks of consecutive rows v = 0, 1, ..., ell - 1.
+def _residue_counts(abc, ell: int) -> np.ndarray:
+    """#{(u, v) in [0, ell)^2 : ell | f(u, v)} for each form (a, b, c) in abc."""
+    rows = [np.count_nonzero(m, axis=1) for m in _residue_rows(abc, ell)]
+    return np.concatenate(rows).reshape(-1, ell).sum(axis=1)
+
+
+def _residue_rows(abc, ell: int):
+    """Yield the indicators m[v, u] = (ell | f(u, v)) over [0, ell)^2 of the
+    forms f = (a, b, c), the rows of the (F, 3) array abc, stacked form by
+    form (form 0's rows v = 0..ell-1, then form 1's, ...), as boolean
+    blocks of consecutive stacked rows.
 
     Each block holds at most _RESIDUE_BLOCK cells (one row when a row alone
-    is longer).  The coefficients are reduced mod ell first, so every
+    is longer), so a block may hold the end of one form's rows and the start
+    of the next.  The coefficients are reduced mod ell first, so every
     product stays below ell^3 and is exact in int64 for ell < 2^21; larger
     ell is refused with ValueError before anything is allocated.
     """
@@ -204,18 +190,36 @@ def _residue_rows(f: QuadraticForm, ell: int):
     if ell >= _RESIDUE_ELL_LIMIT:
         raise ValueError(f"ell = {ell} too large for exact 64-bit residue counting "
                          "(need ell < 2^21)")
-    a, b, c = f.a % ell, f.b % ell, f.c % ell
-    u = np.arange(ell, dtype=np.int64)
-    au2 = a * u * u % ell
+    a, b, c = (np.array(abc, dtype=object).reshape(-1, 3) % ell).astype(np.int64).T
+    # the grid in int32 where ell^3 fits: its remainder is several times faster
+    cell = np.int32 if ell ** 3 < 1 << 31 else np.int64
+    u = np.arange(ell, dtype=cell)
+    u2 = u * u % ell
     step = max(1, _RESIDUE_BLOCK // ell)
-    for v0 in range(0, ell, step):
-        v = u[v0:v0 + step, None]
-        yield (au2 + (b * v % ell) * u + c * v * v % ell) % ell == 0
+    for k0 in range(0, len(a) * ell, step):
+        i, v = np.divmod(np.arange(k0, min(k0 + step, len(a) * ell)), ell)
+        # a*u^2 + (b*v)*u + c*v^2 with every factor reduced below ell
+        A, B, C = (t.astype(cell)[:, None] for t in (a[i], b[i] * v % ell, c[i] * v * v % ell))
+        yield (A * u2 + B * u + C) % ell == 0
 
 
 def _chi_period(D: int) -> np.ndarray:
-    """chi_{-D}(n) for n = 1..D (the character has period D when -D is fundamental)."""
-    return np.array([kronecker(-D, n) for n in range(1, D + 1)], dtype=np.float64)
+    """chi_{-D}(n) for n = 1..D (the character has period D when -D is fundamental),
+    as the product of the characters of the prime discriminants dividing -D
+    (Cohen, GTM 138, 5.1): the Legendre symbol (n/p), from the squares mod p,
+    for each odd p | D; and, for even D, that of -4, 8 or -8, from n mod 8."""
+    n = np.arange(1, D + 1)
+    chi = np.ones(D, dtype=np.int64)
+    odd_primes = [p for p in factorize(D) if p > 2]
+    for p in odd_primes:
+        legendre = -np.sign(np.arange(p))  # 0 at n = 0 mod p, -1 off the squares
+        legendre[np.arange(1, p) ** 2 % p] = 1
+        chi *= legendre[n % p]
+    odd = math.prod(odd_primes)
+    two = -D // (odd if odd % 4 == 1 else -odd)
+    if two != 1:
+        chi *= np.array([kronecker(two, m) for m in range(8, 16)])[n % 8]
+    return chi.astype(np.float64)
 
 
 def dirichlet_l1(D: int, tol: float = 1e-10, max_level: int = 13) -> float:

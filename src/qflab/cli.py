@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 
-import numpy as np
-
 from . import verify as _verify
 from .arith import class_number_analytic, dirichlet_l1, is_fundamental
 from .forms import QuadraticForm, enumerate_reduced_forms, reduce_form, representation_count
 from .fourier import BandlimitedFn, functional_report, gap_constant, greedy_search
 from .latticesums import (
     CongruenceSumResult,
+    _error_slope,
     congruence_main_term,
     congruence_sum_exact,
     poisson_identity_check,
@@ -344,9 +343,7 @@ def execute_plan(plan: CommandPlan) -> tuple[Iterable[dict], int]:
         grid = p["grid"] or _grid_arg("1e3:1e6:7:log")
         rows = _map_ordered(_scaling_row,
                             [(p["form"].triple(), p["ell"], x) for x in grid])
-        pts = [(math.log(r["x"]), math.log(abs(r["error"])))
-               for r in rows if abs(r["error"]) >= 1.0]
-        slope = float(np.polyfit(*zip(*pts), 1)[0]) if len(pts) >= 2 else None
+        slope = _error_slope([(r["x"], r["error"]) for r in rows])
         for r in rows:
             r["slope"] = slope
         return rows, 0

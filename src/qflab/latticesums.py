@@ -36,6 +36,7 @@ __all__ = [
 _VMAX_BUDGET = 80_000_000
 _ROW_CHUNK = 1 << 20
 _WINDOW_BLOCK = 1 << 17
+_DUAL_BLOCK = 1 << 16
 
 
 class BudgetError(RuntimeError):
@@ -44,7 +45,7 @@ class BudgetError(RuntimeError):
 
 def _u_residues(f: QuadraticForm, ell: int) -> list[np.ndarray]:
     """For each v mod ell, the sorted u mod ell with ell | f(u, v)."""
-    return [np.flatnonzero(row) for m in _residue_rows(f, ell) for row in m]
+    return [np.flatnonzero(row) for m in _residue_rows([f.triple()], ell) for row in m]
 
 
 def _exact_isqrt(m: np.ndarray) -> np.ndarray:
@@ -138,16 +139,20 @@ def _window_histogram(f: QuadraticForm, lo: int, hi: int):
             lo_i = np.where(empty, hi_o + 1, lo_i)
             hi_i = np.where(empty, hi_o, hi_i)
             # each row of the annulus is [lo_o, lo_i - 1] plus [hi_i + 1, hi_o]
-            start = np.concatenate((lo_o, hi_i + 1))
-            length = np.concatenate((lo_i - lo_o, hi_o - hi_i))
-            vv = np.concatenate((v, v))
-            offset = np.cumsum(length) - length
-            u = np.repeat(start - offset, length) + np.arange(int(length.sum()))
-            vv = np.repeat(vv, length)
+            u, vv = _row_points(np.concatenate((v, v)), np.concatenate((lo_o, hi_i + 1)),
+                                np.concatenate((lo_i - lo_o, hi_o - hi_i)))
             s = 2 * a * u + b * vv
             n = (s * s + D * vv * vv) // (4 * a)
             r += np.bincount(n - n0, minlength=n1 - n0)
         yield n0, r
+
+
+def _row_points(v: np.ndarray, start: np.ndarray, length: np.ndarray):
+    """The points (u, v) of rows u in [start, start + length), row by row,
+    as two int64 arrays; empty rows (length 0) contribute nothing."""
+    offset = np.cumsum(length) - length
+    u = np.repeat(start - offset, length) + np.arange(int(length.sum()))
+    return u, np.repeat(v, length)
 
 
 def congruence_main_term(f: QuadraticForm, ell: int, x: float) -> float:
@@ -198,12 +203,17 @@ def error_scaling_report(f: QuadraticForm, ell: int, x_grid) -> ErrorScalingRepo
                             congruence_main_term(f, ell, x))
         for x in x_grid
     )
-    pts = [(math.log(r.x), math.log(abs(r.error))) for r in rows if abs(r.error) >= 1.0]
-    slope = None
-    if len(pts) >= 2:
-        lx, ly = np.array(pts).T
-        slope = float(np.polyfit(lx, ly, 1)[0])
-    return ErrorScalingReport(rows, slope)
+    return ErrorScalingReport(rows, _error_slope([(r.x, r.error) for r in rows]))
+
+
+def _error_slope(points) -> float | None:
+    """Least-squares slope of log|error| against log x over the (x, error)
+    points with |error| >= 1; None when fewer than two remain."""
+    pts = [(math.log(x), math.log(abs(e))) for x, e in points if abs(e) >= 1.0]
+    if len(pts) < 2:
+        return None
+    lx, ly = np.array(pts).T
+    return float(np.polyfit(lx, ly, 1)[0])
 
 
 def chi_hat(f: QuadraticForm, ell: int, r: int, s: int) -> complex:
@@ -219,7 +229,7 @@ def chi_hat(f: QuadraticForm, ell: int, r: int, s: int) -> complex:
 
 def _chi_hat_table(f: QuadraticForm, ell: int) -> np.ndarray:
     """All ell^2 coefficients at once, indexed [s, r], via a 2-D FFT."""
-    indicator = np.concatenate(list(_residue_rows(f, ell))).T  # indexed [u, v]
+    indicator = np.concatenate(list(_residue_rows([f.triple()], ell))).T  # indexed [u, v]
     return np.fft.fft2(indicator.astype(np.float64)) / ell**2
 
 
@@ -240,43 +250,34 @@ def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float,
 
     # direct side: f(u, v) is an integer, so enumerate values <= ncut
     ncut = int(46.0 / (math.pi * t)) + 40
-    vmax = math.isqrt(4 * a * ncut // D)
-    pieces = []
-    for v in range(-vmax, vmax + 1):
-        m = 4 * a * ncut - D * v * v
-        tt = math.isqrt(m)
-        lo = -((tt + b * v) // (2 * a))
-        hi = (tt - b * v) // (2 * a)
-        u = np.arange(lo, hi + 1, dtype=np.int64)
-        vals = a * u * u + (b * v) * u + c * v * v
-        if ell > 1:
-            vals = vals[vals % ell == 0]
-        pieces.append(np.exp(-math.pi * t * vals.astype(np.float64)))
-    lhs = math.fsum(float(np.sum(p)) for p in pieces)
+    terms = []
+    for v, lo, hi in _lattice_rows(f, ncut):
+        u, vv = _row_points(v, lo, hi - lo + 1)
+        vals = a * u * u + (b * vv) * u + c * vv * vv
+        vals = vals[vals % ell == 0]
+        terms.append(np.exp(-math.pi * t * vals.astype(np.float64)))
+    lhs = math.fsum(np.concatenate(terms).tolist())
 
-    # dual side
+    # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient,
+    # evaluated in blocks of at most _DUAL_BLOCK grid cells
     lat = lattice_basis(f)
-    d1 = np.array(lat.dual1)
-    d2 = np.array(lat.dual2)
+    d1, d2 = np.array(lat.dual1), np.array(lat.dual2)
     table = _chi_hat_table(f, ell)
     radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
-    mrange = np.arange(-math.ceil(radius * math.sqrt(a)) - 1,
-                       math.ceil(radius * math.sqrt(a)) + 2, dtype=np.float64)
-    nrange = np.arange(-math.ceil(radius * math.sqrt(c)) - 1,
-                       math.ceil(radius * math.sqrt(c)) + 2, dtype=np.float64)
+    mrange, nrange = (np.arange(-k, k + 1, dtype=np.float64)
+                      for k in (math.ceil(radius * math.sqrt(a)) + 1,
+                                math.ceil(radius * math.sqrt(c)) + 1))
     px = mrange[:, None] * d1[0] + nrange[None, :] * d2[0]
     py = mrange[:, None] * d1[1] + nrange[None, :] * d2[1]
-    acc = []
-    for s in range(ell):
-        for r in range(ell):
-            coeff = table[s, r]
-            if abs(coeff) < 1e-18:
-                continue
-            shift = (s * d1 + r * d2) / ell
-            sq = (px - shift[0]) ** 2 + (py - shift[1]) ** 2
-            theta = float(np.sum(np.exp(-math.pi * sq / t))) / t
-            acc.append(coeff * theta)
-    rhs = math.sqrt(4.0 / D) * float(sum(acc).real)
+    s, r = np.nonzero(np.abs(table) >= 1e-18)
+    shift = (s[:, None] * d1 + r[:, None] * d2) / ell
+    step = max(1, _DUAL_BLOCK // px.size)
+    theta = np.concatenate([
+        np.exp(-math.pi * ((px - sx[:, None, None]) ** 2 + (py - sy[:, None, None]) ** 2) / t)
+        .sum(axis=(1, 2)) / t
+        for sx, sy in (shift[k:k + step].T for k in range(0, len(shift), step))])
+    # summed in (s, r) order, as the real part of sum(coefficient * theta)
+    rhs = math.sqrt(4.0 / D) * sum((table[s, r] * theta).real.tolist())
     return lhs, rhs
 
 
@@ -361,8 +362,9 @@ _J0_WEIGHTS = np.r_[2.0, np.full(15, 4.0), 2.0] / 64.0
 # _J0_A[k] = |a_k(0)| of DLMF 10.17.1: a_0 = 1, a_k = a_{k-1} (2k - 1)^2 / 8k.
 _J0_A = list(accumulate(range(1, 26), lambda a, k: a * (2 * k - 1) ** 2 / (8 * k),
                         initial=1.0))
-_J0_P = np.array([(-1) ** m * _J0_A[2 * m] for m in range(13)])
-_J0_Q = np.array([-((-1) ** m) * _J0_A[2 * m + 1] for m in range(13)])
+# _J0_PQ[:, k] holds the y^k coefficients of P and Q, y = 1/x^2.
+_J0_PQ = np.array([[(-1) ** m * _J0_A[2 * m] for m in range(13)],
+                   [-((-1) ** m) * _J0_A[2 * m + 1] for m in range(13)]])
 
 
 def _j0(x):
@@ -374,8 +376,12 @@ def _j0(x):
     out[near] = _J0_WEIGHTS @ np.cos(_J0_NODES[:, None] * x[near])
     far = x[~near]
     y = 1.0 / (far * far)
-    p = np.polynomial.polynomial.polyval(y, _J0_P)
-    q = np.polynomial.polynomial.polyval(y, _J0_Q) / far
+    # P and Q by Horner's rule, in place (the same operations as polyval)
+    pq = np.repeat(_J0_PQ[:, -1:], len(far), axis=1)
+    for k in reversed(range(_J0_PQ.shape[1] - 1)):
+        pq *= y
+        pq += _J0_PQ[:, k:k + 1]
+    p, q = pq[0], pq[1] / far
     cos, sin = np.cos(far), np.sin(far)
     # J0 = sqrt(2/(pi x)) * (P cos(x - pi/4) - Q sin(x - pi/4))
     out[~near] = (p * (cos + sin) - q * (sin - cos)) / np.sqrt(math.pi * far)

@@ -48,19 +48,18 @@ def test_kronecker_multiplicative_and_periodic():
         assert kronecker(-D, m + 4 * D) == kronecker(-D, m)
 
 
-def test_kronecker_char_type():
-    from qflab.arith import KroneckerChar
-
+def test_kronecker_character_properties():
+    # n -> (-D/n) is a character mod D: values in {-1, 0, 1}, zero iff
+    # gcd(n, D) > 1, completely multiplicative
     rng = random.Random(21)
     for D in (3, 4, 23, 108):
-        ch = KroneckerChar(D)
         for _ in range(300):
             n = rng.randint(1, 10**5)
-            v = ch(n)
+            v = kronecker(-D, n)
             assert v in (-1, 0, 1)
             assert (v == 0) == (math.gcd(n, D) > 1)
             m = rng.randint(1, 10**4)
-            assert ch(n * m) == ch(n) * ch(m)
+            assert kronecker(-D, n * m) == v * kronecker(-D, m)
 
 
 def test_g_squarefree_examples():
@@ -118,13 +117,18 @@ def test_residue_density_multiplicative():
                 residue_density(f, l1) * residue_density(f, l2)
 
 
+def python_int_grid(f, ell):
+    """m[v, u] = (ell | f(u, v)) by Python-int arithmetic on the raw coefficients."""
+    return np.array([[f(u, v) % ell == 0 for u in range(ell)] for v in range(ell)])
+
+
 def test_residue_rows_match_python_int_grid():
     rng = random.Random(31)
     for f in (random_big_form(rng) for _ in range(20)):
         assert f.c >= 10**12
         ell = rng.randint(1, 60)
-        grid = np.concatenate(list(_residue_rows(f, ell)))
-        want = np.array([[f(u, v) % ell == 0 for u in range(ell)] for v in range(ell)])
+        grid = np.concatenate(list(_residue_rows([f.triple()], ell)))
+        want = python_int_grid(f, ell)
         assert grid.dtype == bool and np.array_equal(grid, want), (f, ell)
         assert residue_density(f, ell) == Fraction(int(want.sum()), ell * ell)
 
@@ -133,11 +137,11 @@ def test_residue_rows_match_python_int_grid():
 def test_residue_rows_in_blocks(monkeypatch, block):
     rng = random.Random(block)
     cases = [(random_big_form(rng), ell) for _ in range(6) for ell in (1, 2, 7, 8, 30, 59)]
-    whole = [(np.concatenate(list(_residue_rows(f, ell))), residue_density(f, ell))
+    whole = [(np.concatenate(list(_residue_rows([f.triple()], ell))), residue_density(f, ell))
              for f, ell in cases]
     monkeypatch.setattr(arith, "_RESIDUE_BLOCK", block)
     for (f, ell), (grid, density) in zip(cases, whole):
-        blocks = list(_residue_rows(f, ell))
+        blocks = list(_residue_rows([f.triple()], ell))
         rows = max(1, block // ell)
         assert len(blocks) == -(-ell // rows)
         assert all(m.shape[0] <= rows and m.shape[1] == ell for m in blocks)
@@ -145,14 +149,59 @@ def test_residue_rows_in_blocks(monkeypatch, block):
         assert residue_density(f, ell) == density
 
 
+@pytest.mark.parametrize("block", [None, 7, 64])
+def test_stacked_residue_rows_match_python_int_grids(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(arith, "_RESIDUE_BLOCK", block)
+    rng = random.Random(53)
+    split = 0
+    for F in (1, 2, 5):
+        for ell in (1, 2, 7, 8, 30, 59):
+            forms = [random_big_form(rng) for _ in range(F - 1)]
+            # one form with c > 2^63, so the stack needs Python-int reduction
+            forms.append(random_big_form(rng).transform(1, 10**10, 0, 1))
+            rng.shuffle(forms)
+            grids = [python_int_grid(f, ell) for f in forms]
+            blocks = list(_residue_rows([f.triple() for f in forms], ell))
+            rows = max(1, arith._RESIDUE_BLOCK // ell)
+            assert len(blocks) == -(-F * ell // rows)
+            assert all(m.dtype == bool and m.shape[0] <= rows and m.shape[1] == ell
+                       for m in blocks)
+            assert np.array_equal(np.concatenate(blocks), np.concatenate(grids)), (F, ell)
+            assert arith._residue_counts([f.triple() for f in forms], ell).tolist() == \
+                [int(g.sum()) for g in grids]
+            ends = np.cumsum([len(m) for m in blocks])[:-1]
+            split += int(np.count_nonzero(ends % ell))
+    assert (split > 0) == (block is not None)
+
+
 def test_residue_rows_exact_at_largest_ell():
-    # ell = 2^21 - 1 = 7^2 * 127 * 337 and a = -1 mod ell, so the first row
-    # (v = 0) is ell | u^2, i.e. 7 * 127 * 337 | u; a*u^2 reaches ~2^63 here
+    # ell = 2^21 - 1 = 7^2 * 127 * 337 and a = -1 mod ell (a itself is near
+    # 2^81), so the first row (v = 0) is ell | u^2, i.e. 7 * 127 * 337 | u;
+    # the kernel works in int64 here, where c*v^2 may reach ell^3 ~ 2^63
     ell = (1 << 21) - 1
     f = QuadraticForm(10**18 * ell - 1, 0, 1)
-    first = next(_residue_rows(f, ell))
+    first = next(_residue_rows([f.triple()], ell))
     assert first.shape == (1, ell)
     assert np.array_equal(np.flatnonzero(first[0]), np.arange(0, ell, 7 * 127 * 337))
+
+
+def test_chi_table_matches_scalar_kronecker():
+    # every fundamental D <= 5000, so every two-part (1, -4, 8, -8) and many
+    # odd primes; all n for D <= 600, else n <= 64 and 64 random n <= D
+    rng = random.Random(5000)
+    seen = set()
+    for D in range(3, 5001):
+        if not is_fundamental(D):
+            continue
+        table = arith._chi_period(D)
+        assert table.shape == (D,) and table.dtype == np.float64
+        ns = range(1, D + 1) if D <= 600 else \
+            sorted({*range(1, 65), *(rng.randint(65, D) for _ in range(64))})
+        assert [table[n - 1] for n in ns] == [kronecker(-D, n) for n in ns], D
+        # the two-part of -D: 1 for odd D, -4 for D = 4m (m odd), else 8 or -8
+        seen.add(1 if D % 2 else -4 if D % 8 == 4 else 8 if D // 8 % 4 == 3 else -8)
+    assert seen == {1, -4, 8, -8}
 
 
 def test_l1_chi_closed_forms():

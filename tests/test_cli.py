@@ -195,6 +195,19 @@ def test_parallel_sweep_is_deterministic(monkeypatch, capsys):
     assert serial == parallel
 
 
+def test_error_scaling_rows_and_slope_match_the_library():
+    from qflab.forms import QuadraticForm
+    from qflab.latticesums import error_scaling_report
+
+    grid = cli._grid_arg("1e3:1e5:6:log")
+    rows = run_cli(["repr", "error-scaling", "--form", "2,1,3", "--ell", "3",
+                    "--grid", "1e3:1e5:6:log"])
+    rep = error_scaling_report(QuadraticForm(2, 1, 3), 3, grid)
+    assert rep.slope is not None
+    assert [{k: v for k, v in r.items() if k != "slope"} for r in rows] == rep.records()
+    assert all(r["slope"] == rep.slope for r in rows)
+
+
 def test_verify_subcommand_routing(monkeypatch):
     import qflab.cli as cli
 

@@ -268,7 +268,7 @@ def test_residue_kernel_refuses_ell_beyond_int64_bound():
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        for call in (lambda: next(arith._residue_rows(f, ell)),
+        for call in (lambda: next(arith._residue_rows([f.triple()], ell)),
                      lambda: residue_density(f, ell),
                      lambda: chi_hat(f, ell, 0, 0),
                      lambda: congruence_sum_exact(f, ell, 100),
@@ -303,6 +303,58 @@ def test_poisson_identity_grid_subset():
             for t in (0.5, 1.0, 2.0):
                 lhs, rhs = poisson_identity_check(f, ell, t)
                 assert abs(lhs - rhs) / abs(lhs) < 1e-9, (f, ell, t)
+
+
+def test_poisson_direct_side_matches_box_sum():
+    rng = random.Random(77)
+    for _ in range(12):
+        f = reduce_form(random_form(rng, max_a=6, max_extra=20))
+        ell, t = rng.randint(1, 8), rng.choice((0.5, 1.0, 2.0))
+        ncut = int(46.0 / (math.pi * t)) + 40
+        box = math.isqrt(4 * max(f.a, f.c) * ncut // f.D) + 2
+        want = math.fsum(math.exp(-math.pi * t * n)
+                         for u in range(-box, box + 1) for v in range(-box, box + 1)
+                         for n in (f(u, v),) if n <= ncut and n % ell == 0)
+        lhs, _ = poisson_identity_check(f, ell, t)
+        assert abs(lhs - want) <= 1e-15 * want, (f, ell, t)
+
+
+def per_shift_dual_side(f, ell, t):
+    """The dual side one (s, r) shift at a time, as the loop it replaced."""
+    a, c = f.a, f.c
+    lat = latticesums.lattice_basis(f)
+    d1, d2 = np.array(lat.dual1), np.array(lat.dual2)
+    table = latticesums._chi_hat_table(f, ell)
+    radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
+    mrange = np.arange(-math.ceil(radius * math.sqrt(a)) - 1,
+                       math.ceil(radius * math.sqrt(a)) + 2, dtype=np.float64)
+    nrange = np.arange(-math.ceil(radius * math.sqrt(c)) - 1,
+                       math.ceil(radius * math.sqrt(c)) + 2, dtype=np.float64)
+    px = mrange[:, None] * d1[0] + nrange[None, :] * d2[0]
+    py = mrange[:, None] * d1[1] + nrange[None, :] * d2[1]
+    acc = []
+    for s in range(ell):
+        for r in range(ell):
+            coeff = table[s, r]
+            if abs(coeff) < 1e-18:
+                continue
+            shift = (s * d1 + r * d2) / ell
+            sq = (px - shift[0]) ** 2 + (py - shift[1]) ** 2
+            acc.append(coeff * float(np.sum(np.exp(-math.pi * sq / t))) / t)
+    return math.sqrt(4.0 / f.D) * float(sum(acc).real)
+
+
+@pytest.mark.parametrize("cap", [None, 1, 5000])
+def test_poisson_dual_side_blocks_match_per_shift_loop(monkeypatch, cap):
+    if cap is not None:  # 1: one shift per block; 5000: a few shifts per block
+        monkeypatch.setattr(latticesums, "_DUAL_BLOCK", cap)
+    rng = random.Random(1200)
+    forms = reduced_forms_up_to(200)
+    for _ in range(8):
+        f, ell, t = rng.choice(forms), rng.randint(1, 12), rng.choice((0.5, 1.0, 2.0))
+        _, rhs = poisson_identity_check(f, ell, t)
+        want = per_shift_dual_side(f, ell, t)
+        assert abs(rhs - want) <= 1e-14 * abs(want), (f, ell, t)
 
 
 def test_poisson_identity_reduces_first():
@@ -444,6 +496,17 @@ def test_j0_parity_with_scipy():
     assert np.max(np.abs(latticesums._j0(near) - j0(near))) <= 2e-15
     far = np.geomspace(200.0, 1e6, 400_001)
     assert np.max(np.abs(latticesums._j0(far) - j0(far))) <= 1e-13
+
+
+def test_j0_far_branch_horner_matches_polyval():
+    """The in-place Horner loop for P and Q is bit-identical to polyval."""
+    polyval = np.polynomial.polynomial.polyval
+    x = np.linspace(25.0, 1e6, 500_001)[1:]
+    y = 1.0 / (x * x)
+    p, q = polyval(y, latticesums._J0_PQ[0]), polyval(y, latticesums._J0_PQ[1]) / x
+    cos, sin = np.cos(x), np.sin(x)
+    want = (p * (cos + sin) - q * (sin - cos)) / np.sqrt(math.pi * x)
+    assert np.array_equal(latticesums._j0(x), want)
 
 
 def test_j0_even_and_shape_preserving():
