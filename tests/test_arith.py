@@ -48,7 +48,7 @@ def test_kronecker_multiplicative_and_periodic():
         assert kronecker(-D, m + 4 * D) == kronecker(-D, m)
 
 
-def test_kronecker_character_properties():
+def test_kronecker_char_type():
     # n -> (-D/n) is a character mod D: values in {-1, 0, 1}, zero iff
     # gcd(n, D) > 1, completely multiplicative
     rng = random.Random(21)
