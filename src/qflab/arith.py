@@ -242,7 +242,9 @@ def dirichlet_l1(D: int, tol: float = 1e-10, max_level: int = 13) -> float:
     for level in range(max_level):
         k = 1 << level
         n = np.arange(k_prev * D + 1, k * D + 1, dtype=np.float64)
-        partial += float(np.tile(chi, k - k_prev) @ (1.0 / n))
+        # numpy's own pairwise sum, not a BLAS dot, so the value does not
+        # depend on the BLAS thread count
+        partial += float(np.sum((1.0 / n).reshape(k - k_prev, D) * chi))
         k_prev = k
         xs.append(1.0 / k)
         ys.append(partial)

@@ -15,10 +15,11 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
+
+import numpy as np
 
 from . import verify as _verify
 from .arith import class_number_analytic, dirichlet_l1, is_fundamental
@@ -248,15 +249,24 @@ def _json_default(o):
 # rows per write: few write calls, and memory bounded by one chunk of text
 _EMIT_CHUNK = 4096
 
+# the text of one column value in a column table, by the column's type;
+# floats are finite (the JSON encoder would write NaN, Infinity)
+_JSON_TEXT = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float.__repr__}
+_CSV_TEXT = {bool: str, int: str, float: "{:.6g}".format}
+
 
 def _chunks(rows):
     return iter(lambda: list(islice(rows, _EMIT_CHUNK)), [])
 
 
 def emit(records, fmt: str, stream) -> None:
-    """Write records (any iterable of dicts, consumed once) to stream as
-    JSON lines or as CSV headed by the first record's keys, in joined
-    chunks of _EMIT_CHUNK rows."""
+    """Write records to stream as JSON lines or as CSV headed by the first
+    record's keys, in joined chunks of _EMIT_CHUNK rows.  Records are any
+    iterable of dicts, consumed once, or a dict of equal-length columns
+    (lists of ints, floats or bools), written as the rows they hold."""
+    if isinstance(records, dict):
+        _emit_columns(records, fmt, stream)
+        return
     rows = iter(records)
     if fmt == "json":
         encode = json.JSONEncoder(default=_json_default).encode
@@ -276,6 +286,27 @@ def emit(records, fmt: str, stream) -> None:
         stream.write(buf.getvalue())
         buf.seek(0)
         buf.truncate()
+
+
+def _emit_columns(columns: dict[str, list], fmt: str, stream) -> None:
+    """Write a column table with the bytes emit gives its row dicts.  Each
+    line fills one template built from the keys, with the text of one
+    _EMIT_CHUNK slice of every column at a time, so at most one chunk of
+    text is held."""
+    keys, cols = list(columns), list(columns.values())
+    if not cols[0]:
+        return
+    if fmt == "json":
+        line = "{" + ", ".join(json.dumps(k) + ": %s" for k in keys) + "}\n"
+        text, head = _JSON_TEXT, ""
+    else:
+        line = ",".join(["%s"] * len(keys)) + "\n"
+        text, head = _CSV_TEXT, ",".join(keys) + "\n"
+    convs = [text[type(col[0])] for col in cols]
+    for i in range(0, len(cols[0]), _EMIT_CHUNK):
+        cells = zip(*[map(conv, col[i:i + _EMIT_CHUNK]) for conv, col in zip(convs, cols)])
+        stream.write(head + "".join(map(line.__mod__, cells)))
+        head = ""
 
 
 def _worker_count() -> int:
@@ -312,91 +343,138 @@ def _table_row(args) -> dict:
             "a2": coeffs[1], "a3": coeffs[2], "lambda": res.fn.lam}
 
 
-def execute_plan(plan: CommandPlan) -> tuple[Iterable[dict], int]:
-    """Run the plan; returns (records, exit_status).  Records are a list,
-    or a generator where the rows are many (`sieve gaps`)."""
-    p = plan.params
+def _forms_reduce(p):
+    f = p["form"]
+    g = reduce_form(f)
+    return [{"input": f.triple(), "a": g.a, "b": g.b, "c": g.c, "D": g.D}]
+
+
+def _forms_enumerate(p):
+    cls = enumerate_reduced_forms(p["d"])
+    return [{"D": cls.D, "a": f.a, "b": f.b, "c": f.c} for f in cls]
+
+
+def _forms_classnum(p):
+    D = p["d"]
+    rec = {"D": D, "h_enumeration": len(enumerate_reduced_forms(D))}
+    if is_fundamental(D):
+        rec["h_analytic"] = class_number_analytic(D)
+        rec["L1_chi"] = dirichlet_l1(D)
+    return [rec]
+
+
+def _repr_rf(p):
+    return [{"form": p["form"].triple(), "n": p["n"],
+             "rf": representation_count(p["form"], p["n"])}]
+
+
+def _repr_congruence_sum(p):
+    f, ell, x = p["form"], p["ell"], p["x"]
+    return [CongruenceSumResult(x, ell, congruence_sum_exact(f, ell, x),
+                                congruence_main_term(f, ell, x)).record()]
+
+
+def _repr_error_scaling(p):
+    grid = p["grid"] or _grid_arg("1e3:1e6:7:log")
+    rows = _map_ordered(_scaling_row, [(p["form"].triple(), p["ell"], x) for x in grid])
+    slope = _error_slope([(r["x"], r["error"]) for r in rows])
+    for r in rows:
+        r["slope"] = slope
+    return rows
+
+
+def _repr_poisson_check(p):
+    lhs, rhs = poisson_identity_check(p["form"], p["ell"], p["t"])
+    return [{"form": p["form"].triple(), "ell": p["ell"], "t": p["t"],
+             "lhs": lhs, "rhs": rhs, "relative_gap": abs(lhs - rhs) / abs(lhs)}]
+
+
+def _sieve_bound(p):
+    rec = sieve_upper_bound(p["form"], p["x"], p["y"], p["z"]).record()
+    rec["exact"] = sieved_sum_exact(p["form"], p["x"], p["y"], p["z"])
+    return [rec]
+
+
+def _sieve_pif(p):
+    return [{"form": p["form"].triple(), "x": p["x"],
+             "pi_f": count_represented_primes(p["form"], p["x"])}]
+
+
+def _sieve_gaps(p):
+    best, primes = prime_gap_scan(p["form"], p["x"], p["min_p"])
+    ps = primes.tolist()
+    p_n = ps[:-1]
+    is_max = [False] * len(p_n)
+    is_max[p_n.index(best.p_n)] = True
+    return {"p_n": p_n, "p_next": ps[1:], "gap": np.diff(primes).tolist(),
+            "normalized": normalized_gaps(ps), "is_max": is_max}
+
+
+def _sieve_bt_constants(p):
+    bt = bt_theoretical_bound(p["form"], p["x"], p["y"], p["variant"], p["eps"])
+    return [{"form": p["form"].triple(), "x": p["x"], "y": p["y"],
+             "variant": p["variant"], "eps": p["eps"], "theta": bt.theta,
+             "constant": bt.constant, "range_ok": bt.range_ok}]
+
+
+def _fourier_eval(p):
+    fn = BandlimitedFn(p["coeffs"], p["lam"])
+    return [{"coeffs": list(p["coeffs"]), "lambda": p["lam"], "x": p["x"],
+             "value": float(fn(p["x"]))}]
+
+
+def _fourier_report(p):
+    fn = BandlimitedFn(p["coeffs"], p["lam"])
+    rec = functional_report(fn, p["A"]).record()
+    rec["coeffs"] = list(p["coeffs"])
+    rec["lambda"] = p["lam"]
+    try:
+        rec["gap_constant"] = gap_constant(fn, p["A"], 0.0, Fraction(1, 2), 1)
+    except ValueError:
+        rec["gap_constant"] = None
+    return [rec]
+
+
+def _fourier_search(p):
+    res = greedy_search(p["A"], p["terms"], p["budget"])
+    rec = res.report.record()
+    rec.update({"coeffs": list(res.fn.coeffs), "lambda": res.fn.lam,
+                "evaluations": res.evaluations, "exhausted": res.exhausted})
+    return [rec]
+
+
+def _fourier_tables(p):
+    grid = p["a_grid"] or [1.0, 5.0, 10.0, 28.0, 34.5]
+    return _map_ordered(_table_row, [(A, p["terms"], p["budget"]) for A in grid])
+
+
+_HANDLERS = {
+    ("forms", "reduce"): _forms_reduce,
+    ("forms", "enumerate"): _forms_enumerate,
+    ("forms", "classnum"): _forms_classnum,
+    ("repr", "rf"): _repr_rf,
+    ("repr", "congruence-sum"): _repr_congruence_sum,
+    ("repr", "error-scaling"): _repr_error_scaling,
+    ("repr", "poisson-check"): _repr_poisson_check,
+    ("sieve", "bound"): _sieve_bound,
+    ("sieve", "pif"): _sieve_pif,
+    ("sieve", "gaps"): _sieve_gaps,
+    ("sieve", "bt-constants"): _sieve_bt_constants,
+    ("fourier", "eval"): _fourier_eval,
+    ("fourier", "report"): _fourier_report,
+    ("fourier", "search"): _fourier_search,
+    ("fourier", "tables"): _fourier_tables,
+}
+
+
+def execute_plan(plan: CommandPlan) -> tuple[list[dict] | dict[str, list], int]:
+    """Run the plan; returns (records, exit_status).  Records are a list of
+    row dicts, or, where the rows are many (`sieve gaps`), a dict of
+    equal-length columns."""
     key = (plan.group, plan.action)
-    if key == ("forms", "reduce"):
-        f = p["form"]
-        g = reduce_form(f)
-        return [{"input": f.triple(), "a": g.a, "b": g.b, "c": g.c, "D": g.D}], 0
-    if key == ("forms", "enumerate"):
-        cls = enumerate_reduced_forms(p["d"])
-        return [{"D": cls.D, "a": f.a, "b": f.b, "c": f.c} for f in cls], 0
-    if key == ("forms", "classnum"):
-        D = p["d"]
-        rec = {"D": D, "h_enumeration": len(enumerate_reduced_forms(D))}
-        if is_fundamental(D):
-            rec["h_analytic"] = class_number_analytic(D)
-            rec["L1_chi"] = dirichlet_l1(D)
-        return [rec], 0
-    if key == ("repr", "rf"):
-        return [{"form": p["form"].triple(), "n": p["n"],
-                 "rf": representation_count(p["form"], p["n"])}], 0
-    if key == ("repr", "congruence-sum"):
-        f, ell, x = p["form"], p["ell"], p["x"]
-        row = CongruenceSumResult(x, ell, congruence_sum_exact(f, ell, x),
-                                  congruence_main_term(f, ell, x))
-        return [row.record()], 0
-    if key == ("repr", "error-scaling"):
-        grid = p["grid"] or _grid_arg("1e3:1e6:7:log")
-        rows = _map_ordered(_scaling_row,
-                            [(p["form"].triple(), p["ell"], x) for x in grid])
-        slope = _error_slope([(r["x"], r["error"]) for r in rows])
-        for r in rows:
-            r["slope"] = slope
-        return rows, 0
-    if key == ("repr", "poisson-check"):
-        lhs, rhs = poisson_identity_check(p["form"], p["ell"], p["t"])
-        return [{"form": p["form"].triple(), "ell": p["ell"], "t": p["t"],
-                 "lhs": lhs, "rhs": rhs,
-                 "relative_gap": abs(lhs - rhs) / abs(lhs)}], 0
-    if key == ("sieve", "bound"):
-        sb = sieve_upper_bound(p["form"], p["x"], p["y"], p["z"])
-        rec = sb.record()
-        rec["exact"] = sieved_sum_exact(p["form"], p["x"], p["y"], p["z"])
-        return [rec], 0
-    if key == ("sieve", "pif"):
-        return [{"form": p["form"].triple(), "x": p["x"],
-                 "pi_f": count_represented_primes(p["form"], p["x"])}], 0
-    if key == ("sieve", "gaps"):
-        best, primes = prime_gap_scan(p["form"], p["x"], p["min_p"])
-        ps = primes.tolist()
-        return ({"p_n": p_n, "p_next": q, "gap": q - p_n, "normalized": w,
-                 "is_max": p_n == best.p_n}
-                for p_n, q, w in zip(ps, ps[1:], normalized_gaps(ps))), 0
-    if key == ("sieve", "bt-constants"):
-        bt = bt_theoretical_bound(p["form"], p["x"], p["y"], p["variant"], p["eps"])
-        return [{"form": p["form"].triple(), "x": p["x"], "y": p["y"],
-                 "variant": p["variant"], "eps": p["eps"], "theta": bt.theta,
-                 "constant": bt.constant, "range_ok": bt.range_ok}], 0
-    if key == ("fourier", "eval"):
-        fn = BandlimitedFn(p["coeffs"], p["lam"])
-        return [{"coeffs": list(p["coeffs"]), "lambda": p["lam"], "x": p["x"],
-                 "value": float(fn(p["x"]))}], 0
-    if key == ("fourier", "report"):
-        fn = BandlimitedFn(p["coeffs"], p["lam"])
-        rep = functional_report(fn, p["A"])
-        rec = rep.record()
-        rec["coeffs"] = list(p["coeffs"])
-        rec["lambda"] = p["lam"]
-        try:
-            rec["gap_constant"] = gap_constant(fn, p["A"], 0.0, Fraction(1, 2), 1)
-        except ValueError:
-            rec["gap_constant"] = None
-        return [rec], 0
-    if key == ("fourier", "search"):
-        res = greedy_search(p["A"], p["terms"], p["budget"])
-        rec = res.report.record()
-        rec.update({"coeffs": list(res.fn.coeffs), "lambda": res.fn.lam,
-                    "evaluations": res.evaluations, "exhausted": res.exhausted})
-        return [rec], 0
-    if key == ("fourier", "tables"):
-        grid = p["a_grid"] or [1.0, 5.0, 10.0, 28.0, 34.5]
-        rows = _map_ordered(_table_row, [(A, p["terms"], p["budget"]) for A in grid])
-        return rows, 0
-    raise AssertionError(f"unroutable plan {key}")
+    if key not in _HANDLERS:
+        raise AssertionError(f"unroutable plan {key}")
+    return _HANDLERS[key](plan.params), 0
 
 
 def main(argv=None) -> int:

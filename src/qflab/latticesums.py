@@ -243,42 +243,51 @@ def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float,
     coefficients.  Both sides are invariants of proper equivalence and are
     evaluated on reduce_form(f), whose coefficients size the grids.
     """
-    if t <= 0:
+    return _poisson_sides(f, ell, (t,))[0]
+
+
+def _poisson_sides(f: QuadraticForm, ell: int, ts) -> list[tuple[float, float]]:
+    """poisson_identity_check's (lhs, rhs) for each t in ts, all from one
+    table of Fourier coefficients."""
+    if min(ts) <= 0:
         raise ValueError("need t > 0")
     f = reduce_form(f)
     a, b, c, D = f.a, f.b, f.c, f.D
-
-    # direct side: f(u, v) is an integer, so enumerate values <= ncut
-    ncut = int(46.0 / (math.pi * t)) + 40
-    terms = []
-    for v, lo, hi in _lattice_rows(f, ncut):
-        u, vv = _row_points(v, lo, hi - lo + 1)
-        vals = a * u * u + (b * vv) * u + c * vv * vv
-        vals = vals[vals % ell == 0]
-        terms.append(np.exp(-math.pi * t * vals.astype(np.float64)))
-    lhs = math.fsum(np.concatenate(terms).tolist())
-
-    # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient,
-    # evaluated in blocks of at most _DUAL_BLOCK grid cells
     lat = lattice_basis(f)
     d1, d2 = np.array(lat.dual1), np.array(lat.dual2)
     table = _chi_hat_table(f, ell)
-    radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
-    mrange, nrange = (np.arange(-k, k + 1, dtype=np.float64)
-                      for k in (math.ceil(radius * math.sqrt(a)) + 1,
-                                math.ceil(radius * math.sqrt(c)) + 1))
-    px = mrange[:, None] * d1[0] + nrange[None, :] * d2[0]
-    py = mrange[:, None] * d1[1] + nrange[None, :] * d2[1]
     s, r = np.nonzero(np.abs(table) >= 1e-18)
     shift = (s[:, None] * d1 + r[:, None] * d2) / ell
-    step = max(1, _DUAL_BLOCK // px.size)
-    theta = np.concatenate([
-        np.exp(-math.pi * ((px - sx[:, None, None]) ** 2 + (py - sy[:, None, None]) ** 2) / t)
-        .sum(axis=(1, 2)) / t
-        for sx, sy in (shift[k:k + step].T for k in range(0, len(shift), step))])
-    # summed in (s, r) order, as the real part of sum(coefficient * theta)
-    rhs = math.sqrt(4.0 / D) * sum((table[s, r] * theta).real.tolist())
-    return lhs, rhs
+    coefficients = table[s, r]
+    sides = []
+    for t in ts:
+        # direct side: f(u, v) is an integer, so enumerate values <= ncut
+        ncut = int(46.0 / (math.pi * t)) + 40
+        terms = []
+        for v, lo, hi in _lattice_rows(f, ncut):
+            u, vv = _row_points(v, lo, hi - lo + 1)
+            vals = a * u * u + (b * vv) * u + c * vv * vv
+            vals = vals[vals % ell == 0]
+            terms.append(np.exp(-math.pi * t * vals.astype(np.float64)))
+        lhs = math.fsum(np.concatenate(terms).tolist())
+
+        # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient,
+        # evaluated in blocks of at most _DUAL_BLOCK grid cells
+        radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
+        mrange, nrange = (np.arange(-k, k + 1, dtype=np.float64)
+                          for k in (math.ceil(radius * math.sqrt(a)) + 1,
+                                    math.ceil(radius * math.sqrt(c)) + 1))
+        px = mrange[:, None] * d1[0] + nrange[None, :] * d2[0]
+        py = mrange[:, None] * d1[1] + nrange[None, :] * d2[1]
+        step = max(1, _DUAL_BLOCK // px.size)
+        theta = np.concatenate([
+            np.exp(-math.pi * ((px - sx[:, None, None]) ** 2
+                               + (py - sy[:, None, None]) ** 2) / t).sum(axis=(1, 2)) / t
+            for sx, sy in (shift[k:k + step].T for k in range(0, len(shift), step))])
+        # summed in (s, r) order, as the real part of sum(coefficient * theta)
+        rhs = math.sqrt(4.0 / D) * sum((coefficients * theta).real.tolist())
+        sides.append((lhs, rhs))
+    return sides
 
 
 def translation_exception_count(f: QuadraticForm, ell: int, r: int, s: int) -> int:

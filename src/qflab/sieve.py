@@ -185,7 +185,9 @@ def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
     """Boolean array m with m[n] True iff 1 <= n <= x is represented by f.
 
     Rows are taken from the reduced form, and only for v >= 0, since
-    f(-u, -v) = f(u, v) gives the other half the same values."""
+    f(-u, -v) = f(u, v) gives the other half the same values.  When a | b
+    (b = 0 or b = a), u -> -u - (b/a)v maps each row onto itself with the
+    same values, so only u >= -((b/a)v // 2) is marked."""
     X = math.floor(x)
     if X < 1:
         return np.zeros(max(X + 1, 1), dtype=bool)
@@ -196,7 +198,10 @@ def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
     mask = np.zeros(X + 1, dtype=bool)
     for v, lo, hi in _lattice_rows(g, X):
         half = v >= 0
-        for vi, l, h in zip(v[half].tolist(), lo[half].tolist(), hi[half].tolist()):
+        v, lo, hi = v[half], lo[half], hi[half]
+        if b % a == 0:
+            lo = np.maximum(lo, -((b // a) * v // 2))
+        for vi, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()):
             u = np.arange(l, h + 1, dtype=np.int64)
             mask[a * u * u + (b * vi) * u + c * vi * vi] = True
     mask[0] = False

@@ -19,8 +19,8 @@ from .latticesums import (
     TestFunctionG,
     error_scaling_report,
     hankel_transform,
+    _poisson_sides,
     hat_g_at_zero,
-    poisson_identity_check,
 )
 from .sieve import bt_theoretical_bound, prime_gap_scan, sieve_upper_bound, sieved_sum_exact
 
@@ -124,8 +124,7 @@ def check_poisson_grid(fast: bool = False) -> CheckResult:
     n = 0
     for f in forms:
         for ell in range(1, 7):
-            for t in (0.5, 1.0, 2.0):
-                lhs, rhs = poisson_identity_check(f, ell, t)
+            for lhs, rhs in _poisson_sides(f, ell, (0.5, 1.0, 2.0)):
                 worst = max(worst, abs(lhs - rhs) / abs(lhs))
                 n += 1
     return CheckResult(

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,25 @@ def test_l1_chi_closed_forms():
     v = dirichlet_l1(23)
     w = 2
     assert round(w * math.sqrt(23) * v / (2 * math.pi)) == 3
+
+
+_L1_VALUES = """
+from qflab.arith import dirichlet_l1, is_fundamental
+print([dirichlet_l1(D).hex() for D in range(3, 3001) if is_fundamental(D)])
+"""
+
+
+def test_l1_chi_independent_of_blas_threads():
+    """The level sums are numpy reductions, not BLAS dots whose summation
+    order follows the thread count."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    procs = [subprocess.Popen([sys.executable, "-c", _L1_VALUES], stdout=subprocess.PIPE,
+                              text=True, env=dict(os.environ, PYTHONPATH=src,
+                                                  OPENBLAS_NUM_THREADS=threads))
+             for threads in ("1", "2")]
+    outs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0] == outs[1] and outs[0].count("0x") == 911
 
 
 def test_l1_chi_errors():

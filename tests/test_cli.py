@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,13 +111,65 @@ def test_emit_streams_iterables_in_chunks(monkeypatch, chunk):
         assert empty.getvalue() == "" and empty.writes == 0
 
 
+def _rows(columns):
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+@pytest.mark.parametrize("chunk", [4096, 3])
+def test_column_table_matches_row_emit(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
+    table = {"p_n": [2, 3, 5, 7, 11, 13, 10**20 + 39, -4],
+             "gap": [1, 2, 2, 4, 2, 4, 0, 7],
+             "normalized": [0.1, 1e-7, 2.5e22, -0.0, 1 / 3, 123456.5, 7.0, -2e-300],
+             "is_max": [False] * 6 + [True, False]}  # the max sits in a later chunk
+    one_row = {k: v[:1] for k, v in table.items()}
+    for fmt in ("json", "csv"):
+        for columns in (table, one_row):
+            want = io.StringIO()
+            emit(_rows(columns), fmt, want)
+            out = WriteLog()
+            emit(columns, fmt, out)
+            assert out.getvalue() == want.getvalue()
+            assert out.writes == -(-len(columns["p_n"]) // chunk)
+        empty = WriteLog()
+        emit({k: [] for k in table}, fmt, empty)
+        assert empty.getvalue() == "" and empty.writes == 0
+
+
+def test_sieve_gaps_bytes_match_a_row_oracle(capsys):
+    from qflab.forms import QuadraticForm
+    from qflab.sieve import represented_primes
+
+    x, min_p = 2.1e5, 100
+    ps = represented_primes(QuadraticForm(1, 1, 2), x).tolist()
+    rows = [{"p_n": p, "p_next": q, "gap": q - p,
+             "normalized": (q - p) / (math.sqrt(p) * math.log(p))}
+            for p, q in zip(ps, ps[1:])]
+    best = max((r for r in rows if r["p_n"] >= min_p), key=lambda r: r["normalized"])
+    for r in rows:
+        r["is_max"] = r is best
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    for r in rows:
+        writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in r.values()])
+    want = {"json": "".join(json.dumps(r) + "\n" for r in rows), "csv": ref.getvalue()}
+    for fmt in ("json", "csv"):
+        assert main(["--format", fmt, "sieve", "gaps", "--form", "1,1,2", "--x", str(x),
+                     "--min-p", str(min_p)]) == 0
+        assert capsys.readouterr().out == want[fmt]
+    assert len(rows) > 5000
+
+
 def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
     for fmt in ("json", "csv"):
         argv = ["--format", fmt, "sieve", "gaps", "--form", "1,1,2", "--x", "3000",
                 "--min-p", "10"]
         records, _ = execute_plan(parse_invocation(argv))
-        assert not isinstance(records, list)
+        assert isinstance(records, dict)
+        assert list(records) == ["p_n", "p_next", "gap", "normalized", "is_max"]
+        assert len({len(col) for col in records.values()}) == 1
         assert main(argv) == 0
         out = capsys.readouterr().out
         path = tmp_path / f"gaps.{fmt}"

@@ -298,10 +298,13 @@ def test_poisson_identity_cases():
 
 
 def test_poisson_identity_grid_subset():
+    ts = (0.5, 1.0, 2.0)
     for f in reduced_forms_up_to(24):
         for ell in range(1, 7):
-            for t in (0.5, 1.0, 2.0):
-                lhs, rhs = poisson_identity_check(f, ell, t)
+            # the three t values share one coefficient table
+            sides = latticesums._poisson_sides(f, ell, ts)
+            for t, (lhs, rhs) in zip(ts, sides):
+                assert (lhs, rhs) == poisson_identity_check(f, ell, t)
                 assert abs(lhs - rhs) / abs(lhs) < 1e-9, (f, ell, t)
 
 

@@ -262,6 +262,26 @@ def test_represented_mask_matches_rf():
                                  for n in range(601)]
 
 
+def test_represented_mask_matches_brute_values():
+    """Every reduced form with D <= 300, the b = 0 and b = a forms (half
+    rows) and the others (whole rows), against the values on a box."""
+    rng = random.Random(300)
+    kinds = set()
+    for D in range(3, 301):
+        if D % 4 in (1, 2):
+            continue
+        for f in enumerate_reduced_forms(D):
+            X = rng.randint(1, 5000)
+            bu, bv = (math.isqrt(4 * k * X // D) + 1 for k in (f.c, f.a))
+            u, v = np.meshgrid(np.arange(-bu, bu + 1), np.arange(-bv, bv + 1))
+            vals = f.a * u * u + f.b * u * v + f.c * v * v
+            want = np.zeros(X + 1, dtype=bool)
+            want[vals[(vals >= 1) & (vals <= X)]] = True
+            assert np.array_equal(represented_mask(f, X + rng.random()), want), (f, X)
+            kinds.add("b = 0" if f.b == 0 else "b = a" if f.b == f.a else "other")
+    assert kinds == {"b = 0", "b = a", "other"}
+
+
 def test_sieved_sum_budget():
     with pytest.raises(BudgetError):
         sieved_sum_exact(QuadraticForm(1, 0, 1), 1e18, 1e6, 5.0)
