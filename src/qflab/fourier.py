@@ -76,10 +76,12 @@ class GaussPolyFn:
 
 def eval_h(coeffs, x):
     """Evaluate H(x); removable singularities at x = (2j-1)/4 are handled by
-    a short series for the offending term within |x - pole| < 1e-3."""
+    a short series for the offending term within |x - pole| < 1e-3.  A term
+    with no point that close skips the series."""
     x_arr = np.asarray(x, dtype=np.float64)
     ax = np.abs(x_arr)
     cos_all = np.cos(_TWO_PI * ax)
+    x16 = 16.0 * ax * ax
     out = np.zeros_like(ax)
     for j, aj in enumerate(coeffs, start=1):
         if aj == 0:
@@ -87,7 +89,10 @@ def eval_h(coeffs, x):
         m = 2 * j - 1
         delta = ax - 0.25 * m
         near = np.abs(delta) < _POLE_GUARD
-        denom = np.where(near, 1.0, m * m - 16.0 * ax * ax)
+        if not near.any():
+            out = out + aj * (cos_all / (m * m - x16))
+            continue
+        denom = np.where(near, 1.0, m * m - x16)
         direct = cos_all / denom
         d = np.where(near, delta, 0.0)
         # cos(2*pi*x)/(m^2-16x^2) = sign * (sin(2*pi*d)/d) / (8m*(1 + 2d/m))
@@ -202,54 +207,50 @@ class FunctionalReport:
                 "A": self.A, "j_plus": self.j_plus, "j_abs": self.j_abs}
 
 
-def _sign_segments(fun, lo: float, hi: float, samples: int = 512) -> list[float]:
-    """Edges lo..hi with interior points at sign changes of fun (bisected)."""
-    ts = np.linspace(lo, hi, samples)
-    vs = fun(ts)
-    edges = [lo]
-    for i in range(samples - 1):
-        a, b = float(vs[i]), float(vs[i + 1])
-        if a == 0.0 or a * b >= 0.0:
-            continue
-        x1, x2 = float(ts[i]), float(ts[i + 1])
-        f1 = a
-        for _ in range(60):
-            mid = 0.5 * (x1 + x2)
-            fm = float(fun(mid))
-            if fm == 0.0 or x2 - x1 < 1e-15:
-                break
-            if f1 * fm < 0:
-                x2 = mid
-            else:
-                x1, f1 = mid, fm
-        edges.append(0.5 * (x1 + x2))
-    edges.append(hi)
-    return edges
+def _hat_roots(coeffs) -> list[float]:
+    """Sign changes of H-hat in (0, 1), ascending.
+
+    In c = cos(pi*t/2), H-hat is the Chebyshev series
+    sum a_j (-1)^(j-1) (pi/(4m)) T_m(c); its real roots in (0, 1) map back
+    to t = (2/pi) acos(c).  Every T_m is odd, so c = 0 (t = 1) is always a
+    root; it comes back within ~1e-16 of 0 and is dropped with anything
+    below 1e-12.  A root where H-hat keeps its sign only splits a piece of
+    one sign, which leaves the tails unchanged.
+    """
+    series = np.zeros(2 * len(coeffs))
+    for j, aj in enumerate(coeffs, start=1):
+        series[2 * j - 1] = (aj if j % 2 else -aj) * math.pi / (4.0 * (2 * j - 1))
+    c = np.polynomial.chebyshev.chebroots(series)
+    return sorted(2.0 / math.pi * math.acos(r.real) for r in c
+                  if abs(r.imag) < 1e-7 and 1e-12 < r.real < 1.0)
 
 
-def _hat_tails(coeffs, lam: float, tol: float) -> tuple[float, float]:
+def _hat_tails(coeffs, lam: float, roots=None) -> tuple[float, float]:
     """(positive-part, absolute) tail mass of F-hat outside [-1, 1].
 
     With F = H(./lam), substitution reduces both to integrals of H-hat over
-    [lam, 1]; empty when lam >= 1.
+    [lam, 1]; empty when lam >= 1.  The pieces between lam, the sign changes
+    (roots, from _hat_roots when not given) and 1 are closed-form: [a, b]
+    gives sum a_j/m^2 sin(m*pi*((1-a) + (1-b))/4) sin(m*pi*(b-a)/4), the
+    antiderivative difference without its cancellation, with arguments
+    measured from t = 1 so that pieces near 1 keep their relative accuracy.
     """
     if lam >= 1.0:
         return 0.0, 0.0
-    fun = lambda t: hat_h(coeffs, t)
-    edges = _sign_segments(fun, lam, 1.0)
-    pos = 0.0
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        val, _ = adaptive_quad(fun, a, b, tol=tol, max_panels=800)
-        total += abs(val)
-        if val > 0:
-            pos += val
-    return 2.0 * pos, 2.0 * total
+    terms = [(0.25 * math.pi * (2 * j - 1), aj / (2 * j - 1) ** 2)
+             for j, aj in enumerate(coeffs, start=1) if aj]
+    if roots is None:
+        roots = _hat_roots(coeffs)
+    edges = [lam, *(r for r in roots if r > lam), 1.0]
+    pieces = [math.fsum(w * math.sin(k * ((1.0 - a) + (1.0 - b))) * math.sin(k * (b - a))
+                        for k, w in terms) for a, b in zip(edges, edges[1:])]
+    return 2.0 * math.fsum(v for v in pieces if v > 0), 2.0 * math.fsum(map(abs, pieces))
 
 
 def functional_report(fn, A: float, tol: float = 1e-9) -> FunctionalReport:
     """F(0), the L1 norm, the two tail integrals, and the derived functional
-    values for a bandlimited or Gaussian-polynomial function."""
+    values for a bandlimited or Gaussian-polynomial function.  tol governs
+    only the L1 norm; the bandlimited tails are closed-form."""
     if isinstance(fn, GaussPolyFn):
         return gauss_poly_report(fn, A)
     if A < 1:
@@ -257,7 +258,7 @@ def functional_report(fn, A: float, tol: float = 1e-9) -> FunctionalReport:
     coeffs, lam = fn.coeffs, fn.lam
     f0 = eval_h(coeffs, 0.0)
     l1 = lam * h_l1_norm(coeffs, tol=tol)
-    tail_pos, tail_abs = _hat_tails(coeffs, lam, tol=max(tol, 1e-12))
+    tail_pos, tail_abs = _hat_tails(coeffs, lam)
     return FunctionalReport(f0, l1, tail_pos, tail_abs, float(A))
 
 
@@ -299,13 +300,12 @@ class SearchResult:
 
 
 def _golden_max(fun, lo: float, hi: float, tol: float = 1e-5):
-    """Golden-section maximization on [lo, hi]; returns (x, fun(x), evals)."""
+    """Golden-section maximization on [lo, hi]; returns (x, fun(x))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fun(c), fun(d)
-    evals = 2
     while b - a > tol:
         if fc > fd:
             b, d, fd = d, c, fc
@@ -315,8 +315,7 @@ def _golden_max(fun, lo: float, hi: float, tol: float = 1e-5):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = fun(d)
-        evals += 1
-    return (c, fc, evals) if fc > fd else (d, fd, evals)
+    return (c, fc) if fc > fd else (d, fd)
 
 
 def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResult:
@@ -332,22 +331,17 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
     lam_lo, lam_hi = 0.1, 1.05
     evals = 0
     exhausted = False
-    norms: dict[tuple, float] = {}  # ||H||_1 per coefficient tuple; lam-free
+    memo: dict[tuple, tuple] = {}  # (||H||_1, H-hat sign changes) per tuple; lam-free
 
     def objective(coeffs, lam):
         nonlocal evals
         evals += 1
         f0 = eval_h(coeffs, 0.0)
-        if coeffs not in norms:
-            norms[coeffs] = h_l1_norm(coeffs, tol=1e-8)
-        l1 = lam * norms[coeffs]
-        tp, _ = _hat_tails(coeffs, lam, tol=1e-10)
-        return (f0 - A * tp) / l1
-
-    def fit(coeffs, lam):
-        if lam == 0.0:
-            return coeffs, 0.0, -math.inf
-        return coeffs, lam, objective(coeffs, lam)
+        if coeffs not in memo:
+            memo[coeffs] = (h_l1_norm(coeffs, tol=1e-8), _hat_roots(coeffs))
+        norm, roots = memo[coeffs]
+        tp, _ = _hat_tails(coeffs, lam, roots)
+        return (f0 - A * tp) / (lam * norm)
 
     seeds = [tuple([1.0] + [0.0] * (n_terms - 1))] + [
         tuple((list(c) + [0.0] * n_terms)[:n_terms]) for c, _ in _SEED_ANCHORS
@@ -356,14 +350,13 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
     best = (-math.inf, (), 0.0)
 
     def refine_lam(coeffs, lam):
-        nonlocal evals
         # coarse bracket first: the objective need not be unimodal in lam
         grid = np.linspace(lam_lo, lam_hi, 20).tolist()
         vals = [objective(coeffs, g) for g in grid]
         i = int(np.argmax(vals))
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
-        x, fx, used = _golden_max(lambda g: objective(coeffs, g), lo, hi)
+        x, fx = _golden_max(lambda g: objective(coeffs, g), lo, hi)
         return (x, fx) if fx > vals[i] else (grid[i], vals[i])
 
     for coeffs, lam0 in zip(seeds, seed_lams):

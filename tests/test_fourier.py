@@ -20,7 +20,7 @@ from qflab.fourier import (
     hat_h,
 )
 from qflab import fourier
-from qflab.fourier import _rational_part_roots
+from qflab.fourier import _hat_roots, _hat_tails, _rational_part_roots
 from qflab.quadrature import quad_segments
 from qflab.verify import TABLE_ROWS
 
@@ -103,6 +103,55 @@ def test_eval_h_near_poles_matches_high_precision():
             assert eval_h(coeffs, x) == pytest.approx(float(exact), rel=1e-10), (m, off)
 
 
+def _eval_h_full_array(coeffs, x):
+    """eval_h with the pole series evaluated for every term (no fast path)."""
+    tp = 2.0 * math.pi
+    x_arr = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x_arr)
+    cos_all = np.cos(tp * ax)
+    out = np.zeros_like(ax)
+    for j, aj in enumerate(coeffs, start=1):
+        if aj == 0:
+            continue
+        m = 2 * j - 1
+        delta = ax - 0.25 * m
+        near = np.abs(delta) < 1e-3
+        denom = np.where(near, 1.0, m * m - 16.0 * ax * ax)
+        direct = cos_all / denom
+        d = np.where(near, delta, 0.0)
+        sin_over = tp - tp**3 * d * d / 6.0 + tp**5 * d**4 / 120.0
+        q = 2.0 * d / m
+        geo = 1.0 - q + q * q - q**3 + q**4
+        sign = 1.0 if j % 2 == 1 else -1.0
+        series = sign * sin_over * geo / (8.0 * m)
+        out = out + aj * np.where(near, series, direct)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def test_eval_h_bit_identical_to_full_array_expression():
+    rng = np.random.default_rng(21)
+    poles = 0.25 * np.arange(1, 10, 2)
+    near = (poles[:, None] + np.linspace(-2e-3, 2e-3, 81)[None, :]).ravel()
+    far = rng.uniform(-30.0, 30.0, 500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            coeffs = tuple(float(c) for c in rng.integers(-300, 301, n))
+            if not any(coeffs):
+                continue
+            mixed = np.append(far[:50], 0.75 + 4e-4)  # one term near its pole
+            for x in (near, -near, np.concatenate((poles, -poles)), far, mixed):
+                assert np.array_equal(eval_h(coeffs, x), _eval_h_full_array(coeffs, x))
+            for x in (0.0, 0.25, -0.75, 1.2501, float(far[0]), np.float64(1.75),
+                      np.asarray(2.25)):
+                got = eval_h(coeffs, x)
+                assert type(got) is float
+                assert got == _eval_h_full_array(coeffs, x)
+
+
 def _rational_part(coeffs, x):
     return sum(a / ((2 * j - 1) ** 2 - 16 * x * x) for j, a in enumerate(coeffs, 1))
 
@@ -177,6 +226,76 @@ def test_hat_h_closed_form_against_quadrature_oracle():
             continue
         t = rng.uniform(0.0, 0.95) if rng.random() < 0.7 else rng.uniform(1.05, 2.0)
         assert hat_h(coeffs, t) == pytest.approx(hat_oracle(coeffs, t), abs=1e-8)
+
+
+def tails_oracle(coeffs, lam):
+    """Independent (positive-part, absolute) tails: scipy quad of H-hat
+    between its sign changes on [lam, 1], bracketed on a dense grid and
+    solved by brentq."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    fun = lambda t: hat_h(coeffs, t)
+    grid = np.linspace(lam, 1.0, 2001)
+    vals = hat_h(coeffs, grid)
+    roots = [brentq(fun, grid[i], grid[i + 1], xtol=1e-15)
+             for i in np.flatnonzero(vals[:-1] * vals[1:] < 0)]
+    edges = [lam, *roots, 1.0]
+    pieces = [quad(fun, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+              for a, b in zip(edges, edges[1:])]
+    return 2 * math.fsum(v for v in pieces if v > 0), 2 * math.fsum(abs(v) for v in pieces)
+
+
+def _random_tuple(rng):
+    coeffs = ()
+    while not any(coeffs):
+        coeffs = tuple(float(rng.randint(-300, 300)) for _ in range(rng.randint(1, 5)))
+    return coeffs
+
+
+def test_hat_tails_against_scipy_oracle():
+    rng = random.Random(8)
+    for i in range(100):
+        coeffs = _random_tuple(rng)
+        lam = rng.uniform(0.01, 1.0) if i % 2 else rng.uniform(0.9, 0.999)
+        want = tails_oracle(coeffs, lam)
+        got = _hat_tails(coeffs, lam)
+        scale = sum(map(abs, coeffs))
+        assert got == pytest.approx(want, rel=0, abs=1e-14 * scale), (coeffs, lam)
+
+
+def test_hat_roots_bracket_every_sign_change():
+    rng = random.Random(9)
+    grid = np.linspace(0.0, 1.0, 100_001)[1:-1]
+    for _ in range(30):
+        coeffs = _random_tuple(rng)
+        roots = np.array(_hat_roots(coeffs))
+        assert np.all(np.diff(roots) > 0) and np.all((roots > 0) & (roots <= 1))
+        vals = hat_h(coeffs, grid)
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+            lo, hi = grid[i] - 1e-9, grid[i + 1] + 1e-9
+            assert np.any((roots >= lo) & (roots <= hi)), (coeffs, grid[i])
+        scale = sum(map(abs, coeffs))
+        assert np.all(np.abs(hat_h(coeffs, roots)) < 1e-9 * scale), coeffs
+
+
+def test_hat_tails_edge_cases():
+    assert _hat_tails((68.0, 5.0, 1.0), 1.0) == (0.0, 0.0)
+    assert _hat_tails((68.0, 5.0, 1.0), 1.05) == (0.0, 0.0)
+    # (1,): H-hat = (pi/4) cos(pi t/2) > 0, both tails 1 - sin(pi lam/2)
+    assert _hat_roots((1.0,)) == []
+    for lam in (0.1, 0.5, 0.99):
+        want = 1.0 - math.sin(0.5 * math.pi * lam)
+        assert _hat_tails((1.0,), lam) == pytest.approx((want, want), rel=1e-14)
+    # (0, 0, 1): H-hat = (pi/20) cos(5 pi t/2) changes sign at 0.2 and 0.6;
+    # its pieces from 0.1 are (1 - sin(pi/4))/50, -2/50 and 2/50
+    assert _hat_roots((0.0, 0.0, 1.0)) == pytest.approx([0.2, 0.6], abs=1e-14)
+    first = (1.0 - math.sqrt(0.5)) / 50.0
+    assert _hat_tails((0.0, 0.0, 1.0), 0.1) == pytest.approx(
+        (2.0 * (first + 0.04), 2.0 * (first + 0.08)), rel=1e-14)
+    five = (270.0, 21.0, 4.0, -3.0, 1.0)
+    for lam in (0.1, 0.6, 0.95):
+        assert _hat_tails(five, lam) == pytest.approx(tails_oracle(five, lam), abs=1e-14 * 299)
 
 
 def test_functional_report_reference_rows():
@@ -275,18 +394,51 @@ def test_greedy_search_budget_flag():
 
 def test_greedy_search_norm_once_per_tuple(monkeypatch):
     calls = []
+    roots = []
     real = fourier.h_l1_norm
+    real_roots = fourier._hat_roots
 
     def counted(coeffs, tol=1e-9):
         calls.append((tuple(coeffs), tol))
         return real(coeffs, tol)
 
+    def counted_roots(coeffs):
+        roots.append(tuple(coeffs))
+        return real_roots(coeffs)
+
     monkeypatch.setattr(fourier, "h_l1_norm", counted)
-    res = greedy_search(28.0, 3, budget=40)
-    search_calls = calls[:-1]  # the last call is the final report's, at its own tol
-    assert calls[-1] == (res.fn.coeffs, 1e-9)
-    assert len(search_calls) == len(set(search_calls))
-    assert res.evaluations == 42  # lam refinement finishes past the budget
+    monkeypatch.setattr(fourier, "_hat_roots", counted_roots)
+    for budget in (40, 100):
+        calls.clear()
+        roots.clear()
+        res = greedy_search(28.0, 3, budget=budget)
+        search_calls = calls[:-1]  # the last call is the final report's, at its own tol
+        assert calls[-1] == (res.fn.coeffs, 1e-9)
+        assert len(search_calls) == len(set(search_calls))
+        # the sign changes are memoised with the norm; the report finds its own
+        assert roots == [c for c, _ in search_calls] + [res.fn.coeffs]
+        if budget == 40:
+            assert res.evaluations == 42  # lam refinement finishes past the budget
+    assert len(search_calls) > 10
+
+
+# (A, coeffs, lam, evaluations, j_plus) of greedy_search(A, 3, 400), all
+# exhausted; recorded when the tails were integrated by adaptive GK15
+SEARCH_400 = [
+    (1.0, (64.0, -58.0, 3.0), 0.1, 423, 1.965809770257602),
+    (5.0, (83.0, -4.0, -8.0), 0.9020614383339863, 437, 1.1297256711232448),
+    (10.0, (100.0, 4.0, -2.0), 0.9592695068425966, 437, 1.1031690837160941),
+    (28.0, (66.0, 5.0, 1.0), 0.9865185562923403, 437, 1.0889984422311647),
+    (34.5, (261.0, 21.0, 5.0), 0.989153765426526, 437, 1.0876047390232693),
+]
+
+
+@pytest.mark.parametrize("A, coeffs, lam, evaluations, j_plus", SEARCH_400)
+def test_greedy_search_budget_400_regression(A, coeffs, lam, evaluations, j_plus):
+    res = greedy_search(A, 3, budget=400)
+    assert (res.fn.coeffs, res.fn.lam, res.evaluations, res.exhausted) == (
+        coeffs, lam, evaluations, True)
+    assert res.report.j_plus == pytest.approx(j_plus, rel=0, abs=1e-12)
 
 
 def test_gauss_poly_reports():
