@@ -249,10 +249,11 @@ def _json_default(o):
 # rows per write: few write calls, and memory bounded by one chunk of text
 _EMIT_CHUNK = 4096
 
-# the text of one column value in a column table, by the column's type;
-# floats are finite (the JSON encoder would write NaN, Infinity)
-_JSON_TEXT = {bool: ("false", "true").__getitem__, int: int.__repr__, float: float.__repr__}
-_CSV_TEXT = {bool: str, int: str, float: "{:.6g}".format}
+# the text of one column value in a column table, by the column's exact
+# type, for which the builtin repr is int.__repr__ or float.__repr__ and
+# calls faster; floats are finite (the JSON encoder would write NaN, Infinity)
+_JSON_TEXT = {bool: ("false", "true").__getitem__, int: repr, float: repr}
+_CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format}
 
 
 def _chunks(rows):
@@ -290,22 +291,26 @@ def emit(records, fmt: str, stream) -> None:
 
 def _emit_columns(columns: dict[str, list], fmt: str, stream) -> None:
     """Write a column table with the bytes emit gives its row dicts.  Each
-    line fills one template built from the keys, with the text of one
-    _EMIT_CHUNK slice of every column at a time, so at most one chunk of
-    text is held."""
+    _EMIT_CHUNK slice is one flat list of strings, n copies of the row
+    template (key separators, text slots, line end) whose slots are filled
+    column by column by strided slice assignment, written with one join;
+    so each value is converted once and at most one chunk of text is held."""
     keys, cols = list(columns), list(columns.values())
     if not cols[0]:
         return
     if fmt == "json":
-        line = "{" + ", ".join(json.dumps(k) + ": %s" for k in keys) + "}\n"
-        text, head = _JSON_TEXT, ""
+        seps = ["{" + json.dumps(keys[0]) + ": "] + [", " + json.dumps(k) + ": " for k in keys[1:]]
+        text, end, head = _JSON_TEXT, "}\n", ""
     else:
-        line = ",".join(["%s"] * len(keys)) + "\n"
-        text, head = _CSV_TEXT, ",".join(keys) + "\n"
+        seps = [""] + [","] * (len(keys) - 1)
+        text, end, head = _CSV_TEXT, "\n", ",".join(keys) + "\n"
+    row = [part for sep in seps for part in (sep, "")] + [end]
     convs = [text[type(col[0])] for col in cols]
     for i in range(0, len(cols[0]), _EMIT_CHUNK):
-        cells = zip(*[map(conv, col[i:i + _EMIT_CHUNK]) for conv, col in zip(convs, cols)])
-        stream.write(head + "".join(map(line.__mod__, cells)))
+        parts = row * min(_EMIT_CHUNK, len(cols[0]) - i)
+        for j, (conv, col) in enumerate(zip(convs, cols)):
+            parts[2 * j + 1::len(row)] = map(conv, col[i:i + _EMIT_CHUNK])
+        stream.write(head + "".join(parts))
         head = ""
 
 
@@ -405,7 +410,7 @@ def _sieve_gaps(p):
     ps = primes.tolist()
     p_n = ps[:-1]
     is_max = [False] * len(p_n)
-    is_max[p_n.index(best.p_n)] = True
+    is_max[int(np.searchsorted(primes, best.p_n))] = True
     return {"p_n": p_n, "p_next": ps[1:], "gap": np.diff(primes).tolist(),
             "normalized": normalized_gaps(ps), "is_max": is_max}
 

@@ -331,15 +331,15 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
     lam_lo, lam_hi = 0.1, 1.05
     evals = 0
     exhausted = False
-    memo: dict[tuple, tuple] = {}  # (||H||_1, H-hat sign changes) per tuple; lam-free
+    memo: dict[tuple, tuple] = {}  # (F(0), ||H||_1, H-hat sign changes) per tuple; lam-free
 
     def objective(coeffs, lam):
         nonlocal evals
         evals += 1
-        f0 = eval_h(coeffs, 0.0)
         if coeffs not in memo:
-            memo[coeffs] = (h_l1_norm(coeffs, tol=1e-8), _hat_roots(coeffs))
-        norm, roots = memo[coeffs]
+            memo[coeffs] = (eval_h(coeffs, 0.0), h_l1_norm(coeffs, tol=1e-8),
+                            _hat_roots(coeffs))
+        f0, norm, roots = memo[coeffs]
         tp, _ = _hat_tails(coeffs, lam, roots)
         return (f0 - A * tp) / (lam * norm)
 

@@ -187,7 +187,14 @@ def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
     Rows are taken from the reduced form, and only for v >= 0, since
     f(-u, -v) = f(u, v) gives the other half the same values.  When a | b
     (b = 0 or b = a), u -> -u - (b/a)v maps each row onto itself with the
-    same values, so only u >= -((b/a)v // 2) is marked."""
+    same values, so only u >= -((b/a)v // 2) is marked.
+
+    When also a = c, the forms (a, 0, a) and (a, a, a), the swap
+    (u, v) -> (v, u) preserves f, and only u >= v is marked.  Every point
+    of the domain above with u < v has a partner of the same value with
+    u >= v >= 0: for 0 <= u < v it is the swap (v, u); for b = a and
+    -(v // 2) <= u < 0 it is (u + v, -u), an automorphism of a(u^2 + uv +
+    v^2), with u + v >= -u since 2u >= -v (Cohen, GTM 138, 5.3)."""
     X = math.floor(x)
     if X < 1:
         return np.zeros(max(X + 1, 1), dtype=bool)
@@ -201,6 +208,8 @@ def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
         v, lo, hi = v[half], lo[half], hi[half]
         if b % a == 0:
             lo = np.maximum(lo, -((b // a) * v // 2))
+            if a == c:
+                lo = np.maximum(lo, v)
         for vi, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()):
             u = np.arange(l, h + 1, dtype=np.int64)
             mask[a * u * u + (b * vi) * u + c * vi * vi] = True
@@ -210,9 +219,8 @@ def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
 
 def represented_primes(f: QuadraticForm, x: float) -> np.ndarray:
     """Sorted primes <= x represented by f."""
-    X = math.floor(x)
     rep = represented_mask(f, x)
-    return np.flatnonzero(rep & prime_mask(X))
+    return np.flatnonzero(np.logical_and(rep, prime_mask(math.floor(x)), out=rep))
 
 
 def count_represented_primes(f: QuadraticForm, x: float) -> int:
@@ -315,7 +323,12 @@ def prime_gap_scan(f: QuadraticForm, X: float,
 
 
 def normalized_gaps(ps: list[int]) -> list[float]:
-    """(q - p)/(sqrt(p) log p) for each consecutive pair (p, q) of ps, with
-    the same scalar arithmetic as PrimeGapRecord.normalized_gap."""
-    sqrt, log = math.sqrt, math.log
-    return [(q - p) / (sqrt(p) * log(p)) for p, q in zip(ps, ps[1:])]
+    """(q - p)/(sqrt(p) log p) for each consecutive pair (p, q) of ps
+    (ints below 2^63), bit for bit as PrimeGapRecord.normalized_gap gives
+    it: the int-to-float conversions, sqrt, * and / are correctly rounded
+    in numpy as in math.  The logs come from math.log, since np.log
+    differs from it in the last ulp on some p."""
+    arr = np.array(ps, dtype=np.int64)
+    p = arr[:-1]
+    logs = np.array(list(map(math.log, ps[:-1])), dtype=np.float64)
+    return ((arr[1:] - p) / (np.sqrt(p) * logs)).tolist()

@@ -136,6 +136,27 @@ def test_column_table_matches_row_emit(monkeypatch, chunk):
         assert empty.getvalue() == "" and empty.writes == 0
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_column_writer_matches_json_and_csv_per_row(monkeypatch, chunk):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
+    n = 4100
+    table = {"p_n": [7 * i - 50 for i in range(n)], "gap": [i % 13 for i in range(n)],
+             "normalized": [(i - 2000) / 7 * 10.0 ** (i % 41 - 20) for i in range(n)],
+             "is_max": [i == 4095 for i in range(n)]}  # 4095: a chunk edge at each size
+    rows = _rows(table)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(list(table))
+    for r in rows:
+        writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in r.values()])
+    for fmt, want in (("json", "".join(json.dumps(r) + "\n" for r in rows)),
+                      ("csv", ref.getvalue())):
+        out = WriteLog()
+        emit(table, fmt, out)
+        assert out.getvalue() == want
+        assert out.writes == -(-n // chunk)
+
+
 def test_sieve_gaps_bytes_match_a_row_oracle(capsys):
     from qflab.forms import QuadraticForm
     from qflab.sieve import represented_primes

@@ -422,6 +422,23 @@ def test_greedy_search_norm_once_per_tuple(monkeypatch):
     assert len(search_calls) > 10
 
 
+def test_greedy_search_f0_once_per_tuple(monkeypatch):
+    scalar = []
+    real = fourier.eval_h
+
+    def counted(coeffs, x):
+        if np.ndim(x) == 0:
+            scalar.append(tuple(coeffs))
+        return real(coeffs, x)
+
+    monkeypatch.setattr(fourier, "eval_h", counted)
+    res = greedy_search(28.0, 3, budget=400)
+    # F(0) is memoised with the norm; the final report evaluates its own
+    assert len(scalar) == len(set(scalar[:-1])) + 1 and scalar[-1] == res.fn.coeffs
+    assert (res.fn.coeffs, res.fn.lam, res.evaluations, res.report.j_plus) == (
+        (66.0, 5.0, 1.0), 0.9865185562923403, 437, 1.0889984422311647)
+
+
 # (A, coeffs, lam, evaluations, j_plus) of greedy_search(A, 3, 400), all
 # exhausted; recorded when the tails were integrated by adaptive GK15
 SEARCH_400 = [

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import brute_rf, random_form
+from conftest import brute_rf, random_form, random_unimodular
 from qflab.arith import prime_mask
 from qflab.forms import (
     QuadraticForm,
@@ -15,7 +15,7 @@ from qflab.forms import (
     representation_count,
     unit_count,
 )
-from qflab.latticesums import BudgetError, congruence_sum_exact
+from qflab.latticesums import BudgetError, _lattice_rows, congruence_sum_exact
 from qflab.sieve import (
     PrimeGapRecord,
     bt_theoretical_bound,
@@ -280,6 +280,42 @@ def test_represented_mask_matches_brute_values():
             assert np.array_equal(represented_mask(f, X + rng.random()), want), (f, X)
             kinds.add("b = 0" if f.b == 0 else "b = a" if f.b == f.a else "other")
     assert kinds == {"b = 0", "b = a", "other"}
+
+
+def _full_row_mask(f, X):
+    """Values of f on every row of the ellipse f <= X, both signs of v and
+    the whole u-range: no symmetry of the form is used."""
+    want = np.zeros(X + 1, dtype=bool)
+    for v, lo, hi in _lattice_rows(f, X):
+        for vi, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()):
+            u = np.arange(l, h + 1, dtype=np.int64)
+            want[f.a * u * u + f.b * vi * u + f.c * vi * vi] = True
+    want[0] = False
+    return want
+
+
+def test_represented_mask_swap_symmetric_forms():
+    """(a, 0, a) and (a, a, a), whose rows are marked for u >= v only, and
+    their SL2(Z) transforms, against every row of the untransformed form."""
+    rng = random.Random(9)
+    for a in range(1, 31):
+        for f in (QuadraticForm(a, 0, a), QuadraticForm(a, a, a)):
+            g = f.transform(*random_unimodular(rng))
+            X = rng.randint(3 * a, 4000)
+            top = int(np.flatnonzero(_full_row_mask(f, X))[-1])  # represented, = X at most
+            for x in (1, 2, a, top, X + rng.random()):
+                for h in (f, g):
+                    assert np.array_equal(represented_mask(h, x),
+                                          _full_row_mask(h, math.floor(x))), (h, x)
+
+
+def test_normalized_gaps_match_the_scalar_formula():
+    ps = represented_primes(QuadraticForm(1, 0, 1), 4e5).tolist()
+    # np.log would be an ulp off math.log here, which normalized_gaps must not follow
+    assert any(float(l) != math.log(p) for p, l in zip(ps, np.log(np.array(ps, dtype=float))))
+    assert normalized_gaps(ps) == [PrimeGapRecord(p, q).normalized_gap
+                                   for p, q in zip(ps, ps[1:])]
+    assert normalized_gaps(ps[:1]) == normalized_gaps([]) == []
 
 
 def test_sieved_sum_budget():
