@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
 
 import numpy as np
 
@@ -88,12 +86,6 @@ def _grid_arg(text: str) -> list[float]:
     return [start + (stop - start) * i / (points - 1) for i in range(points)]
 
 
-# true defaults per (group, action, param); argparse itself runs with
-# SUPPRESS so that config-file values can slot between CLI and defaults
-_DEFAULTS: dict[tuple[str, str], dict] = {}
-_TYPES: dict[tuple[str, str], dict] = {}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qflab", description=__doc__)
     parser.add_argument("--out", metavar="PATH", default=None,
@@ -109,111 +101,35 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS)
     groups = parser.add_subparsers(dest="group", required=True)
-
-    current: list = []
-
-    def add(sub, group_name, name):
-        leaf = sub.add_parser(name, parents=[common])
-        current.clear()
-        current.append((group_name, name))
-        _DEFAULTS.setdefault((group_name, name), {})
-        _TYPES.setdefault((group_name, name), {})
-        return leaf
-
-    def opt(leaf, flag, **kw):
-        key = current[0]
-        dest = kw.get("dest", flag.lstrip("-").replace("-", "_"))
-        if "default" in kw:
-            _DEFAULTS[key][dest] = kw["default"]
-            kw["default"] = argparse.SUPPRESS
-        if "type" in kw:
-            _TYPES[key][dest] = kw["type"]
-        leaf.add_argument(flag, **kw)
-
-    forms = groups.add_parser("forms").add_subparsers(dest="action", required=True)
-    p = add(forms, "forms", "reduce")
-    opt(p, "--form", type=_form_arg, required=True)
-    p = add(forms, "forms", "enumerate")
-    opt(p, "--d", type=int, required=True)
-    p = add(forms, "forms", "classnum")
-    opt(p, "--d", type=int, required=True)
-
-    rep = groups.add_parser("repr").add_subparsers(dest="action", required=True)
-    p = add(rep, "repr", "rf")
-    opt(p, "--form", type=_form_arg, required=True)
-    opt(p, "--n", type=int, required=True)
-    p = add(rep, "repr", "congruence-sum")
-    opt(p, "--form", type=_form_arg, required=True)
-    opt(p, "--ell", type=int, default=1)
-    opt(p, "--x", type=float, required=True)
-    p = add(rep, "repr", "error-scaling")
-    opt(p, "--form", type=_form_arg, required=True)
-    opt(p, "--ell", type=int, default=1)
-    opt(p, "--grid", type=_grid_arg, default=None)
-    p = add(rep, "repr", "poisson-check")
-    opt(p, "--form", type=_form_arg, required=True)
-    opt(p, "--ell", type=int, default=1)
-    opt(p, "--t", type=float, default=1.0)
-
-    sieve = groups.add_parser("sieve").add_subparsers(dest="action", required=True)
-    p = add(sieve, "sieve", "bound")
-    opt(p, "--form", type=_form_arg, required=True)
-    opt(p, "--x", type=float, required=True)
-    opt(p, "--y", type=float, required=True)
-    opt(p, "--z", type=float, required=True)
-    p = add(sieve, "sieve", "pif")
-    opt(p, "--form", type=_form_arg, required=True)
-    opt(p, "--x", type=float, required=True)
-    p = add(sieve, "sieve", "gaps")
-    opt(p, "--form", type=_form_arg, required=True)
-    opt(p, "--x", type=float, required=True)
-    opt(p, "--min-p", type=int, default=100, dest="min_p")
-    p = add(sieve, "sieve", "bt-constants")
-    opt(p, "--form", type=_form_arg, required=True)
-    opt(p, "--x", type=float, required=True)
-    opt(p, "--y", type=float, required=True)
-    opt(p, "--variant", default="cuberoot_range",
-        choices=("cuberoot_range", "mid_range", "sqrt_range"))
-    opt(p, "--eps", type=float, default=0.01)
-
-    fourier = groups.add_parser("fourier").add_subparsers(dest="action", required=True)
-    p = add(fourier, "fourier", "eval")
-    opt(p, "--coeffs", type=_coeffs_arg, required=True)
-    opt(p, "--x", type=float, required=True)
-    opt(p, "--lam", type=float, default=1.0)
-    p = add(fourier, "fourier", "report")
-    opt(p, "--coeffs", type=_coeffs_arg, required=True)
-    opt(p, "--lam", type=float, default=1.0)
-    opt(p, "--A", type=float, required=True, dest="A")
-    p = add(fourier, "fourier", "search")
-    opt(p, "--A", type=float, required=True, dest="A")
-    opt(p, "--terms", type=int, default=3)
-    opt(p, "--budget", type=int, default=4000)
-    p = add(fourier, "fourier", "tables")
-    opt(p, "--a-grid", type=_grid_arg, default=None, dest="a_grid")
-    opt(p, "--terms", type=int, default=3)
-    opt(p, "--budget", type=int, default=4000)
-
+    actions = {}
+    for (group, action), (_, options) in _COMMANDS.items():
+        if group not in actions:
+            actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
+        leaf = actions[group].add_parser(action, parents=[common])
+        for dest, kw in options.items():
+            # argparse runs with SUPPRESS so that config-file values can slot
+            # between the command line and the table's defaults
+            kw = dict(kw, default=argparse.SUPPRESS) if "default" in kw else dict(kw, required=True)
+            leaf.add_argument("--" + dest.replace("_", "-"), dest=dest, **kw)
     ver = groups.add_parser("verify")
     ver.add_argument("action", choices=("fast", "full"))
     return parser
 
 
-def _load_config(path: str, key: tuple[str, str], parser) -> dict:
+def _load_config(path: str, key: tuple[str, str], options: dict, parser) -> dict:
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         parser.error(f"config {path} must hold a JSON object")
-    known = set(_DEFAULTS.get(key, {})) | set(_TYPES.get(key, {}))
     out = {}
     for name, value in cfg.items():
-        if name not in known:
+        if name not in options:
             parser.error(f"config key {name!r} unknown for {key[0]} {key[1]}")
-        conv = _TYPES.get(key, {}).get(name)
+        conv = options[name].get("type")
         try:
             if conv is not None and isinstance(value, str):
                 value = conv(value)
-            elif name in ("grid", "a_grid") and isinstance(value, list):
+            elif conv is _grid_arg and isinstance(value, list):
                 value = [float(v) for v in value]
         except (ValueError, argparse.ArgumentTypeError) as exc:
             parser.error(f"config key {name!r}: {exc}")
@@ -233,9 +149,10 @@ def parse_invocation(argv) -> CommandPlan:
     fmt = given.pop("fmt", "json")
     config = given.pop("config", None)
     key = (group, action)
-    params = dict(_DEFAULTS.get(key, {}))
+    _, options = _COMMANDS.get(key, (None, {}))
+    params = {dest: kw["default"] for dest, kw in options.items() if "default" in kw}
     if config:
-        params.update(_load_config(config, key, parser))
+        params.update(_load_config(config, key, options, parser))
     params.update(given)
     return CommandPlan(group, action, params, output, fmt)
 
@@ -246,7 +163,8 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-# rows per write: few write calls, and memory bounded by one chunk of text
+# column-table rows per write: few write calls, and memory bounded by one
+# chunk of text
 _EMIT_CHUNK = 4096
 
 # the text of one column value in a column table, by the column's exact
@@ -256,37 +174,25 @@ _JSON_TEXT = {bool: ("false", "true").__getitem__, int: repr, float: repr}
 _CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format}
 
 
-def _chunks(rows):
-    return iter(lambda: list(islice(rows, _EMIT_CHUNK)), [])
-
-
 def emit(records, fmt: str, stream) -> None:
     """Write records to stream as JSON lines or as CSV headed by the first
-    record's keys, in joined chunks of _EMIT_CHUNK rows.  Records are any
-    iterable of dicts, consumed once, or a dict of equal-length columns
-    (lists of ints, floats or bools), written as the rows they hold."""
+    record's keys.  Records are a list of dicts, written in one pass, or a
+    dict of equal-length columns (lists of ints, floats or bools), written
+    as the rows they hold in chunks of _EMIT_CHUNK rows."""
     if isinstance(records, dict):
         _emit_columns(records, fmt, stream)
         return
-    rows = iter(records)
+    if not records:
+        return
     if fmt == "json":
         encode = json.JSONEncoder(default=_json_default).encode
-        for chunk in _chunks(rows):
-            stream.write("".join([encode(rec) + "\n" for rec in chunk]))
+        stream.write("".join([encode(rec) + "\n" for rec in records]))
         return
-    first = next(rows, None)
-    if first is None:
-        return
-    keys = list(first.keys())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    keys = list(records[0])
+    writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(keys)
-    for chunk in _chunks(chain([first], rows)):
-        writer.writerows([format(v, ".6g") if isinstance(v, float) else v
-                          for v in (rec[k] for k in keys)] for rec in chunk)
-        stream.write(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
+    writer.writerows([format(v, ".6g") if isinstance(v, float) else v
+                      for v in (rec[k] for k in keys)] for rec in records)
 
 
 def _emit_columns(columns: dict[str, list], fmt: str, stream) -> None:
@@ -453,46 +359,68 @@ def _fourier_tables(p):
     return _map_ordered(_table_row, [(A, p["terms"], p["budget"]) for A in grid])
 
 
-_HANDLERS = {
-    ("forms", "reduce"): _forms_reduce,
-    ("forms", "enumerate"): _forms_enumerate,
-    ("forms", "classnum"): _forms_classnum,
-    ("repr", "rf"): _repr_rf,
-    ("repr", "congruence-sum"): _repr_congruence_sum,
-    ("repr", "error-scaling"): _repr_error_scaling,
-    ("repr", "poisson-check"): _repr_poisson_check,
-    ("sieve", "bound"): _sieve_bound,
-    ("sieve", "pif"): _sieve_pif,
-    ("sieve", "gaps"): _sieve_gaps,
-    ("sieve", "bt-constants"): _sieve_bt_constants,
-    ("fourier", "eval"): _fourier_eval,
-    ("fourier", "report"): _fourier_report,
-    ("fourier", "search"): _fourier_search,
-    ("fourier", "tables"): _fourier_tables,
+# (group, action) -> (handler, {dest: argparse keyword arguments}).  The
+# option's flag is "--" + dest with "_" written "-", and an option without
+# a "default" is required.
+_COMMANDS = {
+    ("forms", "reduce"): (_forms_reduce, {"form": {"type": _form_arg}}),
+    ("forms", "enumerate"): (_forms_enumerate, {"d": {"type": int}}),
+    ("forms", "classnum"): (_forms_classnum, {"d": {"type": int}}),
+    ("repr", "rf"): (_repr_rf, {"form": {"type": _form_arg}, "n": {"type": int}}),
+    ("repr", "congruence-sum"): (_repr_congruence_sum, {
+        "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
+        "x": {"type": float}}),
+    ("repr", "error-scaling"): (_repr_error_scaling, {
+        "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
+        "grid": {"type": _grid_arg, "default": None}}),
+    ("repr", "poisson-check"): (_repr_poisson_check, {
+        "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
+        "t": {"type": float, "default": 1.0}}),
+    ("sieve", "bound"): (_sieve_bound, {
+        "form": {"type": _form_arg}, "x": {"type": float}, "y": {"type": float},
+        "z": {"type": float}}),
+    ("sieve", "pif"): (_sieve_pif, {"form": {"type": _form_arg}, "x": {"type": float}}),
+    ("sieve", "gaps"): (_sieve_gaps, {
+        "form": {"type": _form_arg}, "x": {"type": float},
+        "min_p": {"type": int, "default": 100}}),
+    ("sieve", "bt-constants"): (_sieve_bt_constants, {
+        "form": {"type": _form_arg}, "x": {"type": float}, "y": {"type": float},
+        "variant": {"default": "cuberoot_range",
+                    "choices": ("cuberoot_range", "mid_range", "sqrt_range")},
+        "eps": {"type": float, "default": 0.01}}),
+    ("fourier", "eval"): (_fourier_eval, {
+        "coeffs": {"type": _coeffs_arg}, "x": {"type": float},
+        "lam": {"type": float, "default": 1.0}}),
+    ("fourier", "report"): (_fourier_report, {
+        "coeffs": {"type": _coeffs_arg}, "lam": {"type": float, "default": 1.0},
+        "A": {"type": float}}),
+    ("fourier", "search"): (_fourier_search, {
+        "A": {"type": float}, "terms": {"type": int, "default": 3},
+        "budget": {"type": int, "default": 4000}}),
+    ("fourier", "tables"): (_fourier_tables, {
+        "a_grid": {"type": _grid_arg, "default": None},
+        "terms": {"type": int, "default": 3}, "budget": {"type": int, "default": 4000}}),
 }
 
 
-def execute_plan(plan: CommandPlan) -> tuple[list[dict] | dict[str, list], int]:
-    """Run the plan; returns (records, exit_status).  Records are a list of
-    row dicts, or, where the rows are many (`sieve gaps`), a dict of
-    equal-length columns."""
-    key = (plan.group, plan.action)
-    if key not in _HANDLERS:
-        raise AssertionError(f"unroutable plan {key}")
-    return _HANDLERS[key](plan.params), 0
+def execute_plan(plan: CommandPlan) -> list[dict] | dict[str, list]:
+    """Run the plan and return its records: a list of row dicts, or, where
+    the rows are many (`sieve gaps`), a dict of equal-length columns."""
+    handler, _ = _COMMANDS[(plan.group, plan.action)]
+    return handler(plan.params)
 
 
 def main(argv=None) -> int:
     plan = parse_invocation(sys.argv[1:] if argv is None else argv)
     if plan.group == "verify":
         return _verify.run_suite(plan.action)
-    records, status = execute_plan(plan)
+    records = execute_plan(plan)
     if plan.output:
         with open(plan.output, "w", encoding="utf-8") as fh:
             emit(records, plan.fmt, fh)
     else:
         emit(records, plan.fmt, sys.stdout)
-    return status
+    return 0
 
 
 if __name__ == "__main__":

@@ -160,13 +160,15 @@ def enumerate_reduced_forms(D: int) -> FormClassSet:
 def representation_count(f: QuadraticForm, n: int) -> int:
     """Number of integer pairs (u, v) with f(u, v) = n.
 
-    Uses 4a*f(u,v) = (2au + bv)^2 + D*v^2, so v runs over |v| <= sqrt(4an/D)
+    The count is taken on the reduced form, which has the same one.  Uses
+    4a*f(u,v) = (2au + bv)^2 + D*v^2, so v runs over |v| <= sqrt(4an/D)
     and u is solved exactly per v.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1
+    f = reduce_form(f)
     a, b, D = f.a, f.b, f.D
     two_a = 2 * a
     count = 0

@@ -93,12 +93,14 @@ def _row_bounds(f: QuadraticForm, N: int, v: np.ndarray) -> tuple[np.ndarray, np
 
 
 def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
-    """#{(u, v) : 1 <= f(u, v) <= x and ell | f(u, v)}, exact."""
+    """#{(u, v) : 1 <= f(u, v) <= x and ell | f(u, v)}, exact; counted on the
+    reduced form, which has the same count."""
     if ell < 1:
         raise ValueError("need ell >= 1")
     X = math.floor(x)
     if X < 1:
         return 0
+    f = reduce_form(f)
     residues = _u_residues(f, ell) if ell > 1 else None
     total = 0
     for v, lo, hi in _lattice_rows(f, X):
@@ -293,8 +295,12 @@ def _poisson_sides(f: QuadraticForm, ell: int, ts) -> list[tuple[float, float]]:
 def translation_exception_count(f: QuadraticForm, ell: int, r: int, s: int) -> int:
     """#{(u, v) in Z^2 : f(u - r/ell, v - s/ell) < f(u, v)/2}, exact.
 
-    Candidates are enumerated inside the superset f(u - 2r/ell, v - 2s/ell) < 6c
-    and each is tested with integer arithmetic (scale by 2*ell^2).
+    Candidates are the points (U, V) = (ell*u - 2r, ell*v - 2s) of the
+    superset f(U, V) < 6c*ell^2, taken from the row kernel: rows with
+    V = -2s (mod ell), each cut to its u-range.  Each is tested with integer
+    arithmetic (scale by 2*ell^2) in int64, in blocks of at most _ROW_CHUNK
+    points per row.  Refuses 24*a*c*ell^2 > 2^52 with BudgetError, like the
+    other row-kernel counts.
     """
     if (r, s) == (0, 0):
         raise ValueError("(r, s) = (0, 0) is excluded")
@@ -302,27 +308,21 @@ def translation_exception_count(f: QuadraticForm, ell: int, r: int, s: int) -> i
         raise ValueError("need 0 <= r, s < ell")
     if not is_reduced(f):
         raise ValueError("form must be reduced")
-    a, b, c, D = f.a, f.b, f.c, f.D
+    a, b, c = f.a, f.b, f.c
     ell2 = ell * ell
-    bound = 24 * a * c * ell2  # strict: (2aU + bV)^2 + D V^2 < bound
+    if 24 * a * c * ell2 > (1 << 52):
+        raise BudgetError(f"24ac*ell^2 = {24 * a * c * ell2} too large for exact 64-bit counting")
     count = 0
-    vmax = math.isqrt((bound - 1) // D)
-    for V in range(-vmax, vmax + 1):
-        if (V + 2 * s) % ell:
-            continue
-        m = bound - D * V * V
-        tt = math.isqrt(m - 1)
-        lo = -((tt + b * V) // (2 * a))
-        hi = (tt - b * V) // (2 * a)
-        for U in range(lo, hi + 1):
-            if (U + 2 * r) % ell:
-                continue
-            u = (U + 2 * r) // ell
-            v = (V + 2 * s) // ell
-            lhs = 2 * (a * (u * ell - r) ** 2 + b * (u * ell - r) * (v * ell - s)
-                       + c * (v * ell - s) ** 2)
-            if lhs < ell2 * (a * u * u + b * u * v + c * v * v):
-                count += 1
+    for V, lo, hi in _lattice_rows(f, 6 * c * ell2 - 1):
+        keep = (V + 2 * s) % ell == 0
+        v = (V[keep] + 2 * s) // ell
+        u_lo = -((2 * r - lo[keep]) // ell)  # ceil((lo + 2r) / ell)
+        length = np.maximum((hi[keep] + 2 * r) // ell - u_lo + 1, 0)
+        for k in range(0, int(length.max(initial=0)), _ROW_CHUNK):
+            u, vv = _row_points(v, u_lo + k, np.clip(length - k, 0, _ROW_CHUNK))
+            x, y = u * ell - r, vv * ell - s
+            lhs = 2 * (a * x * x + b * x * y + c * y * y)
+            count += int(np.count_nonzero(lhs < ell2 * (a * u * u + b * u * vv + c * vv * vv)))
     return count
 
 

@@ -210,6 +210,8 @@ def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
             lo = np.maximum(lo, -((b // a) * v // 2))
             if a == c:
                 lo = np.maximum(lo, v)
+        full = lo <= hi  # the cuts leave about half the rows empty
+        v, lo, hi = v[full], lo[full], hi[full]
         for vi, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()):
             u = np.arange(l, h + 1, dtype=np.int64)
             mask[a * u * u + (b * vi) * u + c * vi * vi] = True

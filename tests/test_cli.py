@@ -15,10 +15,7 @@ from qflab.cli import build_parser, emit, execute_plan, main, parse_invocation
 
 
 def run_cli(argv):
-    plan = parse_invocation(argv)
-    records, status = execute_plan(plan)
-    assert status == 0
-    return records
+    return execute_plan(parse_invocation(argv))
 
 
 def test_parse_examples_from_usage():
@@ -32,8 +29,7 @@ def test_parse_examples_from_usage():
     assert plan.params["A"] == 28.0
 
     plan = parse_invocation(["forms", "reduce", "--form", "2,-2,3"])
-    records, status = execute_plan(plan)
-    assert status == 0
+    records = execute_plan(plan)
     assert (records[0]["a"], records[0]["b"], records[0]["c"]) == (2, 2, 3)
 
 
@@ -92,6 +88,8 @@ class WriteLog(io.StringIO):
 
 @pytest.mark.parametrize("chunk", [4096, 3])
 def test_emit_streams_iterables_in_chunks(monkeypatch, chunk):
+    # a row list is written in one pass whatever the chunk size; the same
+    # rows as a column table are written in chunks of _EMIT_CHUNK rows
     monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
     rows = [{"n": i, "x": i / 7, "q": Fraction(i, 3), "odd": i % 2 == 1} for i in range(10)]
     want_json = "".join(json.dumps(r, default=str) + "\n" for r in rows)
@@ -101,14 +99,19 @@ def test_emit_streams_iterables_in_chunks(monkeypatch, chunk):
     for r in rows:
         writer.writerow([format(v, ".6g") if isinstance(v, float) else v for v in r.values()])
     for fmt, want in (("json", want_json), ("csv", ref.getvalue())):
-        for records in (rows, (r for r in rows)):
-            out = WriteLog()
-            emit(records, fmt, out)
-            assert out.getvalue() == want
-            assert out.writes == -(-len(rows) // chunk)
+        out = io.StringIO()
+        emit(rows, fmt, out)
+        assert out.getvalue() == want
         empty = WriteLog()
-        emit(iter(()), fmt, empty)
+        emit([], fmt, empty)
         assert empty.getvalue() == "" and empty.writes == 0
+        no_q = [{k: v for k, v in r.items() if k != "q"} for r in rows]
+        want_rows = io.StringIO()
+        emit(no_q, fmt, want_rows)
+        out = WriteLog()
+        emit({k: [r[k] for r in no_q] for k in no_q[0]}, fmt, out)
+        assert out.getvalue() == want_rows.getvalue()
+        assert out.writes == -(-len(rows) // chunk)
 
 
 def _rows(columns):
@@ -187,7 +190,7 @@ def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
     for fmt in ("json", "csv"):
         argv = ["--format", fmt, "sieve", "gaps", "--form", "1,1,2", "--x", "3000",
                 "--min-p", "10"]
-        records, _ = execute_plan(parse_invocation(argv))
+        records = execute_plan(parse_invocation(argv))
         assert isinstance(records, dict)
         assert list(records) == ["p_n", "p_next", "gap", "normalized", "is_max"]
         assert len({len(col) for col in records.values()}) == 1
@@ -248,6 +251,25 @@ def test_bt_constants_record():
                    "--y", "1e8", "--variant", "cuberoot_range", "--eps", "0.01"])[0]
     assert rec["constant"] == pytest.approx(26.86, abs=0.01)
     assert rec["range_ok"] is True
+
+
+# a value for each required option of the command table
+_REQUIRED = {"form": "1,0,1", "d": "23", "n": "5", "x": "10", "y": "2", "z": "3",
+             "coeffs": "1,0", "A": "28"}
+
+
+def test_every_command_parses_to_its_table_defaults():
+    for (group, action), (_, options) in cli._COMMANDS.items():
+        required = [dest for dest, kw in options.items() if "default" not in kw]
+        argv = [group, action]
+        for dest in required:
+            argv += ["--" + dest.replace("_", "-"), _REQUIRED[dest]]
+        plan = parse_invocation(argv)
+        want = {dest: options[dest]["type"](_REQUIRED[dest]) for dest in required}
+        want.update((dest, kw["default"]) for dest, kw in options.items() if "default" in kw)
+        assert (plan.group, plan.action) == (group, action)
+        assert plan.params == want, (group, action)
+    assert len(cli._COMMANDS) == 15
 
 
 def test_parser_help_covers_all_groups():

@@ -60,6 +60,13 @@ def test_congruence_sum_brute_force():
         assert congruence_sum_exact(f, ell, x) == brute_congruence_sum(f, ell, x)
 
 
+def test_counts_reduce_first():
+    # properly equivalent to u^2 + v^2, with a far beyond the row kernel's range
+    f = QuadraticForm(10**16 + 1, 2 * 10**8, 1)
+    assert congruence_sum_exact(f, 1, 10) == 36
+    assert representation_count(f, 5) == 8
+
+
 def test_congruence_sum_budget():
     with pytest.raises(BudgetError):
         congruence_sum_exact(QuadraticForm(1, 0, 1), 1, 1e18)
@@ -394,7 +401,7 @@ def brute_exception_count(f, ell, r, s, box=10):
     return count
 
 
-def test_translation_exceptions_examples():
+def test_translation_exceptions_examples(monkeypatch):
     f = QuadraticForm(1, 0, 1)
     assert translation_exception_count(f, 2, 1, 0) == 1
     assert translation_exception_count(f, 2, 1, 1) == brute_exception_count(f, 2, 1, 1)
@@ -402,6 +409,13 @@ def test_translation_exceptions_examples():
         translation_exception_count(f, 2, 0, 0)
     with pytest.raises(ValueError):
         translation_exception_count(QuadraticForm(3, 5, 6), 2, 1, 0)  # not reduced
+    with pytest.raises(ValueError):  # the ValueErrors come before the budget
+        translation_exception_count(QuadraticForm(3, 5, 6), 1 << 24, 1, 0)
+    with pytest.raises(BudgetError):  # 24*a*c*ell^2 = 1.5 * 2^52
+        translation_exception_count(f, 1 << 24, 1, 0)
+    monkeypatch.setattr(latticesums, "_ROW_CHUNK", 2)  # rows tested 2 points at a time
+    g = QuadraticForm(1, 0, 5)
+    assert translation_exception_count(g, 5, 2, 3) == brute_exception_count(g, 5, 2, 3) == 6
 
 
 def test_translation_exceptions_brute_and_bound():
