@@ -53,7 +53,6 @@ from .latticesums import (
 )
 from .sieve import (
     PrimeGapRecord,
-    SieveSetup,
     bt_theoretical_bound,
     cor_brun_bound,
     count_represented_primes,

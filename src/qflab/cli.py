@@ -34,7 +34,6 @@ from .sieve import (
     bt_theoretical_bound,
     sieved_sum_exact,
     count_represented_primes,
-    normalized_gaps,
     prime_gap_scan,
     sieve_upper_bound,
 )
@@ -87,19 +86,16 @@ def _grid_arg(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qflab", description=__doc__)
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write records here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
-    parser.add_argument("--config", metavar="PATH", default=None,
-                        help="JSON file with default parameters")
-    # the same options are accepted after the subcommand; SUPPRESS keeps the
-    # leaf parser from clobbering values parsed at the top level
+    # the same options are accepted before and after the subcommand; SUPPRESS
+    # keeps the leaf parser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS)
+    common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS,
+                        help="write records here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), dest="fmt",
-                        default=argparse.SUPPRESS)
-    common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS)
+                        default=argparse.SUPPRESS, help="json (the default) or csv")
+    common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS,
+                        help="JSON file with default parameters")
+    parser = argparse.ArgumentParser(prog="qflab", description=__doc__, parents=[common])
     groups = parser.add_subparsers(dest="group", required=True)
     actions = {}
     for (group, action), (_, options) in _COMMANDS.items():
@@ -111,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
             # between the command line and the table's defaults
             kw = dict(kw, default=argparse.SUPPRESS) if "default" in kw else dict(kw, required=True)
             leaf.add_argument("--" + dest.replace("_", "-"), dest=dest, **kw)
-    ver = groups.add_parser("verify")
-    ver.add_argument("action", choices=("fast", "full"))
     return parser
 
 
@@ -146,15 +140,17 @@ def parse_invocation(argv) -> CommandPlan:
     group = given.pop("group")
     action = given.pop("action")
     output = given.pop("out", None)
-    fmt = given.pop("fmt", "json")
+    fmt = given.pop("fmt", None)
     config = given.pop("config", None)
+    if group == "verify" and fmt is not None:
+        parser.error("verify writes a text report; --format does not apply to it")
     key = (group, action)
-    _, options = _COMMANDS.get(key, (None, {}))
+    _, options = _COMMANDS[key]
     params = {dest: kw["default"] for dest, kw in options.items() if "default" in kw}
     if config:
         params.update(_load_config(config, key, options, parser))
     params.update(given)
-    return CommandPlan(group, action, params, output, fmt)
+    return CommandPlan(group, action, params, output, fmt or "json")
 
 
 def _json_default(o):
@@ -174,11 +170,23 @@ _JSON_TEXT = {bool: ("false", "true").__getitem__, int: repr, float: repr}
 _CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format}
 
 
+@dataclass
+class TextReport:
+    """A command's output as text lines, and its exit status."""
+
+    lines: list[str]
+    status: int
+
+
 def emit(records, fmt: str, stream) -> None:
     """Write records to stream as JSON lines or as CSV headed by the first
     record's keys.  Records are a list of dicts, written in one pass, or a
     dict of equal-length columns (lists of ints, floats or bools), written
-    as the rows they hold in chunks of _EMIT_CHUNK rows."""
+    as the rows they hold in chunks of _EMIT_CHUNK rows.  A TextReport is
+    written as its lines."""
+    if isinstance(records, TextReport):
+        stream.write("".join(line + "\n" for line in records.lines))
+        return
     if isinstance(records, dict):
         _emit_columns(records, fmt, stream)
         return
@@ -239,7 +247,7 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
-def _scaling_row(args) -> dict:
+def _congruence_row(args) -> dict:
     form_triple, ell, x = args
     f = QuadraticForm(*form_triple)
     return CongruenceSumResult(x, ell, congruence_sum_exact(f, ell, x),
@@ -280,14 +288,12 @@ def _repr_rf(p):
 
 
 def _repr_congruence_sum(p):
-    f, ell, x = p["form"], p["ell"], p["x"]
-    return [CongruenceSumResult(x, ell, congruence_sum_exact(f, ell, x),
-                                congruence_main_term(f, ell, x)).record()]
+    return [_congruence_row((p["form"].triple(), p["ell"], p["x"]))]
 
 
 def _repr_error_scaling(p):
     grid = p["grid"] or _grid_arg("1e3:1e6:7:log")
-    rows = _map_ordered(_scaling_row, [(p["form"].triple(), p["ell"], x) for x in grid])
+    rows = _map_ordered(_congruence_row, [(p["form"].triple(), p["ell"], x) for x in grid])
     slope = _error_slope([(r["x"], r["error"]) for r in rows])
     for r in rows:
         r["slope"] = slope
@@ -312,13 +318,12 @@ def _sieve_pif(p):
 
 
 def _sieve_gaps(p):
-    best, primes = prime_gap_scan(p["form"], p["x"], p["min_p"])
+    i, primes, gaps = prime_gap_scan(p["form"], p["x"], p["min_p"])
     ps = primes.tolist()
-    p_n = ps[:-1]
-    is_max = [False] * len(p_n)
-    is_max[int(np.searchsorted(primes, best.p_n))] = True
-    return {"p_n": p_n, "p_next": ps[1:], "gap": np.diff(primes).tolist(),
-            "normalized": normalized_gaps(ps), "is_max": is_max}
+    is_max = [False] * gaps.size
+    is_max[i] = True
+    return {"p_n": ps[:-1], "p_next": ps[1:], "gap": np.diff(primes).tolist(),
+            "normalized": gaps.tolist(), "is_max": is_max}
 
 
 def _sieve_bt_constants(p):
@@ -357,6 +362,14 @@ def _fourier_search(p):
 def _fourier_tables(p):
     grid = p["a_grid"] or [1.0, 5.0, 10.0, 28.0, 34.5]
     return _map_ordered(_table_row, [(A, p["terms"], p["budget"]) for A in grid])
+
+
+def _verify_suite(suite: str):
+    def run(p) -> TextReport:
+        lines = []
+        return TextReport(lines, _verify.run_suite(suite, out=lines.append))
+
+    return run
 
 
 # (group, action) -> (handler, {dest: argparse keyword arguments}).  The
@@ -400,27 +413,28 @@ _COMMANDS = {
     ("fourier", "tables"): (_fourier_tables, {
         "a_grid": {"type": _grid_arg, "default": None},
         "terms": {"type": int, "default": 3}, "budget": {"type": int, "default": 4000}}),
+    ("verify", "fast"): (_verify_suite("fast"), {}),
+    ("verify", "full"): (_verify_suite("full"), {}),
 }
 
 
-def execute_plan(plan: CommandPlan) -> list[dict] | dict[str, list]:
+def execute_plan(plan: CommandPlan) -> list[dict] | dict[str, list] | TextReport:
     """Run the plan and return its records: a list of row dicts, or, where
-    the rows are many (`sieve gaps`), a dict of equal-length columns."""
+    the rows are many (`sieve gaps`), a dict of equal-length columns, or
+    for `verify` the report as a TextReport."""
     handler, _ = _COMMANDS[(plan.group, plan.action)]
     return handler(plan.params)
 
 
 def main(argv=None) -> int:
     plan = parse_invocation(sys.argv[1:] if argv is None else argv)
-    if plan.group == "verify":
-        return _verify.run_suite(plan.action)
     records = execute_plan(plan)
     if plan.output:
         with open(plan.output, "w", encoding="utf-8") as fh:
             emit(records, plan.fmt, fh)
     else:
         emit(records, plan.fmt, sys.stdout)
-    return 0
+    return records.status if isinstance(records, TextReport) else 0
 
 
 if __name__ == "__main__":

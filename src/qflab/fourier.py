@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import hermite as _herm
 
-from .quadrature import adaptive_quad, quad_segments
+from .quadrature import quad_segments
 
 __all__ = [
     "BandlimitedFn",
@@ -422,7 +422,7 @@ def _real_roots_in(poly_coeffs, lo: float, hi: float) -> list[float]:
     p = np.trim_zeros(np.asarray(poly_coeffs, dtype=np.float64), "b")
     if p.size < 2:
         return []
-    roots = np.roots(p[::-1])
+    roots = np.polynomial.polynomial.polyroots(p)
     return sorted(float(r.real) for r in roots
                   if abs(r.imag) < 1e-9 and lo < r.real < hi)
 
@@ -469,18 +469,16 @@ def dn_estimate(n: int, budget: int = 3000) -> float:
         nonlocal evals
         evals += 1
         fn = GaussPolyFn(tuple(coeffs))
+        abs_fn = lambda x: np.abs(fn(x))
         cut = 8.0
-        edges = [-cut, -1.0] + _real_roots_in(coeffs, -cut, cut) + [1.0, cut]
-        edges = sorted(set(edges))
-        total = 0.0
-        inner = 0.0
-        for a, b in zip(edges, edges[1:]):
-            val, _ = adaptive_quad(lambda x: np.abs(fn(x)), a, b, tol=1e-10,
-                                   max_panels=600)
-            total += val
-            if a >= -1.0 and b <= 1.0:
-                inner += val
-        return inner / total
+        roots = _real_roots_in(coeffs, -cut, cut)
+        inner, _ = quad_segments(abs_fn, [-1.0] + [r for r in roots if -1.0 < r < 1.0] + [1.0],
+                                 tol=1e-10, max_panels=2000)
+        # |F| beyond -1 and beyond 1, folded onto [1, cut]
+        outer, _ = quad_segments(lambda t: abs_fn(t) + abs_fn(-t),
+                                 sorted({1.0, cut, *(abs(r) for r in roots if abs(r) > 1.0)}),
+                                 tol=1e-10, max_panels=2000)
+        return inner / (inner + outer)
 
     coeffs = [1.0]
     best = ratio(coeffs)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ToleranceError", "adaptive_quad", "quad_segments",
+__all__ = ["ToleranceError", "quad_segments",
            "KRONROD_NODES", "KRONROD_WEIGHTS", "GAUSS_WEIGHTS", "GAUSS_INDICES"]
 
 
@@ -59,22 +59,14 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ik, np.minimum(diff, (200.0 * diff) ** 1.5)
 
 
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
-                  max_panels: int = 4000) -> tuple[float, float]:
-    """Integrate f over [a, b] to absolute tolerance tol.
-
-    Returns (value, error_estimate); raises ToleranceError when the panel
-    budget is exhausted with the estimate still above tol.
-    """
-    return quad_segments(f, [a, b], tol=tol, max_panels=max_panels)
-
-
 def quad_segments(f, edges, tol: float = 1e-10,
                   max_panels: int = 4000) -> tuple[float, float]:
-    """Adaptive integration over the panels defined by an edge list.
+    """Integrate f to absolute tolerance tol over the panels between
+    consecutive edges (an edge list [a, b] is one interval).
 
-    max_panels caps the initial panels plus bisections; returns
-    (value, error_estimate) like adaptive_quad.
+    max_panels caps the initial panels plus bisections.  Returns (value,
+    error_estimate); raises ToleranceError when the panel budget is
+    exhausted with the estimate still above tol.
     """
     edges = np.asarray(edges, dtype=np.float64).ravel()
     lo, hi = edges[:-1], edges[1:]

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -16,8 +15,6 @@ from .forms import QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, 
 from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
 
 __all__ = [
-    "SingularWeightError",
-    "SieveSetup",
     "SieveBound",
     "PrimeGapRecord",
     "BTBound",
@@ -36,77 +33,58 @@ __all__ = [
 _MASK_BUDGET = 300_000_000
 
 
-class SingularWeightError(ValueError):
-    """A sieve weight g(p)/(1 - g(p)) is singular (g(p) = 1)."""
+def _squarefree_walk(primes: list[int], bound: float):
+    """(ell, its primes) for each squarefree ell < bound built from the
+    ascending primes, depth first in pre-order from ell = 1: each ell is
+    followed by its multiples ell * p with p beyond ell's largest prime."""
+
+    def walk(start: int, ell: int, factors: tuple[int, ...]):
+        yield ell, factors
+        for i in range(start, len(primes)):
+            nxt = ell * primes[i]
+            if nxt >= bound:
+                break
+            yield from walk(i + 1, nxt, factors + (primes[i],))
+
+    return walk(0, 1, ())
 
 
-@dataclass(frozen=True)
-class SieveSetup:
-    """Sieving data: the form, the cutoff z, and the primes <= z whose
-    product is the sifting modulus.  Construction verifies every weight
-    g(p)/(1 - g(p)) is finite."""
+def _prime_densities(f: QuadraticForm, z: float) -> dict[int, Fraction]:
+    """g(p) for each prime p <= z, in ascending p."""
+    if z < 2:
+        raise ValueError("need z >= 2")
+    density = DensityG(f)
+    return {p: density.at_prime(p) for p in np.flatnonzero(prime_mask(int(z))).tolist()}
 
-    form: QuadraticForm
-    z: float
-    primes: tuple[int, ...]
 
-    @classmethod
-    def build(cls, form: QuadraticForm, z: float) -> "SieveSetup":
-        if z < 2:
-            raise ValueError("need z >= 2")
-        density = DensityG(form)
-        primes = tuple(np.flatnonzero(prime_mask(int(z))).tolist())
-        for p in primes:
-            if density.at_prime(p) >= 1:
-                raise SingularWeightError(f"g({p}) = {density.at_prime(p)} >= 1")
-        return cls(form, z, primes)
+def _selberg_j(g: dict[int, Fraction], z: float) -> Fraction:
+    weights = {p: gp / (1 - gp) for p, gp in g.items()}
+    return sum((math.prod((weights[p] for p in ps), start=Fraction(1))
+                for _, ps in _squarefree_walk(list(g), z)), start=Fraction(0))
 
 
 def selberg_j(f: QuadraticForm, z: float) -> Fraction:
     """J = sum of h(ell) over squarefree ell < z built from primes <= z,
-    where h(ell) = prod over p | ell of g(p)/(1 - g(p)).  Exact rational."""
-    setup = SieveSetup.build(f, z)
-    density = DensityG(f)
-    primes = list(setup.primes)
-    weights = [density.at_prime(p) / (1 - density.at_prime(p)) for p in primes]
-    total = Fraction(0)
+    where h(ell) = prod over p | ell of g(p)/(1 - g(p)).  Exact rational.
 
-    def extend(idx: int, prod: int, hval: Fraction):
-        nonlocal total
-        total += hval
-        for i in range(idx, len(primes)):
-            nxt = prod * primes[i]
-            if nxt < z:
-                extend(i + 1, nxt, hval * weights[i])
-
-    extend(0, 1, Fraction(1))
-    return total
+    Every weight is finite: g(p) = (p + chi(p)*(p - 1))/p^2 is (2p - 1)/p^2,
+    1/p or 1/p^2 for chi(p) = 1, 0, -1, each below 1 for p >= 2."""
+    return _selberg_j(_prime_densities(f, z), z)
 
 
-def _error_moduli(primes: list[int], z: float) -> list[tuple[int, int]]:
+def _error_moduli(primes: list[int], z: float) -> list[tuple[int, tuple[int, ...]]]:
     """Squarefree moduli ell = lcm(l1, l2) realizable with l1, l2 < z,
-    paired with their prime count, ell = 1 first; all satisfy ell < z^2."""
-    out: list[tuple[int, int]] = []
+    paired with their primes, ell = 1 first; all satisfy ell < z^2."""
 
-    def realizable(factors: tuple[int, ...]) -> bool:
-        total = math.prod(factors)
-        # some split d * (total/d) with both parts < z
+    def realizable(ell: int, factors: tuple[int, ...]) -> bool:
+        # some split d * (ell/d) with both parts < z
         for msk in range(1 << len(factors)):
-            d = math.prod(factors[i] for i in range(len(factors)) if msk >> i & 1) if msk else 1
-            if d < z and total // d < z:
+            d = math.prod(factors[i] for i in range(len(factors)) if msk >> i & 1)
+            if d < z and ell // d < z:
                 return True
         return False
 
-    def extend(idx: int, prod: int, factors: tuple[int, ...]):
-        if realizable(factors):
-            out.append((prod, len(factors)))
-        for i in range(idx, len(primes)):
-            nxt = prod * primes[i]
-            if nxt < z * z:
-                extend(i + 1, nxt, factors + (primes[i],))
-
-    extend(0, 1, ())
-    return out
+    return [(ell, ps) for ell, ps in _squarefree_walk(primes, z * z) if realizable(ell, ps)]
 
 
 @dataclass(frozen=True)
@@ -135,16 +113,13 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
     its interval count is a strided sum over the window's r_f histogram,
     whose total is checked against two full-ellipse counts.
     """
-    if z < 2:
-        raise ValueError("need z >= 2")
+    g_p = _prime_densities(f, z)
     if y < 0 or x - y < 0:
         raise ValueError("need 0 <= y <= x")
-    density = DensityG(f)
-    jj = selberg_j(f, z)
     sd = math.sqrt(f.D)
-    main = 2.0 * math.pi * y / sd / float(jj)
+    main = 2.0 * math.pi * y / sd / float(_selberg_j(g_p, z))
     g = reduce_form(f)
-    moduli = _error_moduli(np.flatnonzero(prime_mask(int(z))).tolist(), z)
+    moduli = _error_moduli(list(g_p), z)
     intervals = [0] * len(moduli)
     for n0, r in _window_histogram(g, math.floor(x - y), math.floor(x)):
         for i, (ell, _) in enumerate(moduli):
@@ -156,10 +131,10 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
         raise RuntimeError(f"window histogram holds {intervals[0]} points, "
                            f"the lattice count {total}")
     err = 0.0
-    for (ell, nprimes), interval in zip(moduli, intervals):
-        g_ell = float(density.at_squarefree(ell))
+    for (_, ps), interval in zip(moduli, intervals):
+        g_ell = float(math.prod((g_p[p] for p in ps), start=Fraction(1)))
         e_ell = interval - 2.0 * math.pi * y * g_ell / sd
-        err += 3**nprimes * abs(e_ell)
+        err += 3**len(ps) * abs(e_ell)
     return SieveBound(main, err, x, y, z)
 
 
@@ -279,17 +254,12 @@ def bt_theoretical_bound(f: QuadraticForm, x: float, y: float, variant: str,
     return BTBound(numer / (1.0 - theta), bool(range_ok), theta)
 
 
-@lru_cache(maxsize=None)
-def _class_number(D: int) -> int:
-    return len(enumerate_reduced_forms(D))
-
-
 def cor_brun_bound(f: QuadraticForm, x: float) -> float:
     """Leading term 28 * delta_f * sqrt(x) / (h(-D) * log x) bounding
     pi_f(x + sqrt(x)) - pi_f(x)."""
     if x < 3:
         raise ValueError("need x >= 3")
-    return 28.0 * float(delta_f(f)) * math.sqrt(x) / (_class_number(f.D) * math.log(x))
+    return 28.0 * float(delta_f(f)) * math.sqrt(x) / (enumerate_reduced_forms(f.D).h * math.log(x))
 
 
 @dataclass(frozen=True)
@@ -303,28 +273,24 @@ class PrimeGapRecord:
 
 
 def prime_gap_scan(f: QuadraticForm, X: float,
-                   min_p: int = 100) -> tuple[PrimeGapRecord, np.ndarray]:
+                   min_p: int = 100) -> tuple[int, np.ndarray, np.ndarray]:
     """Consecutive represented primes up to X with normalized gaps
-    (p' - p)/(sqrt(p) log p); the maximum is taken over p >= min_p to keep
-    small-prime log noise out.  Returns (max_record, primes), where primes
-    is the sorted array of represented primes whose consecutive pairs are
-    the scanned gaps."""
+    (p' - p)/(sqrt(p) log p); the maximum is taken over p >= min_p (over
+    all p when no pair starts there) to keep small-prime log noise out.
+    Returns (i, primes, gaps): primes is the sorted array of represented
+    primes, gaps = normalized_gaps(primes.tolist()) holds the gap of each
+    pair (primes[k], primes[k + 1]), and i indexes the first maximum."""
     primes = represented_primes(f, X)
     if primes.size < 2:
         raise ValueError(f"fewer than two represented primes up to {X:g}")
-    p, q = primes[:-1], primes[1:]
-    first = int(np.searchsorted(p, min_p))
-    if first == p.size:
+    gaps = normalized_gaps(primes.tolist())
+    first = int(np.searchsorted(primes[:-1], min_p))
+    if first == gaps.size:
         first = 0
-    approx = ((q - p) / (np.sqrt(p) * np.log(p)))[first:]
-    # numpy's sqrt and log may differ from math's in the last ulp, so the
-    # scalar formula settles the maximum among the near-ties
-    near = first + np.flatnonzero(approx >= approx.max() * (1.0 - 1e-12))
-    records = [PrimeGapRecord(int(p[i]), int(q[i])) for i in near]
-    return max(records, key=lambda r: r.normalized_gap), primes
+    return first + int(np.argmax(gaps[first:])), primes, gaps
 
 
-def normalized_gaps(ps: list[int]) -> list[float]:
+def normalized_gaps(ps: list[int]) -> np.ndarray:
     """(q - p)/(sqrt(p) log p) for each consecutive pair (p, q) of ps
     (ints below 2^63), bit for bit as PrimeGapRecord.normalized_gap gives
     it: the int-to-float conversions, sqrt, * and / are correctly rounded
@@ -333,4 +299,4 @@ def normalized_gaps(ps: list[int]) -> list[float]:
     arr = np.array(ps, dtype=np.int64)
     p = arr[:-1]
     logs = np.array(list(map(math.log, ps[:-1])), dtype=np.float64)
-    return ((arr[1:] - p) / (np.sqrt(p) * logs)).tolist()
+    return (arr[1:] - p) / (np.sqrt(p) * logs)

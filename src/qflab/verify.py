@@ -223,8 +223,9 @@ def check_gap_scan(fast: bool = False) -> CheckResult:
     bound constants over random in-range tuples."""
     f = QuadraticForm(1, 0, 1)
     X = 2 * 10**5 if fast else 10**6
-    best, _ = prime_gap_scan(f, X)
-    ok = best.normalized_gap < 1.837
+    i, primes, gaps = prime_gap_scan(f, X)
+    max_gap = float(gaps[i])
+    ok = max_gap < 1.837
 
     rng = random.Random(1837)
     forms = _reduced_forms_with_d_up_to(60)
@@ -253,10 +254,10 @@ def check_gap_scan(fast: bool = False) -> CheckResult:
             break
     return CheckResult(
         "gap-scan", ok and window_ok,
-        f"max normalized gap to {X:g} = {best.normalized_gap:.4f} at "
-        f"{best.p_n} -> {best.p_next} (want < 1.837); constant windows on "
+        f"max normalized gap to {X:g} = {max_gap:.4f} at "
+        f"{primes[i]} -> {primes[i + 1]} (want < 1.837); constant windows on "
         f"{n_tuples} in-range tuples: {'ok' if window_ok else 'VIOLATED'}",
-        {"max_gap": best.normalized_gap, "p_n": best.p_n})
+        {"max_gap": max_gap, "p_n": int(primes[i])})
 
 
 def check_gaussian_family(fast: bool = False) -> CheckResult:

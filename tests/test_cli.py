@@ -269,7 +269,7 @@ def test_every_command_parses_to_its_table_defaults():
         want.update((dest, kw["default"]) for dest, kw in options.items() if "default" in kw)
         assert (plan.group, plan.action) == (group, action)
         assert plan.params == want, (group, action)
-    assert len(cli._COMMANDS) == 15
+    assert len(cli._COMMANDS) == 17
 
 
 def test_parser_help_covers_all_groups():
@@ -308,12 +308,48 @@ def test_verify_subcommand_routing(monkeypatch):
     import qflab.cli as cli
 
     calls = []
-    monkeypatch.setattr(cli._verify, "run_suite", lambda suite: calls.append(suite) or 0)
+    monkeypatch.setattr(cli._verify, "run_suite", lambda suite, out: calls.append(suite) or 0)
     assert main(["verify", "fast"]) == 0
     assert calls == ["fast"]
     with pytest.raises(SystemExit) as exc:
         parse_invocation(["verify", "slow"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, status, to_file", [
+    (["--out", "report.txt", "verify", "fast"], 0, True),
+    (["verify", "fast", "--out", "report.txt"], 0, True),
+    (["verify", "fast", "--config", "empty.json"], 0, False),
+    (["--format", "csv", "verify", "fast"], 2, False),
+    (["verify", "fast", "--format", "json"], 2, False),
+    (["verify", "fast", "--config", "unknown_key.json"], 2, False),
+])
+def test_verify_option_contract(monkeypatch, tmp_path, capsys, argv, status, to_file):
+    """verify parses --out, --format and --config like every command: the
+    report goes to --out, a config may hold no key, and --format is refused."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "unknown_key.json").write_text(json.dumps({"x": 1}))
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr().out
+    assert got == status
+    assert (tmp_path / "report.txt").exists() == to_file
+    report = (tmp_path / "report.txt").read_text() if to_file else out
+    if status == 0:
+        assert report.endswith("10/10 checks passed (fast suite)\n")
+        assert report.count("\n") == 11 and out == ("" if to_file else report)
+    else:
+        assert out == ""
+
+
+def test_verify_failure_exit_status(monkeypatch, capsys):
+    failing = lambda fast: cli._verify.CheckResult("planted", False, "no")
+    monkeypatch.setattr(cli._verify, "CHECKS", [failing])
+    assert main(["verify", "full"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "0/1 checks passed (full suite)"
 
 
 _COLD_START = """

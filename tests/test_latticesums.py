@@ -30,7 +30,7 @@ from qflab.latticesums import (
     poisson_identity_check,
     translation_exception_count,
 )
-from qflab.quadrature import ToleranceError, adaptive_quad
+from qflab.quadrature import ToleranceError, quad_segments
 
 
 def reduced_forms_up_to(dmax):
@@ -536,7 +536,7 @@ def test_j0_even_and_shape_preserving():
     assert np.array_equal(latticesums._j0(-xs), out)
 
 
-def test_adaptive_quad_tolerance_error():
+def test_quad_segments_tolerance_error():
     spike = lambda x: np.abs(np.sin(1000.0 * x)) ** 0.2
     with pytest.raises(ToleranceError):
-        adaptive_quad(spike, 0.0, 10.0, tol=1e-14, max_panels=12)
+        quad_segments(spike, [0.0, 10.0], tol=1e-14, max_panels=12)

@@ -3,23 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from qflab.quadrature import ToleranceError, adaptive_quad, quad_segments
+from qflab.quadrature import ToleranceError, quad_segments
 
 
 def test_polynomial_exact():
-    val, err = adaptive_quad(lambda x: x**5 - 3 * x**2 + 1, -1.0, 2.0, tol=1e-12)
+    val, err = quad_segments(lambda x: x**5 - 3 * x**2 + 1, [-1.0, 2.0], tol=1e-12)
     exact = (2.0**6 - 1.0) / 6 - (2.0**3 + 1.0) + 3.0
     assert val == pytest.approx(exact, abs=1e-12)
 
 
 def test_oscillatory():
-    val, _ = adaptive_quad(lambda x: np.sin(40.0 * x), 0.0, math.pi, tol=1e-11)
+    val, _ = quad_segments(lambda x: np.sin(40.0 * x), [0.0, math.pi], tol=1e-11)
     exact = (1.0 - math.cos(40.0 * math.pi)) / 40.0
     assert val == pytest.approx(exact, abs=1e-10)
 
 
 def test_kink_refinement():
-    val, _ = adaptive_quad(lambda x: np.abs(x - 0.3), 0.0, 1.0, tol=1e-10)
+    val, _ = quad_segments(lambda x: np.abs(x - 0.3), [0.0, 1.0], tol=1e-10)
     assert val == pytest.approx(0.5 * (0.3**2 + 0.7**2), abs=1e-9)
 
 
@@ -27,7 +27,7 @@ def test_segments_and_budget():
     val, _ = quad_segments(lambda x: np.exp(-x), [0.0, 1.0, 5.0, 30.0], tol=1e-12)
     assert val == pytest.approx(1.0 - math.exp(-30.0), rel=1e-12)
     with pytest.raises(ToleranceError):
-        adaptive_quad(lambda x: np.abs(np.sin(300.0 * x)) ** 0.3, 0.0, 20.0,
+        quad_segments(lambda x: np.abs(np.sin(300.0 * x)) ** 0.3, [0.0, 20.0],
                       tol=1e-13, max_panels=10)
 
 
@@ -43,7 +43,7 @@ def _recording(f):
 
 def test_one_integrand_call_per_refinement_round():
     g, calls = _recording(lambda x: np.abs(x - 0.3))
-    val, err = adaptive_quad(g, 0.0, 1.0, tol=1e-10)
+    val, err = quad_segments(g, [0.0, 1.0], tol=1e-10)
     assert val == pytest.approx(0.5 * (0.3**2 + 0.7**2), abs=1e-9)
     assert err <= 1e-10
     assert len(calls) > 10

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_rf, random_form, random_unimodular
-from qflab.arith import prime_mask
+from qflab.arith import DensityG, kronecker, prime_mask
 from qflab.forms import (
     QuadraticForm,
     delta_f,
@@ -18,6 +18,8 @@ from qflab.forms import (
 from qflab.latticesums import BudgetError, _lattice_rows, congruence_sum_exact
 from qflab.sieve import (
     PrimeGapRecord,
+    _error_moduli,
+    _prime_densities,
     bt_theoretical_bound,
     cor_brun_bound,
     count_represented_primes,
@@ -37,6 +39,82 @@ def test_selberg_j_examples():
     assert selberg_j(f, 3) == Fraction(2)
     values = [selberg_j(f, z) for z in range(2, 31)]
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_prime_densities_below_one():
+    """g(p) < 1, so every Selberg weight g(p)/(1 - g(p)) is finite, for
+    each prime p <= 500 and each D <= 2000; chi(p) = 1, 0, -1 all occur."""
+    chis = set()
+    for D in range(3, 2001):
+        if D % 4 not in (0, 3):
+            continue
+        f = QuadraticForm(1, D % 2, (D + D % 2) // 4)  # the principal form
+        assert f.D == D
+        g = _prime_densities(f, 500)
+        assert list(g) == np.flatnonzero(prime_mask(500)).tolist()
+        assert all(0 < gp < 1 for gp in g.values())
+        chis.update(kronecker(-D, p) for p in g)
+    assert chis == {1, 0, -1}
+
+
+def _selberg_j_recursion(f, z):
+    # oracle, kept verbatim: selberg_j's recursion before the shared squarefree walk
+    density = DensityG(f)
+    primes = np.flatnonzero(prime_mask(int(z))).tolist()
+    weights = [density.at_prime(p) / (1 - density.at_prime(p)) for p in primes]
+    total = Fraction(0)
+
+    def extend(idx: int, prod: int, hval: Fraction):
+        nonlocal total
+        total += hval
+        for i in range(idx, len(primes)):
+            nxt = prod * primes[i]
+            if nxt < z:
+                extend(i + 1, nxt, hval * weights[i])
+
+    extend(0, 1, Fraction(1))
+    return total
+
+
+def _error_moduli_recursion(primes: list[int], z: float) -> list[tuple[int, int]]:
+    # oracle, kept verbatim: _error_moduli's recursion before the shared squarefree walk
+    out: list[tuple[int, int]] = []
+
+    def realizable(factors: tuple[int, ...]) -> bool:
+        total = math.prod(factors)
+        # some split d * (total/d) with both parts < z
+        for msk in range(1 << len(factors)):
+            d = math.prod(factors[i] for i in range(len(factors)) if msk >> i & 1) if msk else 1
+            if d < z and total // d < z:
+                return True
+        return False
+
+    def extend(idx: int, prod: int, factors: tuple[int, ...]):
+        if realizable(factors):
+            out.append((prod, len(factors)))
+        for i in range(idx, len(primes)):
+            nxt = prod * primes[i]
+            if nxt < z * z:
+                extend(i + 1, nxt, factors + (primes[i],))
+
+    extend(0, 1, ())
+    return out
+
+
+def test_squarefree_walk_matches_the_recursions():
+    """selberg_j and the remainder moduli, in the order error_sum adds
+    them, against the two recursions they replaced: every reduced form with
+    D <= 200 and z from 2 to 60 in steps of 1/4."""
+    zs = [k / 4 for k in range(8, 241)]
+    forms = [g for D in range(3, 201) if D % 4 in (0, 3) for g in enumerate_reduced_forms(D)]
+    for j, f in enumerate(forms):
+        for z in zs[j % 47::47]:
+            assert selberg_j(f, z) == _selberg_j_recursion(f, z), (f, z)
+    for z in zs:
+        primes = np.flatnonzero(prime_mask(int(z))).tolist()
+        moduli = _error_moduli(primes, z)
+        assert [(ell, len(ps)) for ell, ps in moduli] == _error_moduli_recursion(primes, z)
+        assert all(math.prod(ps) == ell for ell, ps in moduli)
 
 
 def test_sieve_bound_degenerate_z2():
@@ -164,13 +242,12 @@ def test_cor_brun_bound():
 
 def test_prime_gap_scan_small():
     f = QuadraticForm(1, 0, 1)
-    best, primes = prime_gap_scan(f, 100.0)
+    i, primes, gaps = prime_gap_scan(f, 100.0)
     assert primes[:4].tolist() == [2, 5, 13, 17]
     assert primes.tolist() == represented_primes(f, 100.0).tolist()
-    # chain property: the best record is a pair of consecutive primes
+    # chain property: the maximum is a pair of consecutive primes
     assert np.all(np.diff(primes) > 0)
-    i = primes.tolist().index(best.p_n)
-    assert best.p_next == primes[i + 1]
+    assert gaps.size == primes.size - 1 and 0 <= i < gaps.size
     with pytest.raises(ValueError):
         prime_gap_scan(f, 3.0)
 
@@ -179,18 +256,18 @@ def test_prime_gap_scan_max_matches_scalar_scan():
     # the maximum over all pair records by the scalar formula, first one on ties
     for f, X, min_p in ((QuadraticForm(1, 0, 1), 1e5, 100), (QuadraticForm(1, 1, 2), 3e4, 10),
                         (QuadraticForm(2, 1, 3), 5e4, 100), (QuadraticForm(1, 0, 1), 90.0, 100)):
-        best, primes = prime_gap_scan(f, X, min_p)
+        i, primes, gaps = prime_gap_scan(f, X, min_p)
         ps = primes.tolist()
         records = [PrimeGapRecord(p, q) for p, q in zip(ps, ps[1:])]
         pool = [r for r in records if r.p_n >= min_p] or records
-        assert best == max(pool, key=lambda r: r.normalized_gap)
-        assert normalized_gaps(ps) == [r.normalized_gap for r in records]
+        assert records[i] == max(pool, key=lambda r: r.normalized_gap)
+        assert gaps.tolist() == [r.normalized_gap for r in records]
 
 
 def test_prime_gap_scan_normalized_max():
-    best, _ = prime_gap_scan(QuadraticForm(1, 0, 1), 1e5)
-    assert best.p_n >= 100
-    assert best.normalized_gap < 1.837
+    i, primes, gaps = prime_gap_scan(QuadraticForm(1, 0, 1), 1e5)
+    assert primes[i] >= 100
+    assert gaps[i] < 1.837
 
 
 def test_empirical_short_interval_bound():
@@ -313,9 +390,9 @@ def test_normalized_gaps_match_the_scalar_formula():
     ps = represented_primes(QuadraticForm(1, 0, 1), 4e5).tolist()
     # np.log would be an ulp off math.log here, which normalized_gaps must not follow
     assert any(float(l) != math.log(p) for p, l in zip(ps, np.log(np.array(ps, dtype=float))))
-    assert normalized_gaps(ps) == [PrimeGapRecord(p, q).normalized_gap
-                                   for p, q in zip(ps, ps[1:])]
-    assert normalized_gaps(ps[:1]) == normalized_gaps([]) == []
+    assert normalized_gaps(ps).tolist() == [PrimeGapRecord(p, q).normalized_gap
+                                            for p, q in zip(ps, ps[1:])]
+    assert normalized_gaps(ps[:1]).tolist() == normalized_gaps([]).tolist() == []
 
 
 def test_sieved_sum_budget():
