@@ -24,26 +24,23 @@ class ToleranceError(RuntimeError):
     """Requested accuracy not reached within the panel budget."""
 
 
-# 15-point Kronrod nodes on [-1, 1] and the embedded 7-point Gauss rule.
-KRONROD_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-KRONROD_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-GAUSS_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+# 15-point Kronrod nodes on [-1, 1] and the embedded 7-point Gauss rule, to
+# the 33 digits of QUADPACK's qk15.f (xgk, wgk, wg), mirrored about 0.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649)
+_WGK_CENTRE = 0.209482141084727828012999174891714
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975)
+_WG_CENTRE = 0.417959183673469387755102040816327
+KRONROD_NODES = np.array([-x for x in _XGK] + [0.0] + list(reversed(_XGK)))
+KRONROD_WEIGHTS = np.array([*_WGK, _WGK_CENTRE, *reversed(_WGK)])
+GAUSS_WEIGHTS = np.array([*_WG, _WG_CENTRE, *reversed(_WG)])
 GAUSS_INDICES = np.arange(1, 15, 2)
 
 

@@ -51,6 +51,14 @@ def test_rf_and_pif_values():
     assert run_cli(["sieve", "pif", "--form", "1,0,1", "--x", "20"])[0]["pi_f"] == 4
 
 
+def test_fourier_report_with_a_huge_coefficient(capsys):
+    rows = []
+    for coeffs in ("1e300,1", "1,0"):
+        assert main(["fourier", "report", "--coeffs", coeffs, "--A", "2"]) == 0
+        rows.append(json.loads(capsys.readouterr().out))
+    assert abs(rows[0]["j_plus"] - rows[1]["j_plus"]) <= 1e-12
+
+
 def test_poisson_record():
     rec = run_cli(["repr", "poisson-check", "--form", "1,1,1",
                    "--ell", "3", "--t", "0.7"])[0]

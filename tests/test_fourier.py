@@ -194,15 +194,81 @@ def l1_oracle(coeffs, x0=40.0):
             quad(lambda x: abs(eval_h(coeffs, x)), a, b, epsabs=1e-12, epsrel=1e-12,
                  limit=200)[0]
             for a, b in zip(edges, edges[1:]))
+    return 2.0 * body + _model_tail(coeffs, x0)
+
+
+def _model_tail(coeffs, x0):
+    """Mean of |cos| against the exact integral of the rational part beyond x0."""
     tail = math.fsum(
         a / (8.0 * (2 * j - 1)) * math.log((4 * x0 - (2 * j - 1)) / (4 * x0 + (2 * j - 1)))
         for j, a in enumerate(coeffs, 1) if a)
-    return 2.0 * body + 2.0 * (2.0 / math.pi) * abs(tail)
+    return 2.0 * (2.0 / math.pi) * abs(tail)
+
+
+def _x0(roots):
+    return 1.5 * roots[-1] + 10.0 if roots and roots[-1] >= 39.0 else 40.0
+
+
+def l1_by_gk15(coeffs, tol):
+    """||H||_1 with |H| integrated by the adaptive GK15 driver on the same
+    edges, X0 and tail model as the closed form."""
+    roots = _rational_part_roots(coeffs)
+    x0 = _x0(roots)
+    edges = sorted({0.0, x0, *roots, *np.arange(0.25, x0, 0.5).tolist()})
+    body, _ = quad_segments(lambda x: np.abs(eval_h(coeffs, x)), edges, tol=tol,
+                            max_panels=len(edges) + 4000)
+    return 2.0 * body + _model_tail(coeffs, x0)
 
 
 @pytest.mark.parametrize("coeffs", [row[1] for row in TABLE_ROWS])
 def test_h_l1_norm_against_scipy_oracle(coeffs):
     assert abs(h_l1_norm(coeffs) - l1_oracle(coeffs)) <= 1e-9
+
+
+def test_h_l1_norm_with_moved_x0_against_scipy_oracle():
+    # (9 - 0.9997) / (16 * 0.0003): the rational part changes sign at 40.83,
+    # so X0 moves to 1.5 * 40.83 + 10, off the quarter grid
+    coeffs = (1.0, -0.9997)
+    roots = _rational_part_roots(coeffs)
+    assert roots == pytest.approx([40.8256], abs=1e-4)
+    assert abs(h_l1_norm(coeffs) - l1_oracle(coeffs, x0=_x0(roots))) <= 1e-9
+
+
+def test_h_l1_norm_against_gk15():
+    rng = random.Random(31)
+    for _ in range(200):
+        coeffs = _random_tuple(rng)
+        want = l1_by_gk15(coeffs, 1e-13)
+        assert h_l1_norm(coeffs) == pytest.approx(want, rel=1e-14, abs=0), coeffs
+
+
+def test_si_against_mpmath():
+    import mpmath
+
+    rng = random.Random(13)
+    xs = [rng.uniform(0.0, 2000.0) for _ in range(500)] + [
+        rng.uniform(0.0, 12.0) for _ in range(200)] + [4.0, 4.0 + 1e-12, 3.999, 5e3, 1e4, 1e6]
+    grid = [0.5 * math.pi * k for k in range(1274)]
+    with mpmath.workdps(30):
+        for x in xs + grid:
+            want = float(mpmath.si(x))
+            assert abs(fourier._si(x) - want) <= 2e-15, x
+            assert abs(fourier._si(-x) + want) <= 2e-15, x
+        for k, x in enumerate(grid):
+            assert abs(fourier._si_half_pi(k) - float(mpmath.si(x))) <= 2e-15, k
+
+
+def test_rational_part_roots_are_scale_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coeffs in [row[1] for row in TABLE_ROWS] + [(1.0, -0.9997), (0.0, 3.0, -7.5)]:
+            roots = _rational_part_roots(coeffs)
+            for e in (-1000, -3, 900):
+                assert _rational_part_roots([math.ldexp(a, e) for a in coeffs]) == roots
+        # once overflowed to inf; the small terms fall below the trim
+        big = (1e305, 1.0, 3.0, 2.0, 1.0)
+        assert _rational_part_roots(big) == pytest.approx([0.75, 1.25, 1.75, 2.25])
+        assert h_l1_norm(big) / 1e305 == pytest.approx(h_l1_norm((1.0,)), rel=1e-14)
 
 
 def test_hat_h_inversion_and_support():
@@ -398,9 +464,9 @@ def test_greedy_search_norm_once_per_tuple(monkeypatch):
     real = fourier.h_l1_norm
     real_roots = fourier._hat_roots
 
-    def counted(coeffs, tol=1e-9):
-        calls.append((tuple(coeffs), tol))
-        return real(coeffs, tol)
+    def counted(coeffs):
+        calls.append(tuple(coeffs))
+        return real(coeffs)
 
     def counted_roots(coeffs):
         roots.append(tuple(coeffs))
@@ -412,14 +478,23 @@ def test_greedy_search_norm_once_per_tuple(monkeypatch):
         calls.clear()
         roots.clear()
         res = greedy_search(28.0, 3, budget=budget)
-        search_calls = calls[:-1]  # the last call is the final report's, at its own tol
-        assert calls[-1] == (res.fn.coeffs, 1e-9)
+        search_calls = calls[:-1]  # the last call is the final report's
+        assert calls[-1] == res.fn.coeffs
         assert len(search_calls) == len(set(search_calls))
         # the sign changes are memoised with the norm; the report finds its own
-        assert roots == [c for c, _ in search_calls] + [res.fn.coeffs]
+        assert roots == search_calls + [res.fn.coeffs]
         if budget == 40:
             assert res.evaluations == 42  # lam refinement finishes past the budget
     assert len(search_calls) > 10
+
+
+def test_bandlimited_path_needs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quad_segments called")
+
+    monkeypatch.setattr(fourier, "quad_segments", refuse)
+    res = greedy_search(28.0, 3, budget=400)
+    assert (res.fn.coeffs, res.evaluations) == ((66.0, 5.0, 1.0), 437)
 
 
 def test_greedy_search_f0_once_per_tuple(monkeypatch):
@@ -435,8 +510,9 @@ def test_greedy_search_f0_once_per_tuple(monkeypatch):
     res = greedy_search(28.0, 3, budget=400)
     # F(0) is memoised with the norm; the final report evaluates its own
     assert len(scalar) == len(set(scalar[:-1])) + 1 and scalar[-1] == res.fn.coeffs
+    # mpmath, with the same X0 and tail model, gives j_plus = 1.08899844223116131
     assert (res.fn.coeffs, res.fn.lam, res.evaluations, res.report.j_plus) == (
-        (66.0, 5.0, 1.0), 0.9865185562923403, 437, 1.0889984422311647)
+        (66.0, 5.0, 1.0), 0.9865185562923403, 437, 1.0889984422311614)
 
 
 # (A, coeffs, lam, evaluations, j_plus) of greedy_search(A, 3, 400), all

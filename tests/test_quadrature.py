@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qflab.quadrature import ToleranceError, quad_segments
+from qflab.quadrature import (GAUSS_INDICES, GAUSS_WEIGHTS, KRONROD_NODES, KRONROD_WEIGHTS,
+                              ToleranceError, quad_segments)
 
 
 def test_polynomial_exact():
@@ -72,3 +73,16 @@ def test_tolerance_error_at_max_panels():
         quad_segments(g, [0.0, 5.0, 10.0, 20.0], tol=1e-13, max_panels=10)
     # 3 initial panels plus 7 bisections, each adding two halves
     assert sum(x.size for x in calls) == 15 * (3 + 2 * 7)
+
+
+def test_qk15_constants_to_full_double_precision():
+    assert abs(math.fsum(KRONROD_WEIGHTS) - 2.0) <= 4e-16
+    assert abs(math.fsum(GAUSS_WEIGHTS) - 2.0) <= 4e-16
+    gauss_nodes = KRONROD_NODES[GAUSS_INDICES]
+    for nodes, weights, degree in ((KRONROD_NODES, KRONROD_WEIGHTS, 22),
+                                   (gauss_nodes, GAUSS_WEIGHTS, 13)):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(math.fsum(weights * nodes**k) - exact) <= 1e-15, (degree, k)
+    # no bias left: 15-digit constants gave 0.999999999999997 here
+    assert quad_segments(lambda x: np.ones_like(x), [0.0, 1.0])[0] == 1.0
