@@ -134,13 +134,13 @@ def _si(x: float) -> float:
     """Sine integral Si(x), the integral of sin(t)/t over [0, x] (DLMF 6.2.9).
 
     The power series (DLMF 6.6.5) for |x| <= 4, where no term exceeds 4 in
-    size.  Beyond, a Taylor step from the nearest multiple k*pi/2 = x0:
+    size.  Beyond, a Taylor step from the nearest multiple k*pi/2 = x0,
+    whose Si comes from the table of _si_half_pi:
     Si(x0 + h) - Si(x0) is the integral over [0, h] of +-sin(t)/(x0 + t)
     (k even) or +-cos(t)/(x0 + t) (k odd), whose Taylor coefficients follow
     c_n = (f_n - c_(n-1))/x0 from those f_n of sin or cos; |h| <= pi/4 and
-    x0 >= 3*pi/2, so they fall at least six-fold per term.  Past the table,
-    the continued fraction of _si_far.  Within about 1e-15 absolute of
-    mpmath on [0, 2000].
+    x0 >= 3*pi/2, so they fall at least six-fold per term.  Within about
+    1e-15 absolute of mpmath on [0, 2000].
     """
     ax = abs(x)
     if ax <= 4.0:
@@ -155,8 +155,6 @@ def _si(x: float) -> float:
                 return total
             n += 1
     k = round(ax / (0.5 * math.pi))
-    if k >= _SI_TABLE_SIZE:
-        return math.copysign(_si_far(ax), x)
     x0 = 0.5 * math.pi * k
     h = ax - x0
     c = total = 0.0
@@ -198,12 +196,11 @@ def _si_far(x: float) -> float:
     return 0.5 * math.pi + h.imag
 
 
-_SI_TABLE_SIZE = 4096
 _SI_HALF_PI = [0.0]  # Si(k*pi/2) for k = 0, 1, ..., filled on first use
 
 
 def _si_half_pi(k: int) -> float:
-    """Si(k*pi/2) for 0 <= k < _SI_TABLE_SIZE, memoised."""
+    """Si(k*pi/2) for k >= 0, memoised."""
     table = _SI_HALF_PI
     while len(table) <= k:
         x = 0.5 * math.pi * len(table)

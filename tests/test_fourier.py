@@ -247,7 +247,7 @@ def test_si_against_mpmath():
 
     rng = random.Random(13)
     xs = [rng.uniform(0.0, 2000.0) for _ in range(500)] + [
-        rng.uniform(0.0, 12.0) for _ in range(200)] + [4.0, 4.0 + 1e-12, 3.999, 5e3, 1e4, 1e6]
+        rng.uniform(0.0, 12.0) for _ in range(200)] + [4.0, 4.0 + 1e-12, 3.999, 5e3, 1e4]
     grid = [0.5 * math.pi * k for k in range(1274)]
     with mpmath.workdps(30):
         for x in xs + grid:
