@@ -534,6 +534,24 @@ def test_greedy_search_budget_400_regression(A, coeffs, lam, evaluations, j_plus
     assert res.report.j_plus == pytest.approx(j_plus, rel=0, abs=1e-12)
 
 
+# (A, coeffs, lam, evaluations, exhausted, j_plus) of greedy_search(A, 3, 4000)
+SEARCH_4000 = [
+    (1.0, (131.0, -138.0, 15.0), 0.1, 4007, True, 1.9687799678519042),
+    (5.0, (101.0, -71.0, -44.0), 0.7060518733946257, 4001, True, 1.1428489517046807),
+    (10.0, (349.0, 14.0, -7.0), 0.9592710674162632, 3827, False, 1.1031690845626867),
+    (28.0, (197.0, 15.0, 3.0), 0.9865251669884755, 2111, False, 1.0889984452044306),
+    (34.5, (265.0, 21.0, 5.0), 0.9891389834605891, 2177, False, 1.0876050686977605),
+]
+
+
+@pytest.mark.parametrize("A, coeffs, lam, evaluations, exhausted, j_plus", SEARCH_4000)
+def test_greedy_search_budget_4000_regression(A, coeffs, lam, evaluations, exhausted, j_plus):
+    res = greedy_search(A, 3, budget=4000)
+    assert (res.fn.coeffs, res.fn.lam, res.evaluations, res.exhausted) == (
+        coeffs, lam, evaluations, exhausted)
+    assert res.report.j_plus == pytest.approx(j_plus, rel=0, abs=1e-12)
+
+
 def test_gauss_poly_reports():
     rep = gauss_poly_report(GaussPolyFn((1.0,)), 100.0)
     expected = 1.0 - 100.0 * math.erfc(math.sqrt(math.pi))
@@ -577,20 +595,3 @@ def test_bandlimited_validation():
     with pytest.raises(ValueError):
         GaussPolyFn((0.0,))
 
-
-# (A, coeffs, lam, evaluations, exhausted, j_plus) of greedy_search(A, 3, 4000)
-SEARCH_4000 = [
-    (1.0, (131.0, -138.0, 15.0), 0.1, 4007, True, 1.9687799678519042),
-    (5.0, (101.0, -71.0, -44.0), 0.7060518733946257, 4001, True, 1.1428489517046807),
-    (10.0, (349.0, 14.0, -7.0), 0.9592710674162632, 3827, False, 1.1031690845626867),
-    (28.0, (197.0, 15.0, 3.0), 0.9865251669884755, 2111, False, 1.0889984452044306),
-    (34.5, (265.0, 21.0, 5.0), 0.9891389834605891, 2177, False, 1.0876050686977605),
-]
-
-
-@pytest.mark.parametrize("A, coeffs, lam, evaluations, exhausted, j_plus", SEARCH_4000)
-def test_greedy_search_budget_4000_regression(A, coeffs, lam, evaluations, exhausted, j_plus):
-    res = greedy_search(A, 3, budget=4000)
-    assert (res.fn.coeffs, res.fn.lam, res.evaluations, res.exhausted) == (
-        coeffs, lam, evaluations, exhausted)
-    assert res.report.j_plus == pytest.approx(j_plus, rel=0, abs=1e-12)
