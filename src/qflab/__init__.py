@@ -6,7 +6,6 @@ bandlimited Fourier functionals behind the gap constant.
 """
 
 from .arith import (
-    DensityG,
     class_number_analytic,
     dirichlet_l1,
     divisor_tau,

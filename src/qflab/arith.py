@@ -2,25 +2,22 @@
 
 Kronecker symbol, the multiplicative density g attached to a form via its
 character, the exact residue-count density that extends it to arbitrary
-moduli, L(1, chi) by accelerated period sums, the analytic class number,
-a prime sieve, and small divisor functions.
+moduli, L(1, chi) from Dirichlet's finite formula, the analytic class
+number, a prime sieve, and small divisor functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .forms import QuadraticForm, enumerate_reduced_forms
+from .forms import QuadraticForm, enumerate_reduced_forms, unit_count
 
 __all__ = [
-    "ConvergenceError",
     "ConsistencyError",
     "kronecker",
-    "DensityG",
     "g_squarefree",
     "residue_density",
     "is_squarefree",
@@ -32,10 +29,6 @@ __all__ = [
     "class_number_analytic",
     "prime_mask",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Series acceleration failed to reach the requested tolerance."""
 
 
 class ConsistencyError(RuntimeError):
@@ -121,41 +114,17 @@ def divisor_tau3(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class DensityG:
-    """Multiplicative density of multiples among values of a form.
-
-    g(p) = (1/p) * (1 + chi(p) - chi(p)/p) with chi the Kronecker symbol
-    for -D; extended multiplicatively over squarefree arguments.  For
-    non-squarefree moduli use residue_density, which counts residue pairs
-    exactly.
-    """
-
-    form: QuadraticForm
-
-    @property
-    def D(self) -> int:
-        return self.form.D
-
-    def chi(self, n: int) -> int:
-        return kronecker(-self.D, n)
-
-    def at_prime(self, p: int) -> Fraction:
-        ch = self.chi(p)
-        return Fraction(p + ch * p - ch, p * p)
-
-    def at_squarefree(self, ell: int) -> Fraction:
-        if ell < 1:
-            raise ValueError("need ell >= 1")
-        primes = factorize(ell)
-        if any(e > 1 for e in primes.values()):
-            raise ValueError(f"{ell} is not squarefree; use residue_density")
-        return math.prod((self.at_prime(p) for p in primes), start=Fraction(1))
-
-
 def g_squarefree(f: QuadraticForm, ell: int) -> Fraction:
-    """Exact rational g(ell) for squarefree ell."""
-    return DensityG(f).at_squarefree(ell)
+    """Multiplicative density of multiples of ell among values of f, exact,
+    for squarefree ell: g(ell) = prod over p | ell of (p + chi(p)*(p - 1))/p^2,
+    with chi the Kronecker symbol for -D.  For non-squarefree moduli use
+    residue_density, which counts residue pairs exactly."""
+    if ell < 1:
+        raise ValueError("need ell >= 1")
+    primes = factorize(ell)
+    if any(e > 1 for e in primes.values()):
+        raise ValueError(f"{ell} is not squarefree; use residue_density")
+    return Fraction(math.prod(p + kronecker(-f.D, p) * (p - 1) for p in primes), ell * ell)
 
 
 _RESIDUE_BLOCK = 1 << 16
@@ -219,62 +188,29 @@ def _chi_period(D: int) -> np.ndarray:
     two = -D // (odd if odd % 4 == 1 else -odd)
     if two != 1:
         chi *= np.array([kronecker(two, m) for m in range(8, 16)])[n % 8]
-    return chi.astype(np.float64)
+    return chi
 
 
-def dirichlet_l1(D: int, tol: float = 1e-10, max_level: int = 13) -> float:
-    """L(1, chi_{-D}) = sum chi(n)/n for fundamental -D.
+def dirichlet_l1(D: int) -> float:
+    """L(1, chi_{-D}) for fundamental -D, from Dirichlet's finite formula for
+    an odd real character of period D (Davenport, Multiplicative Number
+    Theory, ch. 6): L(1, chi) = -pi * S / D^(3/2), S = sum_{n=1}^{D} n*chi(n).
 
-    The partial sum over k full character periods differs from the limit by
-    an asymptotic series in 1/k (the per-period remainder has no 1/k^0 term
-    since each period of chi sums to zero), so Richardson extrapolation over
-    geometrically doubled period counts k = 1, 2, 4, ... converges fast and
-    stably; iterate until two successive extrapolants agree within tol.
+    S is an exact int64 sum (|S| < D^2/2, far below 2^63 for any table that
+    fits in memory), so the value carries only the roundings of the final
+    multiply and divides; D * sqrt(D) keeps libm's pow out of the digits.
     """
     if not is_fundamental(D):
         raise ValueError(f"-{D} is not a fundamental discriminant")
-    chi = _chi_period(D)
-    partial = 0.0
-    k_prev = 0
-    xs: list[float] = []
-    ys: list[float] = []
-    prev = None
-    for level in range(max_level):
-        k = 1 << level
-        n = np.arange(k_prev * D + 1, k * D + 1, dtype=np.float64)
-        # numpy's own pairwise sum, not a BLAS dot, so the value does not
-        # depend on the BLAS thread count
-        partial += float(np.sum((1.0 / n).reshape(k - k_prev, D) * chi))
-        k_prev = k
-        xs.append(1.0 / k)
-        ys.append(partial)
-        if level < 2:
-            continue
-        est = _neville_at_zero(xs, ys)
-        if prev is not None and abs(est - prev) < 0.5 * tol:
-            return est
-        prev = est
-    raise ConvergenceError(
-        f"L(1, chi) did not reach tol={tol} within 2^{max_level - 1} periods")
+    s = int(np.dot(np.arange(1, D + 1, dtype=np.int64), _chi_period(D)))
+    return -math.pi * s / (D * math.sqrt(D))
 
 
-def _neville_at_zero(xs, ys) -> float:
-    """Neville polynomial extrapolation of (xs, ys) to x = 0."""
-    t = list(ys)
-    n = len(t)
-    for j in range(1, n):
-        for i in range(n - j):
-            t[i] = (xs[i + j] * t[i] - xs[i] * t[i + 1]) / (xs[i + j] - xs[i])
-    return t[0]
-
-
-def class_number_analytic(D: int, tol: float = 1e-10) -> int:
+def class_number_analytic(D: int) -> int:
     """h(-D) = w*sqrt(D)*L(1,chi)/(2*pi) for fundamental -D, cross-checked
     against exact enumeration."""
-    from .forms import unit_count
-
     w = unit_count(D)
-    value = w * math.sqrt(D) * dirichlet_l1(D, tol=tol) / (2.0 * math.pi)
+    value = w * math.sqrt(D) * dirichlet_l1(D) / (2.0 * math.pi)
     h = round(value)
     h_exact = len(enumerate_reduced_forms(D))
     if h != h_exact:

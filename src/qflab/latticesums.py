@@ -3,7 +3,8 @@ compactly supported radial test bump with its Hankel transform.
 
 Exact counting uses the identity 4a*f(u,v) = (2au + bv)^2 + D*v^2: the
 outer loop runs over v, and u-ranges are solved as exact integer
-intervals, with congruence filtering done by striding residue classes.
+intervals, whose congruence counts come from the residue pairs mod ell
+by one counting formula per row.
 """
 
 from __future__ import annotations
@@ -43,9 +44,14 @@ class BudgetError(RuntimeError):
     """Enumeration would exceed the configured time/memory budget."""
 
 
-def _u_residues(f: QuadraticForm, ell: int) -> list[np.ndarray]:
-    """For each v mod ell, the sorted u mod ell with ell | f(u, v)."""
-    return [np.flatnonzero(row) for m in _residue_rows([f.triple()], ell) for row in m]
+def _residue_keys(f: QuadraticForm, ell: int) -> np.ndarray:
+    """The residue pairs (u, v) mod ell with ell | f(u, v) as the ascending
+    int64 keys v*ell + u."""
+    keys, row0 = [], 0
+    for m in _residue_rows([f.triple()], ell):
+        keys.append(np.flatnonzero(m) + row0 * ell)
+        row0 += len(m)
+    return np.concatenate(keys)
 
 
 def _exact_isqrt(m: np.ndarray) -> np.ndarray:
@@ -101,21 +107,22 @@ def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
     if X < 1:
         return 0
     f = reduce_form(f)
-    residues = _u_residues(f, ell) if ell > 1 else None
+    keys = _residue_keys(f, ell)
+    # a row v with c = v mod ell and residues S_c = {u mod ell : ell | f(u, v)}
+    # holds G(hi) - G(lo - 1) of its u in [lo, hi], where G(h) = (h // ell) *
+    # |S_c| + #{r in S_c : r <= h mod ell}.  The searchsorted count takes in
+    # the keys of the rows before c as well, a per-row constant that cancels.
+    # G sums over a chunk of rows; each int64 sum stays below 2^20 * ell^2 < 2^62
+    size = np.diff(np.searchsorted(keys, np.arange(ell + 1, dtype=np.int64) * ell))
+
+    def G(c, h):
+        return int(np.sum((h // ell) * size[c])) + int(np.sum(
+            np.searchsorted(keys, c * ell + h % ell, side="right")))
+
     total = 0
     for v, lo, hi in _lattice_rows(f, X):
-        if ell == 1:
-            total += int(np.sum(hi - lo + 1))
-            continue
-        vm = v % ell
-        lom1 = lo - 1
-        for cls in range(ell):
-            sel = vm == cls
-            if not sel.any():
-                continue
-            h_s, l_s = hi[sel], lom1[sel]
-            for r in residues[cls]:
-                total += int(np.sum((h_s - r) // ell - (l_s - r) // ell))
+        c = v % ell
+        total += G(c, hi) - G(c, lo - 1)
     return total - 1  # drop the origin, which contributes f = 0
 
 

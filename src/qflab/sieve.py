@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import DensityG, prime_mask
+from .arith import g_squarefree, prime_mask
 from .forms import QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form
 from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
 
@@ -53,8 +53,7 @@ def _prime_densities(f: QuadraticForm, z: float) -> dict[int, Fraction]:
     """g(p) for each prime p <= z, in ascending p."""
     if z < 2:
         raise ValueError("need z >= 2")
-    density = DensityG(f)
-    return {p: density.at_prime(p) for p in np.flatnonzero(prime_mask(int(z))).tolist()}
+    return {p: g_squarefree(f, p) for p in np.flatnonzero(prime_mask(int(z))).tolist()}
 
 
 def _selberg_j(g: dict[int, Fraction], z: float) -> Fraction:

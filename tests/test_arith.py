@@ -13,7 +13,6 @@ from conftest import random_big_form, random_form
 from qflab import arith
 from qflab.arith import (
     _residue_rows,
-    ConvergenceError,
     class_number_analytic,
     dirichlet_l1,
     divisor_tau,
@@ -25,7 +24,7 @@ from qflab.arith import (
     prime_mask,
     residue_density,
 )
-from qflab.forms import QuadraticForm, enumerate_reduced_forms
+from qflab.forms import QuadraticForm, enumerate_reduced_forms, unit_count
 
 
 def test_kronecker_examples():
@@ -199,7 +198,7 @@ def test_chi_table_matches_scalar_kronecker():
         if not is_fundamental(D):
             continue
         table = arith._chi_period(D)
-        assert table.shape == (D,) and table.dtype == np.float64
+        assert table.shape == (D,) and table.dtype == np.int64
         ns = range(1, D + 1) if D <= 600 else \
             sorted({*range(1, 65), *(rng.randint(65, D) for _ in range(64))})
         assert [table[n - 1] for n in ns] == [kronecker(-D, n) for n in ns], D
@@ -209,11 +208,43 @@ def test_chi_table_matches_scalar_kronecker():
 
 
 def test_l1_chi_closed_forms():
-    assert dirichlet_l1(4, tol=1e-12) == pytest.approx(math.pi / 4, abs=1e-11)
-    assert dirichlet_l1(3, tol=1e-12) == pytest.approx(math.pi / (3 * math.sqrt(3)), abs=1e-11)
+    def ulps(got, want):
+        return abs(got - want) / math.ulp(want)
+
+    assert ulps(dirichlet_l1(3), math.pi / (3 * math.sqrt(3))) <= 2
+    assert ulps(dirichlet_l1(4), math.pi / 4) <= 2
+    assert ulps(dirichlet_l1(8), math.pi / (2 * math.sqrt(2))) <= 2
     v = dirichlet_l1(23)
     w = 2
     assert round(w * math.sqrt(23) * v / (2 * math.pi)) == 3
+
+
+def test_class_number_formula_up_to_3000():
+    """w*sqrt(D)*L(1, chi)/(2*pi) lands within 1e-9 of the enumerated h(-D)
+    for every fundamental D <= 3000, not only within rounding distance."""
+    worst = 0.0
+    for D in range(3, 3001):
+        if is_fundamental(D):
+            value = unit_count(D) * math.sqrt(D) * dirichlet_l1(D) / (2 * math.pi)
+            worst = max(worst, abs(value - len(enumerate_reduced_forms(D))))
+    assert worst < 1e-9
+
+
+# L(1, chi) as the Richardson-extrapolated period sums gave it (tol 1e-10);
+# those were within 3.4e-12 of the finite formula evaluated in mpmath
+_L1_EXTRAPOLATED = {
+    3: 0.6045997880780806, 4: 0.7853981634008139, 7: 1.1874104117262858,
+    8: 1.1107207345419725, 11: 0.9472258251015013, 15: 1.6223114703911938,
+    20: 1.4049629462096511, 23: 1.9652020541092716, 24: 1.2825498301632385,
+    47: 2.291241928529604, 71: 2.6098691771586506, 163: 0.2460685275534842,
+    231: 2.4804194535635222, 420: 1.2263521999254705, 995: 0.7967614610402857,
+    2999: 4.1877861855059635,
+}
+
+
+def test_l1_chi_matches_extrapolated_values():
+    for D, want in _L1_EXTRAPOLATED.items():
+        assert abs(dirichlet_l1(D) - want) < 1e-10, D
 
 
 _L1_VALUES = """
@@ -223,8 +254,8 @@ print([dirichlet_l1(D).hex() for D in range(3, 3001) if is_fundamental(D)])
 
 
 def test_l1_chi_independent_of_blas_threads():
-    """The level sums are numpy reductions, not BLAS dots whose summation
-    order follows the thread count."""
+    """The sum over the character table is exact in integers, not a float
+    BLAS dot whose summation order follows the thread count."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     procs = [subprocess.Popen([sys.executable, "-c", _L1_VALUES], stdout=subprocess.PIPE,
                               text=True, env=dict(os.environ, PYTHONPATH=src,
@@ -238,8 +269,6 @@ def test_l1_chi_independent_of_blas_threads():
 def test_l1_chi_errors():
     with pytest.raises(ValueError):
         dirichlet_l1(108)  # 108 = 4*27, 27 = 3 mod 4: not fundamental
-    with pytest.raises(ConvergenceError):
-        dirichlet_l1(4, tol=1e-30, max_level=4)
 
 
 def test_class_number_analytic():

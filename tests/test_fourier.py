@@ -152,6 +152,20 @@ def test_eval_h_bit_identical_to_full_array_expression():
                 assert got == _eval_h_full_array(coeffs, x)
 
 
+def test_h_at_zero_bit_identical_to_eval_h():
+    rng = np.random.default_rng(22)
+    for _ in range(3000):
+        n = int(rng.integers(1, 6))
+        scale = rng.choice([1.0, 1e-8, 1e200])
+        coeffs = tuple(float(c) for c in rng.uniform(-1e3, 1e3, n) * scale
+                       * (rng.random(n) < 0.8))
+        if any(coeffs):
+            assert fourier._h_at_zero(coeffs) == eval_h(coeffs, 0.0)
+        ints = tuple(float(c) for c in rng.integers(-300, 301, n))
+        if any(ints):
+            assert fourier._h_at_zero(ints) == eval_h(ints, 0.0)
+
+
 def _rational_part(coeffs, x):
     return sum(a / ((2 * j - 1) ** 2 - 16 * x * x) for j, a in enumerate(coeffs, 1))
 
@@ -499,14 +513,17 @@ def test_bandlimited_path_needs_no_quadrature(monkeypatch):
 
 def test_greedy_search_f0_once_per_tuple(monkeypatch):
     scalar = []
-    real = fourier.eval_h
+    real = fourier._h_at_zero
 
-    def counted(coeffs, x):
-        if np.ndim(x) == 0:
-            scalar.append(tuple(coeffs))
-        return real(coeffs, x)
+    def counted(coeffs):
+        scalar.append(tuple(coeffs))
+        return real(coeffs)
 
-    monkeypatch.setattr(fourier, "eval_h", counted)
+    def refuse(*args):
+        raise AssertionError("eval_h called")
+
+    monkeypatch.setattr(fourier, "_h_at_zero", counted)
+    monkeypatch.setattr(fourier, "eval_h", refuse)
     res = greedy_search(28.0, 3, budget=400)
     # F(0) is memoised with the norm; the final report evaluates its own
     assert len(scalar) == len(set(scalar[:-1])) + 1 and scalar[-1] == res.fn.coeffs

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_rf, random_form, random_unimodular
-from qflab.arith import DensityG, kronecker, prime_mask
+from qflab.arith import g_squarefree, kronecker, prime_mask
 from qflab.forms import (
     QuadraticForm,
     delta_f,
@@ -58,10 +58,9 @@ def test_prime_densities_below_one():
 
 
 def _selberg_j_recursion(f, z):
-    # oracle, kept verbatim: selberg_j's recursion before the shared squarefree walk
-    density = DensityG(f)
+    # oracle: selberg_j's recursion before the shared squarefree walk
     primes = np.flatnonzero(prime_mask(int(z))).tolist()
-    weights = [density.at_prime(p) / (1 - density.at_prime(p)) for p in primes]
+    weights = [g_squarefree(f, p) / (1 - g_squarefree(f, p)) for p in primes]
     total = Fraction(0)
 
     def extend(idx: int, prod: int, hval: Fraction):
