@@ -191,31 +191,35 @@ def _chi_period(D: int) -> np.ndarray:
     return chi
 
 
+def _chi_moment(D: int) -> int:
+    """S = sum_{n=1}^{D} n*chi_{-D}(n) for fundamental -D, an exact int64 sum
+    (|S| < D^2/2, far below 2^63 for any table that fits in memory)."""
+    if not is_fundamental(D):
+        raise ValueError(f"-{D} is not a fundamental discriminant")
+    return int(np.dot(np.arange(1, D + 1, dtype=np.int64), _chi_period(D)))
+
+
 def dirichlet_l1(D: int) -> float:
     """L(1, chi_{-D}) for fundamental -D, from Dirichlet's finite formula for
     an odd real character of period D (Davenport, Multiplicative Number
-    Theory, ch. 6): L(1, chi) = -pi * S / D^(3/2), S = sum_{n=1}^{D} n*chi(n).
+    Theory, ch. 6): L(1, chi) = -pi * S / D^(3/2), S from _chi_moment.
 
-    S is an exact int64 sum (|S| < D^2/2, far below 2^63 for any table that
-    fits in memory), so the value carries only the roundings of the final
+    S is exact, so the value carries only the roundings of the final
     multiply and divides; D * sqrt(D) keeps libm's pow out of the digits.
     """
-    if not is_fundamental(D):
-        raise ValueError(f"-{D} is not a fundamental discriminant")
-    s = int(np.dot(np.arange(1, D + 1, dtype=np.int64), _chi_period(D)))
-    return -math.pi * s / (D * math.sqrt(D))
+    return -math.pi * _chi_moment(D) / (D * math.sqrt(D))
 
 
 def class_number_analytic(D: int) -> int:
-    """h(-D) = w*sqrt(D)*L(1,chi)/(2*pi) for fundamental -D, cross-checked
-    against exact enumeration."""
-    w = unit_count(D)
-    value = w * math.sqrt(D) * dirichlet_l1(D) / (2.0 * math.pi)
-    h = round(value)
+    """h(-D) = w*sqrt(D)*L(1,chi)/(2*pi) = -w*S/(2D) for fundamental -D, in
+    exact integers (S from _chi_moment), cross-checked against exact
+    enumeration."""
+    ws = unit_count(D) * _chi_moment(D)
+    h, rem = divmod(-ws, 2 * D)
     h_exact = len(enumerate_reduced_forms(D))
-    if h != h_exact:
+    if rem or h != h_exact:
         raise ConsistencyError(
-            f"analytic h(-{D}) = {value:.6f} rounds to {h}, enumeration gives {h_exact}"
+            f"analytic h(-{D}) = {-ws}/{2 * D}, enumeration gives {h_exact}"
         )
     return h
 

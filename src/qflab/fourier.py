@@ -249,6 +249,27 @@ def _quarter_grid(n_terms: int, x0: float) -> tuple[np.ndarray, np.ndarray, np.n
     return edges, np.array(phi), np.array(steps)
 
 
+def _real_roots(poly, lo: float, hi: float) -> list[float]:
+    """Real roots in (lo, hi), ascending, of the polynomial with ascending
+    coefficients poly.  A coefficient below 1e-13 of the largest counts as
+    zero; a linear polynomial is solved directly, a longer one by the
+    eigenvalues of its companion matrix as numpy's polycompanion lays it out;
+    a root within 1e-9 of the real line counts as real."""
+    scale = max(map(abs, poly), default=0.0)
+    p = [float(c) if abs(c) > 1e-13 * scale else 0.0 for c in poly]
+    while p and not p[-1]:
+        p.pop()
+    if len(p) < 2:
+        return []
+    if len(p) == 2:
+        roots = [-p[0] / p[1]]
+    else:
+        mat = np.eye(len(p) - 1, k=-1)
+        mat[:, -1] -= [c / p[-1] for c in p[:-1]]
+        roots = np.linalg.eigvals(mat).tolist()
+    return sorted(r.real for r in roots if abs(r.imag) < 1e-9 and lo < r.real < hi)
+
+
 def _rational_part_roots(coeffs) -> list[float]:
     """Positive x where sum a_j/(m_j^2 - 16x^2) vanishes, ascending.
 
@@ -256,7 +277,7 @@ def _rational_part_roots(coeffs) -> list[float]:
     with N(y) = sum_j a_j prod_{k != j} (m_k^2 - 16y).  The a_j are first
     divided by a power of two near their largest size, which is exact and
     keeps N finite; N is built in ascending powers of y and its positive real
-    roots, the eigenvalues of its companion matrix, return as x = sqrt(y).
+    roots return as x = sqrt(y).
     """
     terms = [(2 * j - 1, aj) for j, aj in enumerate(coeffs, start=1) if aj]
     if not terms:
@@ -270,20 +291,7 @@ def _rational_part_roots(coeffs) -> list[float]:
                 poly = [mk * mk * c1 - 16.0 * c0 for c0, c1 in zip([0.0, *poly], [*poly, 0.0])]
         aj = math.ldexp(aj, -e)
         total = [t + aj * c for t, c in zip(total, poly)]
-    scale = max(map(abs, total))
-    total = [t if abs(t) > 1e-13 * scale else 0.0 for t in total]
-    while total and not total[-1]:
-        total.pop()
-    if len(total) < 2:
-        return []
-    if len(total) == 2:
-        ys = [-total[0] / total[1]]
-    else:
-        # the companion matrix of N as numpy's polycompanion lays it out
-        mat = np.eye(len(total) - 1, k=-1)
-        mat[:, -1] -= [c / total[-1] for c in total[:-1]]
-        ys = np.linalg.eigvals(mat).tolist()
-    return sorted(math.sqrt(y.real) for y in ys if abs(y.imag) < 1e-9 and y.real > 0)
+    return [math.sqrt(y) for y in _real_roots(total, 0.0, math.inf)]
 
 
 def h_l1_norm(coeffs) -> float:
@@ -359,18 +367,22 @@ def _hat_roots(coeffs) -> list[float]:
     """Sign changes of H-hat in (0, 1), ascending.
 
     In c = cos(pi*t/2), H-hat is the Chebyshev series
-    sum a_j (-1)^(j-1) (pi/(4m)) T_m(c); its real roots in (0, 1) map back
-    to t = (2/pi) acos(c).  Every T_m is odd, so c = 0 (t = 1) is always a
-    root; it comes back within ~1e-16 of 0 and is dropped with anything
-    below 1e-12.  A root where H-hat keeps its sign only splits a piece of
+    sum a_j (-1)^(j-1) (pi/(4m)) T_m(c).  Every T_m is odd, so the series
+    over c is a polynomial in y = c^2: T_(2j-1)(c)/c = g_j(y) with
+    g_0 = g_1 = 1 and g_(j+1) = (4y - 2) g_j - g_(j-1).  Its roots y in
+    (0, 1) map back to t = (2/pi) acos(sqrt(y)); the root c = 0 (t = 1) is
+    divided out.  A root where H-hat keeps its sign only splits a piece of
     one sign, which leaves the tails unchanged.
     """
-    series = np.zeros(2 * len(coeffs))
+    total = [0.0] * len(coeffs)
+    g_prev, g = [1.0], [1.0]
     for j, aj in enumerate(coeffs, start=1):
-        series[2 * j - 1] = (aj if j % 2 else -aj) * math.pi / (4.0 * (2 * j - 1))
-    c = np.polynomial.chebyshev.chebroots(series)
-    return sorted(2.0 / math.pi * math.acos(r.real) for r in c
-                  if abs(r.imag) < 1e-7 and 1e-12 < r.real < 1.0)
+        bj = (aj if j % 2 else -aj) * math.pi / (4.0 * (2 * j - 1))
+        for i, c in enumerate(g):
+            total[i] += bj * c
+        g_prev, g = g, [4.0 * c0 - 2.0 * c1 - c2
+                        for c0, c1, c2 in zip([0.0, *g], [*g, 0.0], [*g_prev, 0.0, 0.0])]
+    return [2.0 / math.pi * math.acos(math.sqrt(y)) for y in _real_roots(total, 0.0, 1.0)[::-1]]
 
 
 def _hat_tails(coeffs, lam: float, roots=None) -> tuple[float, float]:
@@ -535,9 +547,8 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
             if improved and evals < budget:
                 lam, j_new = refine_lam(coeffs, lam)
                 j_cur = max(j_cur, j_new)
-        key = (j_cur, tuple(-c for c in coeffs))
-        best_key = (best[0], tuple(-c for c in best[1])) if best[1] else (-math.inf, ())
-        if key > best_key:
+        # j within the sweep's 1e-12 band is a tie, which the smaller tuple wins
+        if j_cur > best[0] + 1e-12 or (j_cur >= best[0] - 1e-12 and coeffs < best[1]):
             best = (j_cur, coeffs, lam)
         if evals >= budget:
             exhausted = True
@@ -566,15 +577,6 @@ def gauss_poly_hat_coeffs(poly_coeffs) -> np.ndarray:
     return r * (2.0 * math.pi) ** (np.arange(r.size) / 2.0)
 
 
-def _real_roots_in(poly_coeffs, lo: float, hi: float) -> list[float]:
-    p = np.trim_zeros(np.asarray(poly_coeffs, dtype=np.float64), "b")
-    if p.size < 2:
-        return []
-    roots = np.polynomial.polynomial.polyroots(p)
-    return sorted(float(r.real) for r in roots
-                  if abs(r.imag) < 1e-9 and lo < r.real < hi)
-
-
 def gauss_poly_report(fn: GaussPolyFn, A: float) -> FunctionalReport:
     """Functional report for F = P(x) exp(-pi x^2) with the transform taken
     exactly in the Hermite eigenbasis.  The positive-part tail uses the real
@@ -582,7 +584,7 @@ def gauss_poly_report(fn: GaussPolyFn, A: float) -> FunctionalReport:
     p = np.asarray(fn.poly_coeffs, dtype=np.float64)
     f0 = float(p[0])
     cut = 8.0  # exp(-pi*64) ~ 1e-88, beyond any tolerance here
-    edges = [-cut] + _real_roots_in(p, -cut, cut) + [cut]
+    edges = [-cut] + _real_roots(p, -cut, cut) + [cut]
     l1, _ = quad_segments(lambda x: np.abs(fn(x)), edges, tol=_GAUSS_QUAD_TOL, max_panels=2000)
 
     hat = gauss_poly_hat_coeffs(fn.poly_coeffs)
@@ -591,16 +593,13 @@ def gauss_poly_report(fn: GaussPolyFn, A: float) -> FunctionalReport:
         t = np.asarray(t, dtype=np.float64)
         return np.polynomial.polynomial.polyval(t, hat) * np.exp(-math.pi * t * t)
 
-    abs_fun = lambda t: np.abs(hat_vals(t))
-    tail_abs = 2.0 * quad_segments(
-        abs_fun, [1.0] + _real_roots_in(np.abs(hat) ** 2, 1.0, cut) + [cut],
-        tol=_GAUSS_QUAD_TOL, max_panels=2000)[0]
-
-    re_hat = hat.real
-    re_fun = lambda t: np.maximum(np.real(hat_vals(t)), 0.0)
-    tail_pos = 2.0 * quad_segments(
-        re_fun, [1.0] + _real_roots_in(re_hat, 1.0, cut) + [cut],
-        tol=_GAUSS_QUAD_TOL, max_panels=2000)[0]
+    # |F-hat| bends where Re Q or Im Q changes sign
+    re_roots = _real_roots(hat.real, 1.0, cut)
+    bends = sorted({*re_roots, *_real_roots(hat.imag, 1.0, cut)})
+    tail_abs = 2.0 * quad_segments(lambda t: np.abs(hat_vals(t)), [1.0, *bends, cut],
+                                   tol=_GAUSS_QUAD_TOL, max_panels=2000)[0]
+    tail_pos = 2.0 * quad_segments(lambda t: np.maximum(np.real(hat_vals(t)), 0.0),
+                                   [1.0, *re_roots, cut], tol=_GAUSS_QUAD_TOL, max_panels=2000)[0]
     return FunctionalReport(f0, l1, tail_pos, tail_abs, float(A))
 
 
@@ -619,7 +618,7 @@ def dn_estimate(n: int, budget: int = 3000) -> float:
         fn = GaussPolyFn(tuple(coeffs))
         abs_fn = lambda x: np.abs(fn(x))
         cut = 8.0
-        roots = _real_roots_in(coeffs, -cut, cut)
+        roots = _real_roots(coeffs, -cut, cut)
         inner, _ = quad_segments(abs_fn, [-1.0] + [r for r in roots if -1.0 < r < 1.0] + [1.0],
                                  tol=_GAUSS_QUAD_TOL, max_panels=2000)
         # |F| beyond -1 and beyond 1, folded onto [1, cut]

@@ -12,6 +12,7 @@ import pytest
 from conftest import random_big_form, random_form
 from qflab import arith
 from qflab.arith import (
+    ConsistencyError,
     _residue_rows,
     class_number_analytic,
     dirichlet_l1,
@@ -276,6 +277,19 @@ def test_class_number_analytic():
     assert class_number_analytic(23) == 3
     with pytest.raises(ValueError):
         class_number_analytic(108)
+
+
+def test_class_number_analytic_is_exact(monkeypatch):
+    """h(-D) = -w*S/(2D) in integers: every fundamental D <= 3000 divides
+    exactly and equals enumeration; a moment that 2D does not divide is
+    refused rather than rounded."""
+    for D in range(3, 3001):
+        if is_fundamental(D):
+            assert class_number_analytic(D) == len(enumerate_reduced_forms(D)), D
+    real = arith._chi_moment
+    monkeypatch.setattr(arith, "_chi_moment", lambda D: real(D) + 1)
+    with pytest.raises(ConsistencyError, match=r"^analytic h\(-23\) = 136/46, "):
+        class_number_analytic(23)
 
 
 def test_prime_mask_counts():

@@ -20,7 +20,7 @@ from qflab.fourier import (
     hat_h,
 )
 from qflab import fourier
-from qflab.fourier import _hat_roots, _hat_tails, _rational_part_roots
+from qflab.fourier import _hat_roots, _hat_tails, _rational_part_roots, _real_roots
 from qflab.quadrature import quad_segments
 from qflab.verify import TABLE_ROWS
 
@@ -359,6 +359,66 @@ def test_hat_roots_bracket_every_sign_change():
         assert np.all(np.abs(hat_h(coeffs, roots)) < 1e-9 * scale), coeffs
 
 
+def test_real_roots_against_polyroots():
+    rng = np.random.default_rng(14)
+    poly = np.polynomial.polynomial
+    for _ in range(300):
+        deg = int(rng.integers(1, 7))
+        n_real = deg - 2 * int(rng.integers(0, deg // 2 + 1))
+        # planted real roots at least 0.1 apart, complex pairs 0.1 or more off the line
+        real = np.sort(rng.choice(np.arange(-60, 61), n_real, replace=False) / 10.0)
+        n_pairs = (deg - n_real) // 2
+        pairs = rng.uniform(-5, 5, n_pairs) + 1j * rng.uniform(0.1, 3, n_pairs)
+        coeffs = poly.polyfromroots([*real, *pairs, *pairs.conj()]).real * rng.uniform(-50, 50)
+        lo, hi = sorted(rng.uniform(-7, 7, 2))
+        got = _real_roots(coeffs, lo, hi)
+        want = sorted(r.real for r in poly.polyroots(coeffs)
+                      if abs(r.imag) < 1e-9 and lo < r.real < hi)
+        assert got == pytest.approx(want, rel=0, abs=1e-12), coeffs
+        inside = real[(real > lo + 1e-6) & (real < hi - 1e-6)].tolist()
+        assert [r for r in got if lo + 1e-6 < r < hi - 1e-6] == pytest.approx(inside, abs=1e-6)
+        # a top coefficient below 1e-13 of the largest counts as zero
+        assert _real_roots([*coeffs, 1e-14 * np.abs(coeffs).max()], lo, hi) == got
+    assert _real_roots([-3.0, 2.0], 0.0, 2.0) == [1.5]
+    assert _real_roots([-3.0, 2.0], 1.5, 2.0) == []
+    assert _real_roots([2.0], -1.0, 1.0) == _real_roots([0.0, 0.0], -1.0, 1.0) == []
+    assert _real_roots([-1.0, 0.0, 1.0], -2.0, 2.0) == pytest.approx([-1.0, 1.0])
+
+
+def _hat_roots_by_chebroots(coeffs):
+    """The sign changes of H-hat as chebroots finds them on the odd Chebyshev
+    series in c = cos(pi*t/2), keeping c in (1e-12, 1) within 1e-7 of the line."""
+    series = np.zeros(2 * len(coeffs))
+    for j, aj in enumerate(coeffs, start=1):
+        series[2 * j - 1] = (aj if j % 2 else -aj) * math.pi / (4.0 * (2 * j - 1))
+    c = np.polynomial.chebyshev.chebroots(series)
+    return sorted(2.0 / math.pi * math.acos(r.real) for r in c
+                  if abs(r.imag) < 1e-7 and 1e-12 < r.real < 1.0)
+
+
+def test_hat_roots_against_chebroots():
+    rng = random.Random(14)
+    for _ in range(200):
+        coeffs = _random_tuple(rng)
+        want = _hat_roots_by_chebroots(coeffs)
+        assert _hat_roots(coeffs) == pytest.approx(want, rel=0, abs=1e-12), coeffs
+    # here c = 0 is a triple root, H-hat = -66 pi c^3 < 0 on (0, 1): chebroots
+    # splits the triple root and keeps one piece 2.5e-6 from t = 1
+    assert _hat_roots_by_chebroots((-198.0, 198.0)) == pytest.approx([1.0 - 2.466e-6], abs=1e-9)
+    assert _hat_roots((-198.0, 198.0)) == []
+    assert np.all(hat_h((-198.0, 198.0), np.linspace(0.0, 1.0, 10001)[:-1]) < 0)
+
+
+def test_hat_roots_are_scale_free():
+    rng = random.Random(15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for coeffs in [row[1] for row in TABLE_ROWS] + [_random_tuple(rng) for _ in range(50)]:
+            roots = _hat_roots(coeffs)
+            for e in (-1000, -3, 900):
+                assert _hat_roots([math.ldexp(a, e) for a in coeffs]) == roots, (coeffs, e)
+
+
 def test_hat_tails_edge_cases():
     assert _hat_tails((68.0, 5.0, 1.0), 1.0) == (0.0, 0.0)
     assert _hat_tails((68.0, 5.0, 1.0), 1.05) == (0.0, 0.0)
@@ -569,6 +629,14 @@ def test_greedy_search_budget_4000_regression(A, coeffs, lam, evaluations, exhau
     assert res.report.j_plus == pytest.approx(j_plus, rel=0, abs=1e-12)
 
 
+def test_greedy_search_ties_go_to_the_smaller_tuple():
+    # with one term every seed is a positive multiple of (1,), so all reach
+    # the same j up to rounding; the tie goes to the smallest tuple
+    for A in (1.0, 5.0, 10.0, 28.0, 34.5):
+        assert greedy_search(A, 1, budget=400).fn.coeffs == (1.0,), A
+    assert greedy_search(5.0, 2, budget=1500).fn.coeffs == (236.0, -6.0)
+
+
 def test_gauss_poly_reports():
     rep = gauss_poly_report(GaussPolyFn((1.0,)), 100.0)
     expected = 1.0 - 100.0 * math.erfc(math.sqrt(math.pi))
@@ -595,6 +663,43 @@ def test_gauss_poly_negative_at_large_a():
             continue
         fn = GaussPolyFn(tuple(c / norm for c in coeffs))
         assert gauss_poly_report(fn, 200.0).j_abs < 0
+
+
+def _gauss_tail_abs_oracle(p):
+    """2 * integral of |F-hat| over [1, inf) for even P, in mpmath at 30
+    digits: x^k exp(-pi x^2) transforms to (i/(2 pi))^k times the k-th
+    derivative of exp(-pi t^2), so Q(t) = sum p_k (-1)^(k/2) (4 pi)^(-k/2)
+    H_k(sqrt(pi) t), with H_k built by its recurrence; |Q| is integrated
+    between the real roots of Q."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        sp = mpmath.sqrt(mpmath.pi)
+        q = [mpmath.mpf(0)] * len(p)
+        h_prev, h = [], [mpmath.mpf(1)]  # H_(k-1), H_k at sqrt(pi) t, in powers of t
+        for k, c in enumerate(p):
+            assert k % 2 == 0 or c == 0
+            for i, hi in enumerate(h):
+                q[i] += c * (-1) ** (k // 2) / (4 * mpmath.pi) ** (k // 2) * hi
+            h_prev, h = h, [2 * sp * a - 2 * k * b for a, b in zip([0, *h], [*h_prev, 0, 0])]
+        while not q[-1]:
+            q.pop()
+        roots = sorted(r.real for r in mpmath.polyroots(q[::-1], extraprec=60)
+                       if abs(r.imag) < 1e-20 and r.real > 1)
+        fhat = lambda t: abs(mpmath.polyval(q[::-1], t)) * mpmath.exp(-mpmath.pi * t * t)
+        return 2 * float(mpmath.quad(fhat, [1, *roots, mpmath.inf]))
+
+
+def test_gauss_poly_tail_abs_against_mpmath():
+    rng = random.Random(8)
+    for _ in range(12):
+        coeffs = [rng.uniform(-1, 1) for _ in range(5)]
+        coeffs[1] = coeffs[3] = 0.0
+        norm = math.sqrt(sum(c * c for c in coeffs))
+        p = tuple(c / norm for c in coeffs)
+        got = gauss_poly_report(GaussPolyFn(p), 1.0).tail_abs
+        # twice an integral taken to the family's absolute tolerance
+        assert abs(got - _gauss_tail_abs_oracle(p)) <= 2 * fourier._GAUSS_QUAD_TOL, p
 
 
 def test_dn_estimates():
