@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -172,10 +173,11 @@ _CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format}
 
 @dataclass
 class TextReport:
-    """A command's output as text lines, and its exit status."""
+    """A command's text output: run(write) hands each line to write as soon
+    as it is known and returns the exit status, which emit keeps in status."""
 
-    lines: list[str]
-    status: int
+    run: Callable[[Callable[[str], None]], int]
+    status: int | None = None
 
 
 def emit(records, fmt: str, stream) -> None:
@@ -183,9 +185,13 @@ def emit(records, fmt: str, stream) -> None:
     record's keys.  Records are a list of dicts, written in one pass, or a
     dict of equal-length columns (lists of ints, floats or bools), written
     as the rows they hold in chunks of _EMIT_CHUNK rows.  A TextReport is
-    written as its lines."""
+    run with each line written and flushed as it comes."""
     if isinstance(records, TextReport):
-        stream.write("".join(line + "\n" for line in records.lines))
+        def write(line: str) -> None:
+            stream.write(line + "\n")
+            stream.flush()
+
+        records.status = records.run(write)
         return
     if isinstance(records, dict):
         _emit_columns(records, fmt, stream)
@@ -365,11 +371,7 @@ def _fourier_tables(p):
 
 
 def _verify_suite(suite: str):
-    def run(p) -> TextReport:
-        lines = []
-        return TextReport(lines, _verify.run_suite(suite, out=lines.append))
-
-    return run
+    return lambda p: TextReport(lambda write: _verify.run_suite(suite, out=write))
 
 
 # (group, action) -> (handler, {dest: argparse keyword arguments}).  The
@@ -421,7 +423,7 @@ _COMMANDS = {
 def execute_plan(plan: CommandPlan) -> list[dict] | dict[str, list] | TextReport:
     """Run the plan and return its records: a list of row dicts, or, where
     the rows are many (`sieve gaps`), a dict of equal-length columns, or
-    for `verify` the report as a TextReport."""
+    for `verify` a TextReport, which runs the suite as emit writes it."""
     handler, _ = _COMMANDS[(plan.group, plan.action)]
     return handler(plan.params)
 

@@ -42,6 +42,7 @@ __all__ = [
 _POLE_GUARD = 1e-3
 _TWO_PI = 2.0 * math.pi
 _GAUSS_QUAD_TOL = 1e-10  # absolute tolerance of every Gaussian-family integral
+_GAUSS_CUT = 8.0  # Gaussian-family integrals stop at |x| = 8: exp(-64 pi) ~ 1e-88
 
 
 @dataclass(frozen=True)
@@ -583,8 +584,7 @@ def gauss_poly_report(fn: GaussPolyFn, A: float) -> FunctionalReport:
     part of F-hat (exact for even F; F-hat is complex Hermitian otherwise)."""
     p = np.asarray(fn.poly_coeffs, dtype=np.float64)
     f0 = float(p[0])
-    cut = 8.0  # exp(-pi*64) ~ 1e-88, beyond any tolerance here
-    edges = [-cut] + _real_roots(p, -cut, cut) + [cut]
+    edges = [-_GAUSS_CUT] + _real_roots(p, -_GAUSS_CUT, _GAUSS_CUT) + [_GAUSS_CUT]
     l1, _ = quad_segments(lambda x: np.abs(fn(x)), edges, tol=_GAUSS_QUAD_TOL, max_panels=2000)
 
     hat = gauss_poly_hat_coeffs(fn.poly_coeffs)
@@ -594,12 +594,13 @@ def gauss_poly_report(fn: GaussPolyFn, A: float) -> FunctionalReport:
         return np.polynomial.polynomial.polyval(t, hat) * np.exp(-math.pi * t * t)
 
     # |F-hat| bends where Re Q or Im Q changes sign
-    re_roots = _real_roots(hat.real, 1.0, cut)
-    bends = sorted({*re_roots, *_real_roots(hat.imag, 1.0, cut)})
-    tail_abs = 2.0 * quad_segments(lambda t: np.abs(hat_vals(t)), [1.0, *bends, cut],
+    re_roots = _real_roots(hat.real, 1.0, _GAUSS_CUT)
+    bends = sorted({*re_roots, *_real_roots(hat.imag, 1.0, _GAUSS_CUT)})
+    tail_abs = 2.0 * quad_segments(lambda t: np.abs(hat_vals(t)), [1.0, *bends, _GAUSS_CUT],
                                    tol=_GAUSS_QUAD_TOL, max_panels=2000)[0]
     tail_pos = 2.0 * quad_segments(lambda t: np.maximum(np.real(hat_vals(t)), 0.0),
-                                   [1.0, *re_roots, cut], tol=_GAUSS_QUAD_TOL, max_panels=2000)[0]
+                                   [1.0, *re_roots, _GAUSS_CUT],
+                                   tol=_GAUSS_QUAD_TOL, max_panels=2000)[0]
     return FunctionalReport(f0, l1, tail_pos, tail_abs, float(A))
 
 
@@ -617,13 +618,12 @@ def dn_estimate(n: int, budget: int = 3000) -> float:
         evals += 1
         fn = GaussPolyFn(tuple(coeffs))
         abs_fn = lambda x: np.abs(fn(x))
-        cut = 8.0
-        roots = _real_roots(coeffs, -cut, cut)
+        roots = _real_roots(coeffs, -_GAUSS_CUT, _GAUSS_CUT)
         inner, _ = quad_segments(abs_fn, [-1.0] + [r for r in roots if -1.0 < r < 1.0] + [1.0],
                                  tol=_GAUSS_QUAD_TOL, max_panels=2000)
-        # |F| beyond -1 and beyond 1, folded onto [1, cut]
-        outer, _ = quad_segments(lambda t: abs_fn(t) + abs_fn(-t),
-                                 sorted({1.0, cut, *(abs(r) for r in roots if abs(r) > 1.0)}),
+        # |F| beyond -1 and beyond 1, folded onto [1, _GAUSS_CUT]
+        outer_edges = sorted({1.0, _GAUSS_CUT, *(abs(r) for r in roots if abs(r) > 1.0)})
+        outer, _ = quad_segments(lambda t: abs_fn(t) + abs_fn(-t), outer_edges,
                                  tol=_GAUSS_QUAD_TOL, max_panels=2000)
         return inner / (inner + outer)
 

@@ -360,6 +360,21 @@ def test_verify_failure_exit_status(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "0/1 checks passed (full suite)"
 
 
+def test_verify_writes_each_line_as_its_check_ends(monkeypatch, tmp_path):
+    """The report streams: when the second check runs, the first check's
+    line is already in the --out file."""
+    report = tmp_path / "report.txt"
+    first = lambda fast: cli._verify.CheckResult("first", True, "done")
+
+    def second(fast):
+        text = report.read_text() if report.exists() else ""
+        return cli._verify.CheckResult("second", text == first(fast).line() + "\n", repr(text))
+
+    monkeypatch.setattr(cli._verify, "CHECKS", [first, second])
+    assert main(["--out", str(report), "verify", "fast"]) == 0
+    assert report.read_text().splitlines()[-1] == "2/2 checks passed (fast suite)"
+
+
 _COLD_START = """
 import contextlib, io, json, sys
 from qflab import cli

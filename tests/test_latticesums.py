@@ -415,7 +415,7 @@ def test_translation_exceptions_examples(monkeypatch):
         translation_exception_count(QuadraticForm(3, 5, 6), 2, 1, 0)  # not reduced
     with pytest.raises(ValueError):  # the ValueErrors come before the budget
         translation_exception_count(QuadraticForm(3, 5, 6), 1 << 24, 1, 0)
-    with pytest.raises(BudgetError):  # 24*a*c*ell^2 = 1.5 * 2^52
+    with pytest.raises(BudgetError):  # 4a*(6c*ell^2 - 1) = 1.5 * 2^52 - 4
         translation_exception_count(f, 1 << 24, 1, 0)
     monkeypatch.setattr(latticesums, "_ROW_CHUNK", 2)  # rows tested 2 points at a time
     g = QuadraticForm(1, 0, 5)
@@ -463,14 +463,14 @@ def test_hat_zero_closed_form():
 
 def test_transform_matches_closed_form_at_zero():
     for x, y in [(1, 1), (10, 3), (100, 10)]:
-        v = hankel_transform(TestFunctionG(x, y), 0.0, tol=1e-9)
+        v = hankel_transform(TestFunctionG(x, y), 0.0)
         assert v == pytest.approx(hat_g_at_zero(x, y), abs=1e-8)
 
 
 def test_transform_large_argument_values():
-    assert hankel_transform(TestFunctionG(100, 10), 0.0, tol=1e-7) == \
+    assert hankel_transform(TestFunctionG(100, 10), 0.0) == \
         pytest.approx(104.5 * math.pi, abs=1e-6)
-    v = hankel_transform(TestFunctionG(100, 10), 2.0, tol=1e-9)
+    v = hankel_transform(TestFunctionG(100, 10), 2.0)
     assert abs(v) * 2.0**1.5 / 110.0**0.25 <= 10.0
 
 
@@ -478,66 +478,100 @@ def test_transform_decay_fixtures():
     for x, y in [(100, 10), (10**4, 10**2)]:
         g = TestFunctionG(x, y)
         for xi in (1.0, 2.0, 4.0, 8.0):
-            v = abs(hankel_transform(g, xi, tol=1e-9))
+            v = abs(hankel_transform(g, xi))
             assert v * xi**1.5 / (x + y) ** 0.25 <= 0.25
             assert v * xi**2.5 / (1 + x**0.75 / y) <= 0.25
 
 
-def test_j0_against_series_oracle():
-    """J0 against a 50-term power series evaluated in high-precision
-    arithmetic."""
+def _mp_hat_g(x, y, xi):
+    """The closed form of hankel_transform in 50-digit arithmetic."""
     import mpmath
 
-    mpmath.mp.dps = 60
-    for t in np.linspace(0.0, 30.0, 121):
-        tm = mpmath.mpf(float(t))
-        acc = mpmath.mpf(0)
-        term_base = (tm / 2) ** 2
-        for k in range(50):
-            acc += (-1) ** k * term_base**k / (mpmath.factorial(k)) ** 2
-        assert abs(float(latticesums._j0(float(t))) - float(acc)) < 1e-10, t
+    with mpmath.workdps(50):
+        x, y, k = mpmath.mpf(x), mpmath.mpf(y), 2 * mpmath.pi * mpmath.mpf(xi)
+        j = lambda z: mpmath.besselj(2, z) / z**2 if z else mpmath.mpf(1) / 8
+        return float(-4 * mpmath.pi * (j(k) - ((x + y) ** 2 * j(k * mpmath.sqrt(x + y))
+                                               - x * x * j(k * mpmath.sqrt(x))) / y))
 
 
-def test_j0_against_mpmath_besselj():
-    """Both branches and the switch at 25 against mpmath's J0."""
-    import mpmath
-
-    xs = np.r_[np.linspace(0.0, 25.0, 51), 24.999999, 25.000001,
-               np.geomspace(25.0, 1e6, 60)]
-    got = latticesums._j0(xs)
-    with mpmath.workdps(40):
-        for x, v in zip(xs.tolist(), got.tolist()):
-            assert abs(v - float(mpmath.besselj(0, x))) <= 1e-15, x
+def test_transform_matches_mpmath():
+    """Rounding only: within 1e-15 (x + y)^2 / y of 50-digit arithmetic,
+    also where the outer terms cancel (large x, small xi)."""
+    for x, y in [(1, 1), (4, 1), (10, 3), (50, 9), (100, 10), (1e4, 1e2), (1e6, 1e3)]:
+        g = TestFunctionG(x, y)
+        for xi in (0.0, 1e-6, 1e-3, 0.1, 1.0, 2.0, 4.0, 8.0, 100.0):
+            err = abs(hankel_transform(g, xi) - _mp_hat_g(x, y, xi))
+            assert err <= 1e-15 * (x + y) ** 2 / y, (x, y, xi, err)
 
 
-def test_j0_parity_with_scipy():
+def test_transform_matches_scipy_quad_of_the_integral():
+    """The closed form against 2*pi int r G(r) J0(2*pi*r*xi) dr by
+    scipy.integrate.quad, on panels of at most a quarter period within each
+    piece of G."""
+    from scipy.integrate import quad
     from scipy.special import j0
 
+    for x, y in [(1, 1), (10, 3), (100, 10), (1e4, 1e2)]:
+        g = TestFunctionG(x, y)
+        pieces = [0.0, 1.0, math.sqrt(x), g.radius]
+        for xi in (1e-3, 0.1, 1.0, 2.0, 4.0, 8.0):
+            parts = []
+            for a, b in zip(pieces, pieces[1:]):
+                edges = np.linspace(a, b, math.ceil(4.0 * xi * (b - a)) + 2)
+                parts += [quad(lambda r: 2 * math.pi * r * g(r) * j0(2 * math.pi * r * xi),
+                               lo, hi, epsabs=1e-12, epsrel=1e-12)[0]
+                          for lo, hi in zip(edges, edges[1:])]
+            assert abs(hankel_transform(g, xi) - math.fsum(parts)) <= 1e-9, (x, y, xi)
+
+
+def test_transform_refuses_negative_xi():
+    with pytest.raises(ValueError):
+        hankel_transform(TestFunctionG(1, 1), -1e-3)
+
+
+def test_j2_kernel_against_mpmath():
+    """All three branches and both switches, at 4 and 25, against mpmath's
+    J2, within 1e-15 absolute."""
+    import mpmath
+
+    zs = np.r_[0.0, np.linspace(0.0, 25.0, 51), 4.0 - 1e-6, 4.0 + 1e-6, 24.999999, 25.000001,
+               np.geomspace(25.0, 1e6, 60)]
+    got = latticesums._j2_over_z2(zs) * zs**2
+    with mpmath.workdps(40):
+        for z, v in zip(zs.tolist(), got.tolist()):
+            assert abs(v - float(mpmath.besselj(2, z))) <= 1e-15, z
+
+
+def test_j2_kernel_parity_with_scipy():
+    from scipy.special import jv
+
     near = np.linspace(0.0, 200.0, 400_001)
-    assert np.max(np.abs(latticesums._j0(near) - j0(near))) <= 2e-15
+    assert np.max(np.abs(latticesums._j2_over_z2(near) * near**2 - jv(2, near))) <= 2e-15
     far = np.geomspace(200.0, 1e6, 400_001)
-    assert np.max(np.abs(latticesums._j0(far) - j0(far))) <= 1e-13
+    assert np.max(np.abs(latticesums._j2_over_z2(far) * far**2 - jv(2, far))) <= 1e-13
 
 
-def test_j0_far_branch_horner_matches_polyval():
-    """The in-place Horner loop for P and Q is bit-identical to polyval."""
+def test_j2_kernel_far_branch_matches_polyval():
+    """Beyond 25 the kernel is Hankel's expansion, with P and Q each by
+    polyval, bit for bit."""
     polyval = np.polynomial.polynomial.polyval
-    x = np.linspace(25.0, 1e6, 500_001)[1:]
-    y = 1.0 / (x * x)
-    p, q = polyval(y, latticesums._J0_PQ[0]), polyval(y, latticesums._J0_PQ[1]) / x
-    cos, sin = np.cos(x), np.sin(x)
-    want = (p * (cos + sin) - q * (sin - cos)) / np.sqrt(math.pi * x)
-    assert np.array_equal(latticesums._j0(x), want)
+    z = np.linspace(25.0, 1e6, 500_001)[1:]
+    y = 1.0 / (z * z)
+    p, q = polyval(y, latticesums._J2_PQ[:, 0]), polyval(y, latticesums._J2_PQ[:, 1]) / z
+    cos, sin = np.cos(z), np.sin(z)
+    want = (q * (sin - cos) - p * (cos + sin)) / np.sqrt(math.pi * z) * y
+    assert np.array_equal(latticesums._j2_over_z2(z), want)
 
 
-def test_j0_even_and_shape_preserving():
-    assert latticesums._j0(0.0) == 1.0
-    assert latticesums._j0(0.0).shape == ()
-    assert latticesums._j0(30.0).shape == ()
-    xs = np.r_[np.linspace(0.0, 40.0, 81), 1e3, 1e6]
-    out = latticesums._j0(xs)
-    assert out.shape == xs.shape
-    assert np.array_equal(latticesums._j0(-xs), out)
+def test_j2_kernel_even_and_shape_preserving():
+    assert latticesums._j2_over_z2(0.0) == 0.125
+    assert latticesums._j2_over_z2(0.0).shape == ()
+    assert latticesums._j2_over_z2(10.0).shape == ()
+    assert latticesums._j2_over_z2(30.0).shape == ()
+    zs = np.r_[np.linspace(0.0, 40.0, 81), 1e3, 1e6]
+    out = latticesums._j2_over_z2(zs)
+    assert out.shape == zs.shape
+    assert np.array_equal(latticesums._j2_over_z2(-zs), out)
 
 
 def test_quad_segments_tolerance_error():
