@@ -524,6 +524,55 @@ def test_transform_matches_scipy_quad_of_the_integral():
             assert abs(hankel_transform(g, xi) - math.fsum(parts)) <= 1e-9, (x, y, xi)
 
 
+def test_j0_against_series_oracle():
+    """The transform against the J0 power series integrated term by term in
+    60-digit arithmetic: 2*pi int r G(r) J0(kr) dr = pi sum_k (-(pi xi)^2)^k
+    / k!^2 int_0^(x+y) u^k G(sqrt u) du, each moment in closed form.  The
+    largest J0 argument k*sqrt(x + y) runs over [0, 30]."""
+    import mpmath
+
+    def series(x, y, xi):
+        with mpmath.workdps(60):
+            x, y, h = mpmath.mpf(x), mpmath.mpf(y), (mpmath.pi * mpmath.mpf(xi)) ** 2
+            s, acc = x + y, mpmath.mpf(0)
+            for k in range(90):
+                moment = (1 / mpmath.mpf(k + 2) + (x ** (k + 1) - 1) / (k + 1)
+                          + (s * (s ** (k + 1) - x ** (k + 1)) / (k + 1)
+                             - (s ** (k + 2) - x ** (k + 2)) / (k + 2)) / y)
+                acc += (-h) ** k / mpmath.factorial(k) ** 2 * moment
+            return float(mpmath.pi * acc)
+
+    for x, y in [(1, 1), (4, 1), (10, 3), (50, 9)]:
+        g = TestFunctionG(x, y)
+        for z in np.linspace(0.0, 30.0, 31):
+            xi = z / (2.0 * math.pi * g.radius)
+            err = abs(hankel_transform(g, xi) - series(x, y, xi))
+            assert err <= 1e-15 * (x + y) ** 2 / y, (x, y, z, err)
+
+
+def test_j0_against_mpmath_besselj():
+    """The transform against 2*pi int r G(r) J0(kr) dr by mpmath.quad with
+    mpmath's J0, on quarter-period panels within each piece of G, where
+    k*sqrt(x + y) sits on either side of the kernel's switches at 4 and 25
+    and in its far branch."""
+    import mpmath
+
+    for x, y in [(4, 1), (100, 10)]:
+        g = TestFunctionG(x, y)
+        for z in (4.0 - 1e-6, 4.0 + 1e-6, 24.999999, 25.000001, 100.0):
+            xi = z / (2.0 * math.pi * g.radius)
+            with mpmath.workdps(30):
+                k, mx, my = 2 * mpmath.pi * mpmath.mpf(xi), mpmath.mpf(x), mpmath.mpf(y)
+                pieces = [(0, 1, lambda r: r * r), (1, mpmath.sqrt(mx), lambda r: 1),
+                          (mpmath.sqrt(mx), mpmath.sqrt(mx + my), lambda r: (mx + my - r * r) / my)]
+                want = 2 * mpmath.pi * mpmath.fsum(
+                    mpmath.quad(lambda r: r * G(r) * mpmath.besselj(0, k * r),
+                                mpmath.linspace(a, b, math.ceil(2 * float(k * (b - a)) / math.pi) + 2))
+                    for a, b, G in pieces)
+            err = abs(hankel_transform(g, xi) - float(want))
+            assert err <= 1e-15 * (x + y) ** 2 / y, (x, y, z, err)
+
+
 def test_transform_refuses_negative_xi():
     with pytest.raises(ValueError):
         hankel_transform(TestFunctionG(1, 1), -1e-3)
