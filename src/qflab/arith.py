@@ -226,13 +226,18 @@ def class_number_analytic(D: int) -> int:
 
 def prime_mask(x: int) -> np.ndarray:
     """Boolean array m of length x+1 with m[n] True iff n is prime."""
-    if x < 1:
-        return np.zeros(max(x + 1, 1), dtype=bool)
-    mask = np.ones(x + 1, dtype=bool)
-    mask[:2] = False
-    if x >= 4:
-        mask[4::2] = False
-    for p in range(3, math.isqrt(x) + 1, 2):
-        if mask[p]:
-            mask[p * p :: 2 * p] = False
+    mask = np.zeros(max(x + 1, 1), dtype=bool)
+    mask[1::2] = _odd_prime_mask(x)
+    mask[2:3] = x >= 2
+    return mask
+
+
+def _odd_prime_mask(x: int) -> np.ndarray:
+    """Boolean array m of length (x+1)//2 with m[k] True iff 2k + 1 is prime, sieved
+    on odd numbers only as https://github.com/kimwalisch/primesieve does."""
+    mask = np.ones(max(x + 1, 0) // 2, dtype=bool)
+    mask[:1] = False
+    for p in range(3, math.isqrt(max(x, 0)) + 1, 2):
+        if mask[p >> 1]:
+            mask[p * p >> 1::p] = False
     return mask

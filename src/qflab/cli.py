@@ -166,9 +166,10 @@ _EMIT_CHUNK = 4096
 
 # the text of one column value in a column table, by the column's exact
 # type, for which the builtin repr is int.__repr__ or float.__repr__ and
-# calls faster; floats are finite (the JSON encoder would write NaN, Infinity)
-_JSON_TEXT = {bool: ("false", "true").__getitem__, int: repr, float: repr}
-_CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format}
+# calls faster; floats are finite (the JSON encoder would write NaN, Infinity);
+# a str column is text already rendered, written as it is (None)
+_JSON_TEXT = {bool: ("false", "true").__getitem__, int: repr, float: repr, str: None}
+_CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format, str: None}
 
 
 @dataclass
@@ -183,9 +184,9 @@ class TextReport:
 def emit(records, fmt: str, stream) -> None:
     """Write records to stream as JSON lines or as CSV headed by the first
     record's keys.  Records are a list of dicts, written in one pass, or a
-    dict of equal-length columns (lists of ints, floats or bools), written
-    as the rows they hold in chunks of _EMIT_CHUNK rows.  A TextReport is
-    run with each line written and flushed as it comes."""
+    dict of equal-length columns (lists of ints, floats, bools or rendered
+    str), written as the rows they hold in chunks of _EMIT_CHUNK rows.  A
+    TextReport is run with each line written and flushed as it comes."""
     if isinstance(records, TextReport):
         def write(line: str) -> None:
             stream.write(line + "\n")
@@ -229,7 +230,8 @@ def _emit_columns(columns: dict[str, list], fmt: str, stream) -> None:
     for i in range(0, len(cols[0]), _EMIT_CHUNK):
         parts = row * min(_EMIT_CHUNK, len(cols[0]) - i)
         for j, (conv, col) in enumerate(zip(convs, cols)):
-            parts[2 * j + 1::len(row)] = map(conv, col[i:i + _EMIT_CHUNK])
+            chunk = col[i:i + _EMIT_CHUNK]
+            parts[2 * j + 1::len(row)] = chunk if conv is None else map(conv, chunk)
         stream.write(head + "".join(parts))
         head = ""
 
@@ -325,7 +327,7 @@ def _sieve_pif(p):
 
 def _sieve_gaps(p):
     i, primes, gaps = prime_gap_scan(p["form"], p["x"], p["min_p"])
-    ps = primes.tolist()
+    ps = list(map(repr, primes.tolist()))  # each prime's text, as both formats write ints
     is_max = [False] * gaps.size
     is_max[i] = True
     return {"p_n": ps[:-1], "p_next": ps[1:], "gap": np.diff(primes).tolist(),

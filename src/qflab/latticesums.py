@@ -65,12 +65,12 @@ def _exact_isqrt(m: np.ndarray) -> np.ndarray:
 
 
 def _lattice_rows(f: QuadraticForm, N: int):
-    """Yield the rows of the ellipse f(u, v) <= N in chunks of v.
+    """Yield the rows v >= 0 of the ellipse f(u, v) <= N in chunks of v.
 
-    Each chunk is (v, u_lo, u_hi), int64 arrays over consecutive v from
-    -vmax to vmax: the lattice points with that v are exactly the u in
-    [u_lo, u_hi], solved from (2au + bv)^2 <= 4aN - Dv^2.  The single place
-    that refuses inputs beyond 64-bit exactness or the row budget.
+    Each chunk is (v, u_lo, u_hi), int64 arrays over consecutive v from 0
+    to vmax: the points with that v are the u in [u_lo, u_hi], solved from
+    (2au + bv)^2 <= 4aN - Dv^2; row -v is the mirror [-u_hi, -u_lo].  The
+    one place that refuses inputs beyond 64-bit exactness or the row budget.
     """
     a, b, D = f.a, f.b, f.D
     if 4 * a * N > (1 << 52):
@@ -78,7 +78,7 @@ def _lattice_rows(f: QuadraticForm, N: int):
     vmax = math.isqrt(4 * a * N // D)
     if vmax > _VMAX_BUDGET:
         raise BudgetError(f"v-range {2 * vmax + 1} exceeds enumeration budget")
-    for start in range(-vmax, vmax + 1, _ROW_CHUNK):
+    for start in range(0, vmax + 1, _ROW_CHUNK):
         v = np.arange(start, min(start + _ROW_CHUNK, vmax + 1), dtype=np.int64)
         yield (v, *_row_bounds(f, N, v))
 
@@ -119,10 +119,12 @@ def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
         return int(np.sum((h // ell) * size[c])) + int(np.sum(
             np.searchsorted(keys, c * ell + h % ell, side="right")))
 
-    total = 0
+    total = 0  # rows v > 0 count twice, for themselves and their mirrors -v
     for v, lo, hi in _lattice_rows(f, X):
         c = v % ell
-        total += G(c, hi) - G(c, lo - 1)
+        total += 2 * (G(c, hi) - G(c, lo - 1))
+        if v[0] == 0:
+            total -= G(c[:1], hi[:1]) - G(c[:1], lo[:1] - 1)
     return total - 1  # drop the origin, which contributes f = 0
 
 
@@ -151,8 +153,9 @@ def _window_histogram(f: QuadraticForm, lo: int, hi: int):
             u, vv = _row_points(np.concatenate((v, v)), np.concatenate((lo_o, hi_i + 1)),
                                 np.concatenate((lo_i - lo_o, hi_o - hi_i)))
             s = 2 * a * u + b * vv
-            n = (s * s + D * vv * vv) // (4 * a)
-            r += np.bincount(n - n0, minlength=n1 - n0)
+            n = (s * s + D * vv * vv) // (4 * a) - n0
+            # each point with v > 0 stands for its mirror as well
+            r += 2 * np.bincount(n, minlength=r.size) - np.bincount(n[vv == 0], minlength=r.size)
         yield n0, r
 
 
@@ -276,8 +279,8 @@ def _poisson_sides(f: QuadraticForm, ell: int, ts) -> list[tuple[float, float]]:
         for v, lo, hi in _lattice_rows(f, ncut):
             u, vv = _row_points(v, lo, hi - lo + 1)
             vals = a * u * u + (b * vv) * u + c * vv * vv
-            vals = vals[vals % ell == 0]
-            terms.append(np.exp(-math.pi * t * vals.astype(np.float64)))
+            keep = vals % ell == 0  # v > 0 terms doubled for their mirrors: exact, fsum rounds once
+            terms.append(np.exp(-math.pi * t * vals[keep]) * (1.0 + (vv[keep] > 0)))
         lhs = math.fsum(np.concatenate(terms).tolist())
 
         # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient,
@@ -303,11 +306,12 @@ def translation_exception_count(f: QuadraticForm, ell: int, r: int, s: int) -> i
     """#{(u, v) in Z^2 : f(u - r/ell, v - s/ell) < f(u, v)/2}, exact.
 
     Candidates are the points (U, V) = (ell*u - 2r, ell*v - 2s) of the
-    superset f(U, V) < 6c*ell^2, taken from the row kernel: rows with
-    V = -2s (mod ell), each cut to its u-range.  Each is tested with integer
-    arithmetic (scale by 2*ell^2) in int64, in blocks of at most _ROW_CHUNK
-    points per row.  The row kernel refuses 4a*(6c*ell^2 - 1) > 2^52 with
-    BudgetError, which keeps every product tested below 2^54.
+    superset f(U, V) < 6c*ell^2, from the row kernel and its mirror (the
+    shift is not symmetric): rows with V = -2s (mod ell), each cut to its
+    u-range.  Each is tested with integer arithmetic (scale by 2*ell^2) in
+    int64, in blocks of at most _ROW_CHUNK points per row.  The row kernel
+    refuses 4a*(6c*ell^2 - 1) > 2^52 with BudgetError, which keeps every
+    product tested below 2^54.
     """
     if (r, s) == (0, 0):
         raise ValueError("(r, s) = (0, 0) is excluded")
@@ -319,6 +323,8 @@ def translation_exception_count(f: QuadraticForm, ell: int, r: int, s: int) -> i
     ell2 = ell * ell
     count = 0
     for V, lo, hi in _lattice_rows(f, 6 * c * ell2 - 1):
+        up = V > 0
+        V, lo, hi = (np.concatenate(p) for p in ((V, -V[up]), (lo, -hi[up]), (hi, -lo[up])))
         keep = (V + 2 * s) % ell == 0
         v = (V[keep] + 2 * s) // ell
         u_lo = -((2 * r - lo[keep]) // ell)  # ceil((lo + 2r) / ell)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import g_squarefree, prime_mask
+from .arith import _odd_prime_mask, g_squarefree, prime_mask
 from .forms import QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form
 from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
 
@@ -156,52 +156,68 @@ def sieved_sum_exact(f: QuadraticForm, x: float, y: float, z: float) -> int:
 
 
 def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
-    """Boolean array m with m[n] True iff 1 <= n <= x is represented by f.
+    """Boolean array m with m[n] True iff 1 <= n <= x is represented by f."""
+    return _marked_values(f, x, odd=False)
 
-    Rows are taken from the reduced form, and only for v >= 0, since
-    f(-u, -v) = f(u, v) gives the other half the same values.  When a | b
-    (b = 0 or b = a), u -> -u - (b/a)v maps each row onto itself with the
-    same values, so only u >= -((b/a)v // 2) is marked.
 
+def _marked_values(f: QuadraticForm, x: float, odd: bool) -> np.ndarray:
+    """The values n <= x of f as a boolean mask, m[n] or, when odd, m[n >> 1]
+    for odd n only; entry 0 (n = 0, or n = 1 when odd) is left False.
+
+    The rows v >= 0 of the reduced form cover every value, since f(-u, -v)
+    = f(u, v).  When a | b (b = 0 or b = a), u -> -u - (b/a)v maps each row
+    onto itself with the same values, so only u >= -((b/a)v // 2) is marked.
     When also a = c, the forms (a, 0, a) and (a, a, a), the swap
     (u, v) -> (v, u) preserves f, and only u >= v is marked.  Every point
     of the domain above with u < v has a partner of the same value with
     u >= v >= 0: for 0 <= u < v it is the swap (v, u); for b = a and
     -(v // 2) <= u < 0 it is (u + v, -u), an automorphism of a(u^2 + uv +
-    v^2), with u + v >= -u since 2u >= -v (Cohen, GTM 138, 5.3)."""
+    v^2), with u + v >= -u since 2u >= -v (Cohen, GTM 138, 5.3).
+
+    As u^2 = u (mod 2), f(u, v) = u(a + bv) + cv (mod 2): if a + bv is odd, f
+    is odd at u = 1 + cv (mod 2); if not, at every u (cv odd) or at none."""
     X = math.floor(x)
-    if X < 1:
-        return np.zeros(max(X + 1, 1), dtype=bool)
     if X > _MASK_BUDGET:
         raise BudgetError(f"representation mask of size {X} exceeds budget")
+    mask = np.zeros(max(X + 1, 0) // 2 if odd else max(X + 1, 1), dtype=bool)
+    if X < 1:
+        return mask
     g = reduce_form(f)
     a, b, c = g.a, g.b, g.c
-    mask = np.zeros(X + 1, dtype=bool)
     for v, lo, hi in _lattice_rows(g, X):
-        half = v >= 0
-        v, lo, hi = v[half], lo[half], hi[half]
         if b % a == 0:
             lo = np.maximum(lo, -((b // a) * v // 2))
             if a == c:
                 lo = np.maximum(lo, v)
+        step = 1 + odd * ((a + b * v) & 1)
+        if odd:
+            lo = np.where(step == 2, lo + ((1 + c * v - lo) & 1), np.where(c * v & 1, lo, hi + 1))
         full = lo <= hi  # the cuts leave about half the rows empty
-        v, lo, hi = v[full], lo[full], hi[full]
-        for vi, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()):
-            u = np.arange(l, h + 1, dtype=np.int64)
-            mask[a * u * u + (b * vi) * u + c * vi * vi] = True
+        for vi, l, h, st in zip(*(t[full].tolist() for t in (v, lo, hi, step))):
+            u = np.arange(l, h + 1, st, dtype=np.int64)
+            n = a * u * u + (b * vi) * u + c * vi * vi
+            mask[n >> 1 if odd else n] = True
     mask[0] = False
     return mask
 
 
+def _represented_prime_flags(f: QuadraticForm, x: float) -> np.ndarray:
+    """m[k] True iff 2k + 1 <= x is a prime that f represents; m[0] (n = 1) stands for 2."""
+    X = math.floor(x)
+    m = _marked_values(f, X, odd=True)
+    m &= _odd_prime_mask(X)
+    m[:1] = X >= 2 and _marked_values(f, 2, odd=False)[2]
+    return m
+
+
 def represented_primes(f: QuadraticForm, x: float) -> np.ndarray:
     """Sorted primes <= x represented by f."""
-    rep = represented_mask(f, x)
-    return np.flatnonzero(np.logical_and(rep, prime_mask(math.floor(x)), out=rep))
+    return np.maximum(2 * np.flatnonzero(_represented_prime_flags(f, x)) + 1, 2)  # m[0] is 2
 
 
 def count_represented_primes(f: QuadraticForm, x: float) -> int:
     """pi_f(x): number of primes <= x represented by f."""
-    return int(represented_primes(f, x).size)
+    return int(np.count_nonzero(_represented_prime_flags(f, x)))
 
 
 @dataclass(frozen=True)
@@ -277,25 +293,25 @@ def prime_gap_scan(f: QuadraticForm, X: float,
     (p' - p)/(sqrt(p) log p); the maximum is taken over p >= min_p (over
     all p when no pair starts there) to keep small-prime log noise out.
     Returns (i, primes, gaps): primes is the sorted array of represented
-    primes, gaps = normalized_gaps(primes.tolist()) holds the gap of each
+    primes, gaps = normalized_gaps(primes) holds the gap of each
     pair (primes[k], primes[k + 1]), and i indexes the first maximum."""
     primes = represented_primes(f, X)
     if primes.size < 2:
         raise ValueError(f"fewer than two represented primes up to {X:g}")
-    gaps = normalized_gaps(primes.tolist())
+    gaps = normalized_gaps(primes)
     first = int(np.searchsorted(primes[:-1], min_p))
     if first == gaps.size:
         first = 0
     return first + int(np.argmax(gaps[first:])), primes, gaps
 
 
-def normalized_gaps(ps: list[int]) -> np.ndarray:
-    """(q - p)/(sqrt(p) log p) for each consecutive pair (p, q) of ps
-    (ints below 2^63), bit for bit as PrimeGapRecord.normalized_gap gives
-    it: the int-to-float conversions, sqrt, * and / are correctly rounded
-    in numpy as in math.  The logs come from math.log, since np.log
-    differs from it in the last ulp on some p."""
-    arr = np.array(ps, dtype=np.int64)
+def normalized_gaps(ps) -> np.ndarray:
+    """(q - p)/(sqrt(p) log p) for each consecutive pair (p, q) of ps, a
+    list or array of ints below 2^63, bit for bit as
+    PrimeGapRecord.normalized_gap gives it: the int-to-float conversions,
+    sqrt, * and / are correctly rounded in numpy as in math.  The logs come
+    from math.log, since np.log differs from it in the last ulp on some p."""
+    arr = np.asarray(ps, dtype=np.int64)
     p = arr[:-1]
-    logs = np.array(list(map(math.log, ps[:-1])), dtype=np.float64)
+    logs = np.array(list(map(math.log, p.tolist())), dtype=np.float64)
     return (arr[1:] - p) / (np.sqrt(p) * logs)

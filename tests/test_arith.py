@@ -311,6 +311,14 @@ def test_prime_mask_agrees_with_trial_division():
         [n for n in range(2, 5001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
 
 
+def test_odd_prime_mask_is_the_odd_half():
+    # entry k stands for 2k + 1; the even prime 2 is no entry
+    for x in (-3, 0, 1, 2, 3, 4, 9, 10, 25, 26, 4999, 5000):
+        odd = arith._odd_prime_mask(x)
+        assert odd.size == max(x + 1, 0) // 2
+        assert np.array_equal(odd, prime_mask(x)[1::2]), x
+
+
 def test_divisor_functions():
     assert divisor_tau(1) == 1 and divisor_tau3(1) == 1
     assert divisor_tau(12) == 6

@@ -78,6 +78,7 @@ def test_congruence_sum_budget():
 
 
 def test_lattice_rows_match_box_search():
+    # the kernel yields the rows v >= 0; their mirror (-u, -v) is the rest
     rng = random.Random(31)
     for _ in range(30):
         f = random_form(rng, max_a=9, max_extra=20)
@@ -89,7 +90,34 @@ def test_lattice_rows_match_box_search():
         bv = math.isqrt(4 * f.a * N // f.D) + 2
         want = {(u, v) for u in range(-bu, bu + 1) for v in range(-bv, bv + 1)
                 if f(u, v) <= N}
-        assert got == want
+        assert got == {(u, v) for u, v in want if v >= 0}
+        assert got | {(-u, -v) for u, v in got} == want
+
+
+def test_half_plane_kernel_matches_brute_oracles(monkeypatch):
+    """Every consumer of the half-plane rows against a full-plane oracle,
+    with chunks of 5 rows, so that row 0 and the chunk seams are crossed."""
+    monkeypatch.setattr(latticesums, "_ROW_CHUNK", 5)
+    monkeypatch.setattr(latticesums, "_WINDOW_BLOCK", 40)
+    rng = random.Random(1616)
+    for _ in range(12):
+        f = reduce_form(random_form(rng, max_a=4, max_extra=8))
+        ell, x = rng.randint(1, 9), rng.uniform(30.0, 500.0)
+        assert congruence_sum_exact(f, ell, x) == brute_congruence_sum(f, ell, x), (f, ell, x)
+        lo = rng.randint(-2, 150)
+        hi = lo + rng.randint(0, 120)
+        assert _histogram(f, lo, hi)[1] == [brute_rf(f, n) for n in range(max(lo, -1) + 1, hi + 1)]
+        ell = rng.randint(2, 5)
+        r, s = rng.randrange(ell), rng.randrange(1, ell)  # s != 0: V's rows kept are lopsided
+        assert translation_exception_count(f, ell, r, s) == brute_exception_count(f, ell, r, s)
+        # the Poisson direct side equals the full-plane box sum bit for bit
+        t = rng.choice((0.5, 1.0, 2.0))
+        ncut = int(46.0 / (math.pi * t)) + 40
+        box = math.isqrt(4 * max(f.a, f.c) * ncut // f.D) + 2
+        want = math.fsum(math.exp(-math.pi * t * n)
+                         for u in range(-box, box + 1) for v in range(-box, box + 1)
+                         for n in (f(u, v),) if n <= ncut and n % ell == 0)
+        assert poisson_identity_check(f, ell, t)[0] == want, (f, ell, t)
 
 
 def _histogram(f, lo, hi):

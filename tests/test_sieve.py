@@ -169,15 +169,43 @@ def test_pi_f_examples():
 
 
 def test_pi_f_consistency_with_per_prime_rf():
-    for D in range(3, 101):
-        if D % 4 not in (0, 3):
-            continue
-        for f in enumerate_reduced_forms(D):
-            via_mask = set(represented_primes(f, 2000).tolist())
-            mask = prime_mask(2000)
-            via_rf = {p for p in range(2, 2001)
-                      if mask[p] and representation_count(f, p) > 0}
-            assert via_mask == via_rf
+    """Every reduced form with D <= 100, forms that represent 2 and forms
+    that do not, and one non-reduced input, prime by prime against r_f."""
+    mask = prime_mask(2000)
+    twos = set()
+    forms = [f for D in range(3, 101) if D % 4 in (0, 3) for f in enumerate_reduced_forms(D)]
+    for f in forms + [QuadraticForm(2, 2, 3).transform(2, 1, 1, 1)]:  # the last not reduced
+        via_rf = [p for p in range(2, 2001) if mask[p] and representation_count(f, p) > 0]
+        for X in (0, 1, 2, 3, 4, 5, 1000, 2000):
+            want = [p for p in via_rf if p <= X]
+            assert represented_primes(f, X).tolist() == want, (f, X)
+            assert count_represented_primes(f, X) == len(want), (f, X)
+        twos.add(2 in via_rf)
+    assert twos == {True, False}
+
+
+def test_pi_f_class_number_two_by_residues():
+    """D = 20 has two classes, told apart by p mod 20 (Cox, Primes of the
+    Form x^2 + ny^2, Ch. 1, 3): u^2 + 5v^2 represents 5 and the p = 1, 9
+    (mod 20); 2u^2 + 2uv + 3v^2 represents 2 and the p = 3, 7 (mod 20)."""
+    x = 10**6
+    primes = np.flatnonzero(prime_mask(x))
+    for f, ramified, classes in ((QuadraticForm(1, 0, 5), 5, (1, 9)),
+                                 (QuadraticForm(2, 2, 3), 2, (3, 7))):
+        want = np.union1d([ramified], primes[np.isin(primes % 20, classes)])
+        assert np.array_equal(represented_primes(f, x), want), f
+        assert count_represented_primes(f, x) == want.size
+
+
+def test_pi_f_odd_path_matches_whole_masks():
+    """The odd-only marks and sieve against the whole represented mask ANDed
+    with the whole prime mask, for u^2 + 14v^2 at 2e5 (D = 56 has two
+    classes per genus, which no residue rule tells apart)."""
+    x = 200_000
+    f = QuadraticForm(1, 0, 14)
+    want = np.flatnonzero(represented_mask(f, x) & prime_mask(x))
+    assert np.array_equal(represented_primes(f, x), want)
+    assert count_represented_primes(f, x) == want.size
 
 
 def test_bt_bound_example():
@@ -360,12 +388,14 @@ def test_represented_mask_matches_brute_values():
 
 def _full_row_mask(f, X):
     """Values of f on every row of the ellipse f <= X, both signs of v and
-    the whole u-range: no symmetry of the form is used."""
+    the whole u-range: no symmetry of the form is used beyond the row
+    kernel's own, whose row -v is row v mirrored."""
     want = np.zeros(X + 1, dtype=bool)
     for v, lo, hi in _lattice_rows(f, X):
         for vi, l, h in zip(v.tolist(), lo.tolist(), hi.tolist()):
-            u = np.arange(l, h + 1, dtype=np.int64)
-            want[f.a * u * u + f.b * vi * u + f.c * vi * vi] = True
+            for sign in (1, -1):
+                u = sign * np.arange(l, h + 1, dtype=np.int64)
+                want[f.a * u * u + f.b * (sign * vi) * u + f.c * vi * vi] = True
     want[0] = False
     return want
 
