@@ -86,7 +86,8 @@ def _grid_arg(text: str) -> list[float]:
     return [start + (stop - start) * i / (points - 1) for i in range(points)]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: tuple[str, str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one (group, action) command."""
     # the same options are accepted before and after the subcommand; SUPPRESS
     # keeps the leaf parser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
@@ -100,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True)
     actions = {}
     for (group, action), (_, options) in _COMMANDS.items():
+        if command not in (None, (group, action)):
+            continue
         if group not in actions:
             actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
         leaf = actions[group].add_parser(action, parents=[common])
@@ -134,8 +137,11 @@ def _load_config(path: str, key: tuple[str, str], options: dict, parser) -> dict
 
 def parse_invocation(argv) -> CommandPlan:
     """Validate argv into an executable plan; exits with status 2 on usage
-    errors.  Precedence: command line > config file > built-in defaults."""
-    parser = build_parser()
+    errors.  Precedence: command line > config file > built-in defaults.
+    Only the command that argv names, the first adjacent (group, action)
+    pair of its words, has its parser built, which halves the start-up
+    parse; without one (--help, an unknown command) every command's is."""
+    parser = build_parser(next((pair for pair in zip(argv, argv[1:]) if pair in _COMMANDS), None))
     ns = parser.parse_args(argv)
     given = dict(vars(ns))
     group = given.pop("group")

@@ -236,63 +236,76 @@ def _quarter_grid(n_terms: int, x0: float) -> tuple[np.ndarray, np.ndarray, np.n
     """Edges 0, the zeros (2i+1)/4 of cos(2*pi*x) below x0, and x0; and for
     j = 1..n_terms, Phi_j at the edges and its increments between them.
 
-    At the zeros, and at x0 = 40, both Si arguments are multiples of pi/2,
-    which _si reads from its table.  An increment is the difference of the
-    two Si differences, so it rounds relative to its own size rather than
-    to Phi_j ~ pi/(8m).
+    At the zeros both Si arguments are multiples k*pi/2, gathered from the
+    table of _si_half_pi; x0 takes _si_pair, since it may move off the grid.
+    An increment is the difference of the two Si differences, so it rounds
+    relative to its own size rather than to Phi_j ~ pi/(8m).
     """
     edges = np.array([0.0, *np.arange(0.25, x0, 0.5).tolist(), x0])
+    k = np.rint(4.0 * edges).astype(int)  # Si(pi(m +- 4x)/2) = +-Si(|m +- k| pi/2)
+    table = np.array([_si_half_pi(i) for i in range(k[-1] + 2 * n_terms)])
     phi, steps = [], []
     for j in range(1, n_terms + 1):
-        plus, minus = np.array([_si_pair(2 * j - 1, x) for x in edges.tolist()]).T
+        m = 2 * j - 1
+        plus, minus = table[m + k], np.sign(m - k) * table[np.abs(m - k)]
+        plus[-1], minus[-1] = _si_pair(m, x0)
         phi.append(_phi_weight(j) * (plus - minus))
         steps.append(_phi_weight(j) * (np.diff(plus) - np.diff(minus)))
     return edges, np.array(phi), np.array(steps)
 
 
-def _real_roots(poly, lo: float, hi: float) -> list[float]:
-    """Real roots in (lo, hi), ascending, of the polynomial with ascending
-    coefficients poly.  A coefficient below 1e-13 of the largest counts as
-    zero; a linear polynomial is solved directly, a longer one by the
-    eigenvalues of its companion matrix as numpy's polycompanion lays it out;
-    a root within 1e-9 of the real line counts as real."""
-    scale = max(map(abs, poly), default=0.0)
-    p = [float(c) if abs(c) > 1e-13 * scale else 0.0 for c in poly]
-    while p and not p[-1]:
-        p.pop()
-    if len(p) < 2:
-        return []
-    if len(p) == 2:
-        roots = [-p[0] / p[1]]
-    else:
-        mat = np.eye(len(p) - 1, k=-1)
-        mat[:, -1] -= [c / p[-1] for c in p[:-1]]
-        roots = np.linalg.eigvals(mat).tolist()
-    return sorted(r.real for r in roots if abs(r.imag) < 1e-9 and lo < r.real < hi)
+def _real_roots(polys, lo: float, hi: float) -> list[list[float]]:
+    """For each polynomial of polys (ascending coefficients), its real roots
+    in (lo, hi), ascending.  A coefficient below 1e-13 of its largest counts
+    as zero; a linear polynomial is solved directly, a longer one by the
+    eigenvalues of its companion matrix (numpy's polycompanion layout), one
+    eigvals call per size; a root within 1e-9 of the real line counts as real."""
+    roots: dict[int, list] = {}
+    stacks: dict[int, list] = {}  # companion size -> [(index, coefficients / top)]
+    for i, poly in enumerate(polys):
+        scale = max(map(abs, poly), default=0.0)
+        p = [float(c) if abs(c) > 1e-13 * scale else 0.0 for c in poly]
+        while p and not p[-1]:
+            p.pop()
+        if len(p) == 2:
+            roots[i] = [-p[0] / p[1]]
+        elif len(p) > 2:
+            stacks.setdefault(len(p) - 1, []).append((i, [c / p[-1] for c in p[:-1]]))
+    for size, stack in stacks.items():
+        index, columns = zip(*stack)
+        mats = np.tile(np.eye(size, k=-1), (len(index), 1, 1))
+        mats[:, :, -1] -= columns
+        roots.update(zip(index, np.linalg.eigvals(mats).tolist()))
+    return [sorted(r.real for r in roots.get(i, []) if abs(r.imag) < 1e-9 and lo < r.real < hi)
+            for i in range(len(polys))]
 
 
-def _rational_part_roots(coeffs) -> list[float]:
-    """Positive x where sum a_j/(m_j^2 - 16x^2) vanishes, ascending.
+def _rational_part_roots(tuples) -> list[list[float]]:
+    """Positive x where sum a_j/(m_j^2 - 16x^2) vanishes, ascending, per tuple.
 
     Over the nonzero terms the sum is N(y) / prod_j (m_j^2 - 16y) in y = x^2,
     with N(y) = sum_j a_j prod_{k != j} (m_k^2 - 16y).  The a_j are first
     divided by a power of two near their largest size, which is exact and
-    keeps N finite; N is built in ascending powers of y and its positive real
-    roots return as x = sqrt(y).
+    keeps N finite; the N of tuples with the same nonzero terms are built as
+    the rows of one matrix, and their positive real roots return as sqrt(y).
     """
-    terms = [(2 * j - 1, aj) for j, aj in enumerate(coeffs, start=1) if aj]
-    if not terms:
-        return []
-    _, e = math.frexp(max(abs(aj) for _, aj in terms))
-    total = [0.0] * len(terms)
-    for j, (_, aj) in enumerate(terms):
-        poly = [1.0]
-        for k, (mk, _) in enumerate(terms):
-            if k != j:  # times (m_k^2 - 16y)
-                poly = [mk * mk * c1 - 16.0 * c0 for c0, c1 in zip([0.0, *poly], [*poly, 0.0])]
-        aj = math.ldexp(aj, -e)
-        total = [t + aj * c for t, c in zip(total, poly)]
-    return [math.sqrt(y) for y in _real_roots(total, 0.0, math.inf)]
+    numers = [[] for _ in tuples]
+    patterns: dict[tuple, list[int]] = {}
+    for i, coeffs in enumerate(tuples):
+        patterns.setdefault(tuple(j for j, aj in enumerate(coeffs) if aj), []).append(i)
+    for nonzero, index in patterns.items():
+        a = np.array([[tuples[i][j] for j in nonzero] for i in index], dtype=np.float64)
+        a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=1, initial=0.0))[1][:, None])
+        total = np.zeros(a.shape)
+        for j in range(len(nonzero)):
+            poly = [1.0]
+            for k in nonzero[:j] + nonzero[j + 1:]:  # times (m_k^2 - 16y)
+                poly = [(2 * k + 1) ** 2 * c1 - 16.0 * c0
+                        for c0, c1 in zip([0.0, *poly], [*poly, 0.0])]
+            total = total + a[:, j, None] * poly
+        for i, row in zip(index, total.tolist()):
+            numers[i] = row
+    return [[math.sqrt(y) for y in ys] for ys in _real_roots(numers, 0.0, math.inf)]
 
 
 def h_l1_norm(coeffs) -> float:
@@ -308,11 +321,15 @@ def h_l1_norm(coeffs) -> float:
     (largest root) + 10 when a root lies beyond 39.  The tail beyond X0 uses
     the mean of |cos| against the exact integral of the rational part, valid
     once the rational part has constant sign; the neglected oscillatory
-    remainder is of order sum|a_j| / X0^2, far below the acceptance
-    tolerances here.
+    remainder falls like X0^-3 and at X0 = 40 is 1.5e-9 to 1.2e-8 relative
+    on the five reference rows, far below the acceptance tolerances here.
     """
+    return _l1_norm(coeffs, _rational_part_roots([coeffs])[0])
+
+
+def _l1_norm(coeffs, roots) -> float:
+    """h_l1_norm given the sign changes of the rational part."""
     x0 = 40.0
-    roots = _rational_part_roots(coeffs)
     if roots and roots[-1] >= x0 - 1.0:
         x0 = 1.5 * roots[-1] + 10.0
     edges, grid_phi, grid_steps = _quarter_grid(len(coeffs), x0)
@@ -335,8 +352,7 @@ def h_l1_norm(coeffs) -> float:
         aj / (8.0 * (2 * j - 1)) * math.log((4 * x0 - (2 * j - 1)) / (4 * x0 + (2 * j - 1)))
         for j, aj in enumerate(coeffs, start=1) if aj
     )
-    tail = 2.0 * (2.0 / math.pi) * abs(tail_main)
-    return 2.0 * half_line + tail
+    return 2.0 * half_line + 2.0 * (2.0 / math.pi) * abs(tail_main)
 
 
 # ----- functionals -----------------------------------------------------------
@@ -364,26 +380,26 @@ class FunctionalReport:
                 "A": self.A, "j_plus": self.j_plus, "j_abs": self.j_abs}
 
 
-def _hat_roots(coeffs) -> list[float]:
-    """Sign changes of H-hat in (0, 1), ascending.
+def _hat_roots(tuples) -> list[list[float]]:
+    """Sign changes of H-hat in (0, 1), ascending, per tuple (all of one length).
 
     In c = cos(pi*t/2), H-hat is the Chebyshev series
     sum a_j (-1)^(j-1) (pi/(4m)) T_m(c).  Every T_m is odd, so the series
     over c is a polynomial in y = c^2: T_(2j-1)(c)/c = g_j(y) with
-    g_0 = g_1 = 1 and g_(j+1) = (4y - 2) g_j - g_(j-1).  Its roots y in
-    (0, 1) map back to t = (2/pi) acos(sqrt(y)); the root c = 0 (t = 1) is
-    divided out.  A root where H-hat keeps its sign only splits a piece of
-    one sign, which leaves the tails unchanged.
+    g_0 = g_1 = 1 and g_(j+1) = (4y - 2) g_j - g_(j-1), one matrix row a
+    tuple.  Its roots y in (0, 1) map back to t = (2/pi) acos(sqrt(y)); the
+    root c = 0 (t = 1) is divided out.  A root where H-hat keeps its sign
+    only splits a piece of one sign, which leaves the tails unchanged.
     """
-    total = [0.0] * len(coeffs)
+    total = np.zeros((len(tuples), len(tuples[0]) if tuples else 0))
     g_prev, g = [1.0], [1.0]
-    for j, aj in enumerate(coeffs, start=1):
-        bj = (aj if j % 2 else -aj) * math.pi / (4.0 * (2 * j - 1))
-        for i, c in enumerate(g):
-            total[i] += bj * c
+    for j in range(1, total.shape[1] + 1):
+        b = [(c[j - 1] if j % 2 else -c[j - 1]) * math.pi / (4.0 * (2 * j - 1)) for c in tuples]
+        total[:, :j] += np.multiply.outer(b, g)
         g_prev, g = g, [4.0 * c0 - 2.0 * c1 - c2
                         for c0, c1, c2 in zip([0.0, *g], [*g, 0.0], [*g_prev, 0.0, 0.0])]
-    return [2.0 / math.pi * math.acos(math.sqrt(y)) for y in _real_roots(total, 0.0, 1.0)[::-1]]
+    return [[2.0 / math.pi * math.acos(math.sqrt(y)) for y in ys[::-1]]
+            for ys in _real_roots(total.tolist(), 0.0, 1.0)]
 
 
 def _hat_tails(coeffs, lam: float, roots=None) -> tuple[float, float]:
@@ -401,7 +417,7 @@ def _hat_tails(coeffs, lam: float, roots=None) -> tuple[float, float]:
     terms = [(0.25 * math.pi * (2 * j - 1), aj / (2 * j - 1) ** 2)
              for j, aj in enumerate(coeffs, start=1) if aj]
     if roots is None:
-        roots = _hat_roots(coeffs)
+        roots = _hat_roots([coeffs])[0]
     edges = [lam, *(r for r in roots if r > lam), 1.0]
     pieces = [math.fsum(w * math.sin(k * ((1.0 - a) + (1.0 - b))) * math.sin(k * (b - a))
                         for k, w in terms) for a, b in zip(edges, edges[1:])]
@@ -494,12 +510,14 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
     exhausted = False
     memo: dict[tuple, tuple] = {}  # (F(0), ||H||_1, H-hat sign changes) per tuple; lam-free
 
+    def fill(tuples):
+        tuples = [c for c in tuples if any(c) and c not in memo]
+        for c, x, t in zip(tuples, _rational_part_roots(tuples), _hat_roots(tuples)):
+            memo[c] = (_h_at_zero(c), _l1_norm(c, x), t)
+
     def objective(coeffs, lam):
         nonlocal evals
         evals += 1
-        if coeffs not in memo:
-            memo[coeffs] = (_h_at_zero(coeffs), h_l1_norm(coeffs),
-                            _hat_roots(coeffs))
         f0, norm, roots = memo[coeffs]
         tp, _ = _hat_tails(coeffs, lam, roots)
         return (f0 - A * tp) / (lam * norm)
@@ -508,6 +526,7 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
         tuple((list(c) + [0.0] * n_terms)[:n_terms]) for c, _ in _SEED_ANCHORS
     ]
     seed_lams = [1.0] + [l for _, l in _SEED_ANCHORS]
+    fill(seeds)  # one batched root solve for the seeds, then one before each sweep
     best = (-math.inf, (), 0.0)
 
     def refine_lam(coeffs, lam):
@@ -531,17 +550,18 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
         while improved and evals < budget:
             improved = False
             for i in range(n_terms):
+                cands = [coeffs[:i] + (coeffs[i] + step,) + coeffs[i + 1:] for step in _STEPS]
+                if evals < budget:
+                    fill(cands)  # a budget break mid-sweep leaves a few unevaluated
                 cand_best = None
-                for step in _STEPS:
+                for cand in cands:
                     if evals >= budget:
                         break
-                    cand = list(coeffs)
-                    cand[i] += step
                     if not any(cand):
                         continue
-                    j = objective(tuple(cand), lam)
+                    j = objective(cand, lam)
                     if j > j_cur + 1e-12 and (cand_best is None or j > cand_best[0]):
-                        cand_best = (j, tuple(cand))
+                        cand_best = (j, cand)
                 if cand_best is not None:
                     j_cur, coeffs = cand_best
                     improved = True
@@ -584,7 +604,7 @@ def gauss_poly_report(fn: GaussPolyFn, A: float) -> FunctionalReport:
     part of F-hat (exact for even F; F-hat is complex Hermitian otherwise)."""
     p = np.asarray(fn.poly_coeffs, dtype=np.float64)
     f0 = float(p[0])
-    edges = [-_GAUSS_CUT] + _real_roots(p, -_GAUSS_CUT, _GAUSS_CUT) + [_GAUSS_CUT]
+    edges = [-_GAUSS_CUT, *_real_roots([p], -_GAUSS_CUT, _GAUSS_CUT)[0], _GAUSS_CUT]
     l1, _ = quad_segments(lambda x: np.abs(fn(x)), edges, tol=_GAUSS_QUAD_TOL, max_panels=2000)
 
     hat = gauss_poly_hat_coeffs(fn.poly_coeffs)
@@ -594,8 +614,8 @@ def gauss_poly_report(fn: GaussPolyFn, A: float) -> FunctionalReport:
         return np.polynomial.polynomial.polyval(t, hat) * np.exp(-math.pi * t * t)
 
     # |F-hat| bends where Re Q or Im Q changes sign
-    re_roots = _real_roots(hat.real, 1.0, _GAUSS_CUT)
-    bends = sorted({*re_roots, *_real_roots(hat.imag, 1.0, _GAUSS_CUT)})
+    re_roots, im_roots = _real_roots([hat.real, hat.imag], 1.0, _GAUSS_CUT)
+    bends = sorted({*re_roots, *im_roots})
     tail_abs = 2.0 * quad_segments(lambda t: np.abs(hat_vals(t)), [1.0, *bends, _GAUSS_CUT],
                                    tol=_GAUSS_QUAD_TOL, max_panels=2000)[0]
     tail_pos = 2.0 * quad_segments(lambda t: np.maximum(np.real(hat_vals(t)), 0.0),
@@ -618,7 +638,7 @@ def dn_estimate(n: int, budget: int = 3000) -> float:
         evals += 1
         fn = GaussPolyFn(tuple(coeffs))
         abs_fn = lambda x: np.abs(fn(x))
-        roots = _real_roots(coeffs, -_GAUSS_CUT, _GAUSS_CUT)
+        roots = _real_roots([coeffs], -_GAUSS_CUT, _GAUSS_CUT)[0]
         inner, _ = quad_segments(abs_fn, [-1.0] + [r for r in roots if -1.0 < r < 1.0] + [1.0],
                                  tol=_GAUSS_QUAD_TOL, max_panels=2000)
         # |F| beyond -1 and beyond 1, folded onto [1, _GAUSS_CUT]

@@ -287,6 +287,32 @@ def test_parser_help_covers_all_groups():
         assert word in help_text
 
 
+def test_one_command_parser_gives_the_full_parsers_plan(monkeypatch, capsys):
+    argvs = [
+        ["--format", "csv", "--out", "x.csv", "fourier", "search", "--A", "5", "--terms", "1"],
+        ["fourier", "report", "--coeffs", "68,-5,1", "--A", "28", "--lam", "0.5"],
+        ["--config", "c.json", "repr", "rf", "--form", "1,0,1", "--n", "5", "--out", "o"],
+        ["verify", "fast", "--out", "report.txt"],
+        ["sieve", "gaps", "--form", "1,1,2", "--x", "1e3", "--format", "csv"],
+    ]
+    monkeypatch.setattr(cli, "_load_config", lambda *args: {})
+    plans = [parse_invocation(argv) for argv in argvs]
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                        or build_parser())
+    assert [parse_invocation(argv) for argv in argvs] == plans
+    assert built == [("fourier", "search"), ("fourier", "report"), ("repr", "rf"),
+                     ("verify", "fast"), ("sieve", "gaps")]
+    for argv, status in ((["--help"], 0), (["fourier", "--help"], 0), (["fourier", "nope"], 2),
+                         (["fourier", "search", "--help"], 0)):
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            parse_invocation(argv)
+        assert exc.value.code == status
+        assert built == [("fourier", "search") if "search" in argv else None]
+    assert "tables" in capsys.readouterr().out
+
+
 def test_parallel_sweep_is_deterministic(monkeypatch, capsys):
     argv = ["repr", "error-scaling", "--form", "2,1,3", "--ell", "3",
             "--grid", "1e3:3e4:5:log"]

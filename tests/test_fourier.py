@@ -171,12 +171,12 @@ def _rational_part(coeffs, x):
 
 
 def test_rational_part_roots():
-    roots = _rational_part_roots((270.0, 21.0, 4.0))
+    roots = _rational_part_roots([(270.0, 21.0, 4.0)])[0]
     assert roots == pytest.approx([0.7254, 1.2421], abs=1e-4)
-    assert _rational_part_roots((81.0, -69.0, 0.0)) == pytest.approx([math.sqrt(3.4375)])
+    assert _rational_part_roots([(81.0, -69.0, 0.0)])[0] == pytest.approx([math.sqrt(3.4375)])
     for _, coeffs, _, _ in TABLE_ROWS:
         scale = sum(abs(a) for a in coeffs)
-        for r in _rational_part_roots(coeffs):
+        for r in _rational_part_roots([coeffs])[0]:
             assert abs(_rational_part(coeffs, r)) < 1e-12 * scale, (coeffs, r)
 
 
@@ -226,7 +226,7 @@ def _x0(roots):
 def l1_by_gk15(coeffs, tol):
     """||H||_1 with |H| integrated by the adaptive GK15 driver on the same
     edges, X0 and tail model as the closed form."""
-    roots = _rational_part_roots(coeffs)
+    roots = _rational_part_roots([coeffs])[0]
     x0 = _x0(roots)
     edges = sorted({0.0, x0, *roots, *np.arange(0.25, x0, 0.5).tolist()})
     body, _ = quad_segments(lambda x: np.abs(eval_h(coeffs, x)), edges, tol=tol,
@@ -243,7 +243,7 @@ def test_h_l1_norm_with_moved_x0_against_scipy_oracle():
     # (9 - 0.9997) / (16 * 0.0003): the rational part changes sign at 40.83,
     # so X0 moves to 1.5 * 40.83 + 10, off the quarter grid
     coeffs = (1.0, -0.9997)
-    roots = _rational_part_roots(coeffs)
+    roots = _rational_part_roots([coeffs])[0]
     assert roots == pytest.approx([40.8256], abs=1e-4)
     assert abs(h_l1_norm(coeffs) - l1_oracle(coeffs, x0=_x0(roots))) <= 1e-9
 
@@ -276,13 +276,28 @@ def test_rational_part_roots_are_scale_free():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for coeffs in [row[1] for row in TABLE_ROWS] + [(1.0, -0.9997), (0.0, 3.0, -7.5)]:
-            roots = _rational_part_roots(coeffs)
+            roots = _rational_part_roots([coeffs])[0]
             for e in (-1000, -3, 900):
-                assert _rational_part_roots([math.ldexp(a, e) for a in coeffs]) == roots
+                assert _rational_part_roots([[math.ldexp(a, e) for a in coeffs]])[0] == roots
         # once overflowed to inf; the small terms fall below the trim
         big = (1e305, 1.0, 3.0, 2.0, 1.0)
-        assert _rational_part_roots(big) == pytest.approx([0.75, 1.25, 1.75, 2.25])
+        assert _rational_part_roots([big])[0] == pytest.approx([0.75, 1.25, 1.75, 2.25])
         assert h_l1_norm(big) / 1e305 == pytest.approx(h_l1_norm((1.0,)), rel=1e-14)
+
+
+@pytest.mark.parametrize("x0", [40.0, 70.25, "moved"])
+def test_quarter_grid_matches_si_pair_at_every_edge(x0):
+    if x0 == "moved":  # as h_l1_norm moves it for (1, -0.9997): off the grid
+        x0 = 1.5 * _rational_part_roots([(1.0, -0.9997)])[0][-1] + 10.0
+    for n_terms in range(1, 6):
+        edges, phi, steps = fourier._quarter_grid(n_terms, x0)
+        assert edges[-1] == x0
+        for j in range(1, n_terms + 1):
+            plus, minus = np.array([fourier._si_pair(2 * j - 1, x) for x in edges.tolist()]).T
+            weight = fourier._phi_weight(j)
+            assert phi[j - 1].tobytes() == (weight * (plus - minus)).tobytes(), (n_terms, j)
+            want = weight * (np.diff(plus) - np.diff(minus))
+            assert steps[j - 1].tobytes() == want.tobytes(), (n_terms, j)
 
 
 def test_hat_h_inversion_and_support():
@@ -349,7 +364,7 @@ def test_hat_roots_bracket_every_sign_change():
     grid = np.linspace(0.0, 1.0, 100_001)[1:-1]
     for _ in range(30):
         coeffs = _random_tuple(rng)
-        roots = np.array(_hat_roots(coeffs))
+        roots = np.array(_hat_roots([coeffs])[0])
         assert np.all(np.diff(roots) > 0) and np.all((roots > 0) & (roots <= 1))
         vals = hat_h(coeffs, grid)
         for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
@@ -371,18 +386,55 @@ def test_real_roots_against_polyroots():
         pairs = rng.uniform(-5, 5, n_pairs) + 1j * rng.uniform(0.1, 3, n_pairs)
         coeffs = poly.polyfromroots([*real, *pairs, *pairs.conj()]).real * rng.uniform(-50, 50)
         lo, hi = sorted(rng.uniform(-7, 7, 2))
-        got = _real_roots(coeffs, lo, hi)
+        got = _real_roots([coeffs], lo, hi)[0]
         want = sorted(r.real for r in poly.polyroots(coeffs)
                       if abs(r.imag) < 1e-9 and lo < r.real < hi)
         assert got == pytest.approx(want, rel=0, abs=1e-12), coeffs
         inside = real[(real > lo + 1e-6) & (real < hi - 1e-6)].tolist()
         assert [r for r in got if lo + 1e-6 < r < hi - 1e-6] == pytest.approx(inside, abs=1e-6)
         # a top coefficient below 1e-13 of the largest counts as zero
-        assert _real_roots([*coeffs, 1e-14 * np.abs(coeffs).max()], lo, hi) == got
-    assert _real_roots([-3.0, 2.0], 0.0, 2.0) == [1.5]
-    assert _real_roots([-3.0, 2.0], 1.5, 2.0) == []
-    assert _real_roots([2.0], -1.0, 1.0) == _real_roots([0.0, 0.0], -1.0, 1.0) == []
-    assert _real_roots([-1.0, 0.0, 1.0], -2.0, 2.0) == pytest.approx([-1.0, 1.0])
+        assert _real_roots([[*coeffs, 1e-14 * np.abs(coeffs).max()]], lo, hi)[0] == got
+    assert _real_roots([[-3.0, 2.0]], 0.0, 2.0)[0] == [1.5]
+    assert _real_roots([[-3.0, 2.0]], 1.5, 2.0)[0] == []
+    assert _real_roots([[2.0]], -1.0, 1.0)[0] == _real_roots([[0.0, 0.0]], -1.0, 1.0)[0] == []
+    assert _real_roots([[-1.0, 0.0, 1.0]], -2.0, 2.0)[0] == pytest.approx([-1.0, 1.0])
+
+
+def _real_roots_one_at_a_time(poly, lo, hi):
+    """The finder on one polynomial: the same trim, then one eigvals call on
+    its own companion matrix, as numpy's polycompanion lays it out."""
+    scale = max(map(abs, poly), default=0.0)
+    p = [float(c) if abs(c) > 1e-13 * scale else 0.0 for c in poly]
+    while p and not p[-1]:
+        p.pop()
+    if len(p) < 2:
+        return []
+    if len(p) == 2:
+        roots = [-p[0] / p[1]]
+    else:
+        mat = np.eye(len(p) - 1, k=-1)
+        mat[:, -1] -= [c / p[-1] for c in p[:-1]]
+        roots = np.linalg.eigvals(mat).tolist()
+    return sorted(r.real for r in roots if abs(r.imag) < 1e-9 and lo < r.real < hi)
+
+
+def test_stacked_real_roots_match_one_eigvals_call_each():
+    rng = np.random.default_rng(16)
+    polys = []
+    for _ in range(600):
+        poly = rng.uniform(-50, 50, int(rng.integers(1, 7))) * 10.0 ** rng.integers(-3, 4)
+        # zero or sub-trim top coefficients, so some trim to linear or constant
+        top = int(rng.integers(0, len(poly)))
+        poly[len(poly) - top:] = rng.choice([0.0, 1e-15 * np.abs(poly).max()])
+        polys.append(poly.tolist())
+    trimmed = {len(np.trim_zeros(np.where(np.abs(p) > 1e-13 * np.abs(p).max(), p, 0.0), "b"))
+               for p in polys}
+    assert trimmed == {1, 2, 3, 4, 5, 6}
+    polys[300:300] = [[0.0, 0.0, 0.0], []]
+    for lo, hi in ((-math.inf, math.inf), (0.0, 1.0), (-3.0, 8.0)):
+        want = [_real_roots_one_at_a_time(p, lo, hi) for p in polys]
+        assert _real_roots(polys, lo, hi) == want
+    assert _real_roots([], 0.0, 1.0) == []
 
 
 def _hat_roots_by_chebroots(coeffs):
@@ -401,11 +453,11 @@ def test_hat_roots_against_chebroots():
     for _ in range(200):
         coeffs = _random_tuple(rng)
         want = _hat_roots_by_chebroots(coeffs)
-        assert _hat_roots(coeffs) == pytest.approx(want, rel=0, abs=1e-12), coeffs
+        assert _hat_roots([coeffs])[0] == pytest.approx(want, rel=0, abs=1e-12), coeffs
     # here c = 0 is a triple root, H-hat = -66 pi c^3 < 0 on (0, 1): chebroots
     # splits the triple root and keeps one piece 2.5e-6 from t = 1
     assert _hat_roots_by_chebroots((-198.0, 198.0)) == pytest.approx([1.0 - 2.466e-6], abs=1e-9)
-    assert _hat_roots((-198.0, 198.0)) == []
+    assert _hat_roots([(-198.0, 198.0)])[0] == []
     assert np.all(hat_h((-198.0, 198.0), np.linspace(0.0, 1.0, 10001)[:-1]) < 0)
 
 
@@ -414,22 +466,22 @@ def test_hat_roots_are_scale_free():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for coeffs in [row[1] for row in TABLE_ROWS] + [_random_tuple(rng) for _ in range(50)]:
-            roots = _hat_roots(coeffs)
+            roots = _hat_roots([coeffs])[0]
             for e in (-1000, -3, 900):
-                assert _hat_roots([math.ldexp(a, e) for a in coeffs]) == roots, (coeffs, e)
+                assert _hat_roots([[math.ldexp(a, e) for a in coeffs]])[0] == roots, (coeffs, e)
 
 
 def test_hat_tails_edge_cases():
     assert _hat_tails((68.0, 5.0, 1.0), 1.0) == (0.0, 0.0)
     assert _hat_tails((68.0, 5.0, 1.0), 1.05) == (0.0, 0.0)
     # (1,): H-hat = (pi/4) cos(pi t/2) > 0, both tails 1 - sin(pi lam/2)
-    assert _hat_roots((1.0,)) == []
+    assert _hat_roots([(1.0,)])[0] == []
     for lam in (0.1, 0.5, 0.99):
         want = 1.0 - math.sin(0.5 * math.pi * lam)
         assert _hat_tails((1.0,), lam) == pytest.approx((want, want), rel=1e-14)
     # (0, 0, 1): H-hat = (pi/20) cos(5 pi t/2) changes sign at 0.2 and 0.6;
     # its pieces from 0.1 are (1 - sin(pi/4))/50, -2/50 and 2/50
-    assert _hat_roots((0.0, 0.0, 1.0)) == pytest.approx([0.2, 0.6], abs=1e-14)
+    assert _hat_roots([(0.0, 0.0, 1.0)])[0] == pytest.approx([0.2, 0.6], abs=1e-14)
     first = (1.0 - math.sqrt(0.5)) / 50.0
     assert _hat_tails((0.0, 0.0, 1.0), 0.1) == pytest.approx(
         (2.0 * (first + 0.04), 2.0 * (first + 0.08)), rel=1e-14)
@@ -533,33 +585,78 @@ def test_greedy_search_budget_flag():
 
 
 def test_greedy_search_norm_once_per_tuple(monkeypatch):
-    calls = []
-    roots = []
-    real = fourier.h_l1_norm
-    real_roots = fourier._hat_roots
+    # the search solves for the rational parts' and H-hat's roots of a
+    # sweep's candidates in one batch each; the log interleaves those
+    # batches with the evaluations, each of which computes the tails
+    log = []
+    real_rational, real_roots, real_tails = (
+        fourier._rational_part_roots, fourier._hat_roots, fourier._hat_tails)
 
-    def counted(coeffs):
-        calls.append(tuple(coeffs))
-        return real(coeffs)
+    def counted_rational(tuples):
+        log.append(("rational", tuple(tuples)))
+        return real_rational(tuples)
 
-    def counted_roots(coeffs):
-        roots.append(tuple(coeffs))
-        return real_roots(coeffs)
+    def counted_roots(tuples):
+        log.append(("roots", tuple(tuples)))
+        return real_roots(tuples)
 
-    monkeypatch.setattr(fourier, "h_l1_norm", counted)
+    def counted_tails(coeffs, lam, roots=None):
+        log.append(("eval", coeffs))
+        return real_tails(coeffs, lam, roots)
+
+    monkeypatch.setattr(fourier, "_rational_part_roots", counted_rational)
     monkeypatch.setattr(fourier, "_hat_roots", counted_roots)
+    monkeypatch.setattr(fourier, "_hat_tails", counted_tails)
     for budget in (40, 100):
-        calls.clear()
-        roots.clear()
+        log.clear()
         res = greedy_search(28.0, 3, budget=budget)
-        search_calls = calls[:-1]  # the last call is the final report's
-        assert calls[-1] == res.fn.coeffs
-        assert len(search_calls) == len(set(search_calls))
-        # the sign changes are memoised with the norm; the report finds its own
-        assert roots == search_calls + [res.fn.coeffs]
+        # the final report computes its own norm, tails and sign changes
+        best = res.fn.coeffs
+        assert log[-3:] == [("rational", (best,)), ("eval", best), ("roots", (best,))]
+        search = log[:-3]
+        batches = [b for kind, b in search if kind == "rational"]
+        # the sign changes of H-hat are found with the norm's, batch for batch
+        assert batches == [b for kind, b in search if kind == "roots"]
+        computed = [c for b in batches for c in b]
+        assert len(computed) == len(set(computed))
+        seen, evaluations = set(), 0
+        for kind, b in search:
+            if kind == "rational":
+                seen.update(b)
+            elif kind == "eval":
+                assert b in seen
+                evaluations += 1
+        assert evaluations == res.evaluations
         if budget == 40:
             assert res.evaluations == 42  # lam refinement finishes past the budget
-    assert len(search_calls) > 10
+    assert len(computed) > 10 and max(map(len, batches)) > 1
+
+
+def test_greedy_search_memo_matches_single_tuple_calls(monkeypatch):
+    # every batched memo entry has the bits of h_l1_norm and _hat_roots
+    # called on its tuple alone; the 5-term search mixes companion sizes
+    norm_of, roots_of = {}, {}
+    real_norm, real_roots = fourier._l1_norm, fourier._hat_roots
+
+    def recorded_norm(coeffs, rational_roots):
+        norm_of[coeffs] = real_norm(coeffs, rational_roots)
+        return norm_of[coeffs]
+
+    def recorded_roots(tuples):
+        roots = real_roots(tuples)
+        roots_of.update(zip(tuples, roots))
+        return roots
+
+    monkeypatch.setattr(fourier, "_l1_norm", recorded_norm)
+    monkeypatch.setattr(fourier, "_hat_roots", recorded_roots)
+    for A, *_ in SEARCH_400:
+        greedy_search(A, 3, budget=400)
+    greedy_search(5.0, 5, budget=80)
+    monkeypatch.undo()
+    assert norm_of.keys() == roots_of.keys() and len(norm_of) > 500
+    for coeffs, norm in norm_of.items():
+        assert h_l1_norm(coeffs) == norm, coeffs
+        assert _hat_roots([coeffs])[0] == roots_of[coeffs], coeffs
 
 
 def test_bandlimited_path_needs_no_quadrature(monkeypatch):
