@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _odd_prime_mask, g_squarefree, prime_mask
+from .arith import _odd_prime_mask, kronecker, prime_mask
 from .forms import QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form
 from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
 
@@ -33,33 +33,36 @@ __all__ = [
 _MASK_BUDGET = 300_000_000
 
 
-def _squarefree_walk(primes: list[int], bound: float):
-    """(ell, its primes) for each squarefree ell < bound built from the
-    ascending primes, depth first in pre-order from ell = 1: each ell is
-    followed by its multiples ell * p with p beyond ell's largest prime."""
+def _sieve_walk(f: QuadraticForm, z: float, bound: float) -> list[tuple[int, int, int, int]]:
+    """(ell, k, N, M) for each squarefree ell < bound, built from the primes
+    p <= z, that splits as d * (ell/d) with both parts below z, depth first
+    in pre-order from ell = 1: each ell is followed by its multiples ell * p
+    with p beyond ell's largest prime.  k counts ell's primes, N is the
+    product of N(p) = p + chi(p)*(p - 1) over them and M that of p^2 - N(p),
+    so g(ell) = N/ell^2 and h(ell) = prod of g(p)/(1 - g(p)) = N/M.
 
-    def walk(start: int, ell: int, factors: tuple[int, ...]):
-        yield ell, factors
+    Each ell carries its divisors below z, and ell * p adds d * p for each
+    with d * p < z; ell splits iff ell // (the largest) < z.  No multiple of
+    an ell that does not split splits, so the walk stops there: any divisor
+    below z of ell * q either divides ell or is d * q with d | ell, and
+    leaves a cofactor of at least ell/d >= z."""
+    primes = np.flatnonzero(prime_mask(int(z))).tolist()
+    n_p = [p + kronecker(-f.D, p) * (p - 1) for p in primes]
+    nodes = []
+
+    def walk(start: int, ell: int, k: int, n: int, m: int, divs: list[int]):
+        nodes.append((ell, k, n, m))
         for i in range(start, len(primes)):
-            nxt = ell * primes[i]
+            p = primes[i]
+            nxt = ell * p
             if nxt >= bound:
                 break
-            yield from walk(i + 1, nxt, factors + (primes[i],))
+            child = divs + [d * p for d in divs if d * p < z]
+            if nxt // max(child) < z:
+                walk(i + 1, nxt, k + 1, n * n_p[i], m * (p * p - n_p[i]), child)
 
-    return walk(0, 1, ())
-
-
-def _prime_densities(f: QuadraticForm, z: float) -> dict[int, Fraction]:
-    """g(p) for each prime p <= z, in ascending p."""
-    if z < 2:
-        raise ValueError("need z >= 2")
-    return {p: g_squarefree(f, p) for p in np.flatnonzero(prime_mask(int(z))).tolist()}
-
-
-def _selberg_j(g: dict[int, Fraction], z: float) -> Fraction:
-    weights = {p: gp / (1 - gp) for p, gp in g.items()}
-    return sum((math.prod((weights[p] for p in ps), start=Fraction(1))
-                for _, ps in _squarefree_walk(list(g), z)), start=Fraction(0))
+    walk(0, 1, 0, 1, 1, [1])
+    return nodes
 
 
 def selberg_j(f: QuadraticForm, z: float) -> Fraction:
@@ -68,22 +71,9 @@ def selberg_j(f: QuadraticForm, z: float) -> Fraction:
 
     Every weight is finite: g(p) = (p + chi(p)*(p - 1))/p^2 is (2p - 1)/p^2,
     1/p or 1/p^2 for chi(p) = 1, 0, -1, each below 1 for p >= 2."""
-    return _selberg_j(_prime_densities(f, z), z)
-
-
-def _error_moduli(primes: list[int], z: float) -> list[tuple[int, tuple[int, ...]]]:
-    """Squarefree moduli ell = lcm(l1, l2) realizable with l1, l2 < z,
-    paired with their primes, ell = 1 first; all satisfy ell < z^2."""
-
-    def realizable(ell: int, factors: tuple[int, ...]) -> bool:
-        # some split d * (ell/d) with both parts < z
-        for msk in range(1 << len(factors)):
-            d = math.prod(factors[i] for i in range(len(factors)) if msk >> i & 1)
-            if d < z and ell // d < z:
-                return True
-        return False
-
-    return [(ell, ps) for ell, ps in _squarefree_walk(primes, z * z) if realizable(ell, ps)]
+    if z < 2:
+        raise ValueError("need z >= 2")
+    return sum((Fraction(n, m) for _, _, n, m in _sieve_walk(f, z, z)), start=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -112,16 +102,18 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
     its interval count is a strided sum over the window's r_f histogram,
     whose total is checked against two full-ellipse counts.
     """
-    g_p = _prime_densities(f, z)
+    if z < 2:
+        raise ValueError("need z >= 2")
     if y < 0 or x - y < 0:
         raise ValueError("need 0 <= y <= x")
+    moduli = _sieve_walk(f, z, z * z)
     sd = math.sqrt(f.D)
-    main = 2.0 * math.pi * y / sd / float(_selberg_j(g_p, z))
+    j = sum((Fraction(n, m) for ell, _, n, m in moduli if ell < z), start=Fraction(0))
+    main = 2.0 * math.pi * y / sd / float(j)
     g = reduce_form(f)
-    moduli = _error_moduli(list(g_p), z)
     intervals = [0] * len(moduli)
     for n0, r in _window_histogram(g, math.floor(x - y), math.floor(x)):
-        for i, (ell, _) in enumerate(moduli):
+        for i, (ell, _, _, _) in enumerate(moduli):
             intervals[i] += int(r[-n0 % ell::ell].sum())
     # the ell = 1 count (moduli[0]) is the whole window, which two
     # full-ellipse counts give by row lengths alone, without binning points
@@ -130,10 +122,10 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
         raise RuntimeError(f"window histogram holds {intervals[0]} points, "
                            f"the lattice count {total}")
     err = 0.0
-    for (_, ps), interval in zip(moduli, intervals):
-        g_ell = float(math.prod((g_p[p] for p in ps), start=Fraction(1)))
+    for (ell, k, n, _), interval in zip(moduli, intervals):
+        g_ell = n / (ell * ell)  # int true division: correctly rounded
         e_ell = interval - 2.0 * math.pi * y * g_ell / sd
-        err += 3**len(ps) * abs(e_ell)
+        err += 3**k * abs(e_ell)
     return SieveBound(main, err, x, y, z)
 
 

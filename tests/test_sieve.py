@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_rf, random_form, random_unimodular
-from qflab.arith import g_squarefree, kronecker, prime_mask
+from qflab.arith import factorize, g_squarefree, prime_mask, residue_density
 from qflab.forms import (
     QuadraticForm,
     delta_f,
@@ -18,8 +18,7 @@ from qflab.forms import (
 from qflab.latticesums import BudgetError, _lattice_rows, congruence_sum_exact
 from qflab.sieve import (
     PrimeGapRecord,
-    _error_moduli,
-    _prime_densities,
+    _sieve_walk,
     bt_theoretical_bound,
     cor_brun_bound,
     count_represented_primes,
@@ -42,18 +41,20 @@ def test_selberg_j_examples():
 
 
 def test_prime_densities_below_one():
-    """g(p) < 1, so every Selberg weight g(p)/(1 - g(p)) is finite, for
-    each prime p <= 500 and each D <= 2000; chi(p) = 1, 0, -1 all occur."""
+    """0 < N(p) < p^2, so M(p) = p^2 - N(p) > 0 and every Selberg weight
+    N(p)/M(p) = g(p)/(1 - g(p)) is finite, for each prime p <= 500 and each
+    D <= 2000; chi(p) = (N(p) - p)/(p - 1) = 1, 0, -1 all occur."""
     chis = set()
+    primes = np.flatnonzero(prime_mask(500)).tolist()
     for D in range(3, 2001):
         if D % 4 not in (0, 3):
             continue
         f = QuadraticForm(1, D % 2, (D + D % 2) // 4)  # the principal form
         assert f.D == D
-        g = _prime_densities(f, 500)
-        assert list(g) == np.flatnonzero(prime_mask(500)).tolist()
-        assert all(0 < gp < 1 for gp in g.values())
-        chis.update(kronecker(-D, p) for p in g)
+        carried = [(ell, n, m) for ell, k, n, m in _sieve_walk(f, 500, 500) if k == 1]
+        assert [p for p, _, _ in carried] == primes
+        assert all(0 < n < p * p and m == p * p - n for p, n, m in carried)
+        chis.update((n - p) // (p - 1) for p, n, _ in carried)
     assert chis == {1, 0, -1}
 
 
@@ -101,19 +102,47 @@ def _error_moduli_recursion(primes: list[int], z: float) -> list[tuple[int, int]
 
 
 def test_squarefree_walk_matches_the_recursions():
-    """selberg_j and the remainder moduli, in the order error_sum adds
-    them, against the two recursions they replaced: every reduced form with
-    D <= 200 and z from 2 to 60 in steps of 1/4."""
+    """selberg_j, the J that sieve_upper_bound takes from its walk to z^2,
+    and the remainder moduli with their prime counts, in the order error_sum
+    adds them, against the two recursions they replaced: every reduced form
+    with D <= 200 and z from 2 to 60 in steps of 1/4."""
     zs = [k / 4 for k in range(8, 241)]
     forms = [g for D in range(3, 201) if D % 4 in (0, 3) for g in enumerate_reduced_forms(D)]
     for j, f in enumerate(forms):
         for z in zs[j % 47::47]:
             assert selberg_j(f, z) == _selberg_j_recursion(f, z), (f, z)
-    for z in zs:
+    for i, z in enumerate(zs):
+        f = forms[i * 7 % len(forms)]
         primes = np.flatnonzero(prime_mask(int(z))).tolist()
-        moduli = _error_moduli(primes, z)
-        assert [(ell, len(ps)) for ell, ps in moduli] == _error_moduli_recursion(primes, z)
-        assert all(math.prod(ps) == ell for ell, ps in moduli)
+        moduli = _sieve_walk(f, z, z * z)
+        assert [(ell, k) for ell, k, _, _ in moduli] == _error_moduli_recursion(primes, z)
+        assert sum((Fraction(n, m) for ell, _, n, m in moduli if ell < z),
+                   start=Fraction(0)) == _selberg_j_recursion(f, z), (f, z)
+
+
+def test_walk_carries_each_modulus_integers():
+    """Each entry (ell, k, N, M) of the walk to z^2 against independent code,
+    on every reduced form with D <= 200, z cycling up to 40: N/ell^2 is
+    g_squarefree(f, ell), bit for bit as a float too; N/M is the product of
+    g(p)/(1 - g(p)) over ell's primes, k their number; for ell < 200, N/ell^2
+    is the residue density, which counts residue pairs."""
+    zs = (2, 3.5, 6, 10, 17.25, 25, 40)
+    forms = [g for D in range(3, 201) if D % 4 in (0, 3) for g in enumerate_reduced_forms(D)]
+    checked = 0
+    for j, f in enumerate(forms):
+        z = zs[j % len(zs)]
+        weights = {p: g_squarefree(f, p) / (1 - g_squarefree(f, p))
+                   for p in np.flatnonzero(prime_mask(int(z))).tolist()}
+        for ell, k, n, m in _sieve_walk(f, z, z * z):
+            g = g_squarefree(f, ell)
+            assert Fraction(n, ell * ell) == g and n / (ell * ell) == float(g), (f, ell)
+            ps = factorize(ell)
+            h = math.prod((weights[p] for p in ps), start=Fraction(1))
+            assert Fraction(n, m) == h and k == len(ps), (f, ell)
+            if ell < 200:
+                assert g == residue_density(f, ell), (f, ell)
+            checked += 1
+    assert checked > 10_000
 
 
 def test_sieve_bound_degenerate_z2():
@@ -321,13 +350,34 @@ def test_sieved_sum_matches_brute_rf():
 
 
 def test_sieve_bound_recorded_values():
-    # error sums recorded from the two-congruence-sum implementation
+    # error sums recorded from the two-congruence-sum implementation; the
+    # z = 320 and 640 records from the subset-search moduli and Fraction g(ell)
     sb = sieve_upper_bound(QuadraticForm(2, 1, 3), 1e5, 1e3, 10)
     assert sb.error_sum == 922.2418527282213
     assert sieved_sum_exact(QuadraticForm(2, 1, 3), 1e5, 1e3, 10) == 142
     sb = sieve_upper_bound(QuadraticForm(1, 0, 2), 9.9e6, 1e5, 20)
     assert sb.error_sum == 27533.031922034745
     assert sb.main == 43251.19033813049
+    for f, z, main, error_sum, exact in ((QuadraticForm(2, 1, 3), 320, 878.925809781376,
+                                          439221.1235808739, 634),
+                                         (QuadraticForm(1, 1, 6), 640, 807.0930013704993,
+                                          737549.0442499958, 518)):
+        sb = sieve_upper_bound(f, 1e6, 1e4, z)
+        assert (sb.main, sb.error_sum) == (main, error_sum), (f, z)
+        assert sieved_sum_exact(f, 1e6, 1e4, z) == exact, (f, z)
+
+
+def test_sieve_bound_refuses_before_the_walk(monkeypatch):
+    import qflab.sieve as sieve
+
+    def no_walk(*args):
+        raise AssertionError("walked before refusing")
+
+    monkeypatch.setattr(sieve, "_sieve_walk", no_walk)
+    f = QuadraticForm(1, 0, 1)
+    for x, y, z in ((1e4, 1e3, 1.5), (1e4, -1.0, 10), (1e4, 2e4, 10)):
+        with pytest.raises(ValueError):
+            sieve_upper_bound(f, x, y, z)
 
 
 def test_sieve_bound_checks_window_total(monkeypatch):
