@@ -150,9 +150,13 @@ def _residue_rows(abc, ell: int):
 
     Each block holds at most _RESIDUE_BLOCK cells (one row when a row alone
     is longer), so a block may hold the end of one form's rows and the start
-    of the next.  The coefficients are reduced mod ell first, so every
-    product stays below ell^3 and is exact in int64 for ell < 2^21; larger
-    ell is refused with ValueError before anything is allocated.
+    of the next.  The coefficients are reduced mod ell first, so each row's
+    B = b*v mod ell and C = c*v^2 mod ell are formed in int64 below ell^3,
+    exact for ell < 2^21; larger ell is refused with ValueError before
+    anything is allocated.  Each cell A*u^2 + B*u + C has every factor
+    reduced below ell, so it stays below 2*ell^2, and the cells take the
+    narrowest type that holds that: int16 up to ell = 128, int32 up to
+    ell = 32768, int64 beyond.
     """
     if ell < 1:
         raise ValueError("need ell >= 1")
@@ -160,8 +164,8 @@ def _residue_rows(abc, ell: int):
         raise ValueError(f"ell = {ell} too large for exact 64-bit residue counting "
                          "(need ell < 2^21)")
     a, b, c = (np.array(abc, dtype=object).reshape(-1, 3) % ell).astype(np.int64).T
-    # the grid in int32 where ell^3 fits: its remainder is several times faster
-    cell = np.int32 if ell ** 3 < 1 << 31 else np.int64
+    # the narrower the cells, the faster their remainder
+    cell = np.int16 if ell <= 128 else np.int32 if ell <= 32768 else np.int64
     u = np.arange(ell, dtype=cell)
     u2 = u * u % ell
     step = max(1, _RESIDUE_BLOCK // ell)

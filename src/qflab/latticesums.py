@@ -236,7 +236,10 @@ def chi_hat(f: QuadraticForm, ell: int, r: int, s: int) -> complex:
     """
     if not (0 <= r < ell and 0 <= s < ell):
         raise ValueError("need 0 <= r, s < ell")
-    return complex(_chi_hat_table(f, ell)[s, r])
+    v, u = np.divmod(_residue_keys(f, ell), ell)
+    # integer phases (u*s + v*r) mod ell, below 2^42 before the remainder
+    phase = (u * s + v * r) % ell
+    return complex(np.exp(-2j * math.pi / ell * phase).sum() / ell**2)
 
 
 def _chi_hat_table(f: QuadraticForm, ell: int) -> np.ndarray:
@@ -255,36 +258,49 @@ def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float,
     coefficients.  Both sides are invariants of proper equivalence and are
     evaluated on reduce_form(f), whose coefficients size the grids.
     """
-    return _poisson_sides(f, ell, (t,))[0]
+    return _poisson_sides(f, (ell,), (t,))[ell][0]
 
 
-def _poisson_sides(f: QuadraticForm, ell: int, ts) -> list[tuple[float, float]]:
-    """poisson_identity_check's (lhs, rhs) for each t in ts, all from one
-    table of Fourier coefficients."""
+def _poisson_sides(f: QuadraticForm, ells, ts) -> dict[int, list[tuple[float, float]]]:
+    """poisson_identity_check's (lhs, rhs) for every ell in ells and t in ts,
+    as {ell: [(lhs, rhs) for each t]}.
+
+    The direct sides all come from one enumeration of f(u, v) <= the largest
+    ncut, each filtered by its own ncut and ell: fsum rounds the exact sum of
+    the same terms once, so each lhs is the one a lone enumeration gives.
+    The dual sides of one t come from one pass over the shifts of every
+    ell, stacked, in blocks of at most _DUAL_BLOCK grid cells per shift set.
+    """
+    ells, ts = list(ells), list(ts)
     if min(ts) <= 0:
         raise ValueError("need t > 0")
     f = reduce_form(f)
     a, b, c, D = f.a, f.b, f.c, f.D
     lat = lattice_basis(f)
     d1, d2 = np.array(lat.dual1), np.array(lat.dual2)
-    table = _chi_hat_table(f, ell)
-    s, r = np.nonzero(np.abs(table) >= 1e-18)
-    shift = (s[:, None] * d1 + r[:, None] * d2) / ell
-    coefficients = table[s, r]
-    sides = []
-    for t in ts:
-        # direct side: f(u, v) is an integer, so enumerate values <= ncut
-        ncut = int(46.0 / (math.pi * t)) + 40
-        terms = []
-        for v, lo, hi in _lattice_rows(f, ncut):
-            u, vv = _row_points(v, lo, hi - lo + 1)
-            vals = a * u * u + (b * vv) * u + c * vv * vv
-            keep = vals % ell == 0  # v > 0 terms doubled for their mirrors: exact, fsum rounds once
-            terms.append(np.exp(-math.pi * t * vals[keep]) * (1.0 + (vv[keep] > 0)))
-        lhs = math.fsum(np.concatenate(terms).tolist())
+    shifts, coefficients = [], []
+    for ell in ells:
+        table = _chi_hat_table(f, ell)
+        s, r = np.nonzero(np.abs(table) >= 1e-18)
+        shifts.append((s[:, None] * d1 + r[:, None] * d2) / ell)
+        coefficients.append(table[s, r])
+    shift = np.concatenate(shifts)
+    splits = np.cumsum([len(k) for k in coefficients])[:-1]
 
-        # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient,
-        # evaluated in blocks of at most _DUAL_BLOCK grid cells
+    # direct side: f(u, v) is an integer, so enumerate values <= ncut
+    ncuts = [int(46.0 / (math.pi * t)) + 40 for t in ts]
+    rows = [_row_points(v, lo, hi - lo + 1) for v, lo, hi in _lattice_rows(f, max(ncuts))]
+    u, vv = (np.concatenate(p) for p in zip(*rows))
+    vals = a * u * u + (b * vv) * u + c * vv * vv
+    mirrored = 1.0 + (vv > 0)  # v > 0 terms doubled for their mirrors: exact, fsum rounds once
+    divisible = {ell: vals % ell == 0 for ell in ells}
+
+    sides = {ell: [] for ell in ells}
+    for t, ncut in zip(ts, ncuts):
+        inside = vals <= ncut
+        terms = np.exp(-math.pi * t * vals[inside]) * mirrored[inside]
+
+        # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient
         radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
         mrange, nrange = (np.arange(-k, k + 1, dtype=np.float64)
                           for k in (math.ceil(radius * math.sqrt(a)) + 1,
@@ -296,9 +312,11 @@ def _poisson_sides(f: QuadraticForm, ell: int, ts) -> list[tuple[float, float]]:
             np.exp(-math.pi * ((px - sx[:, None, None]) ** 2
                                + (py - sy[:, None, None]) ** 2) / t).sum(axis=(1, 2)) / t
             for sx, sy in (shift[k:k + step].T for k in range(0, len(shift), step))])
-        # summed in (s, r) order, as the real part of sum(coefficient * theta)
-        rhs = math.sqrt(4.0 / D) * sum((coefficients * theta).real.tolist())
-        sides.append((lhs, rhs))
+        for ell, coeff, th in zip(ells, coefficients, np.split(theta, splits)):
+            lhs = math.fsum(terms[divisible[ell][inside]].tolist())
+            # summed in (s, r) order, as the real part of sum(coefficient * theta)
+            rhs = math.sqrt(4.0 / D) * sum((coeff * th).real.tolist())
+            sides[ell].append((lhs, rhs))
     return sides
 
 

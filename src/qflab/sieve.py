@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _MASK_BUDGET = 300_000_000
+_SHORT_TERMS = 8
 
 
 def _sieve_walk(f: QuadraticForm, z: float, bound: float) -> list[tuple[int, int, int, int]]:
@@ -99,7 +100,7 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
 
     Main term (2*pi*y/sqrt(D))/J; the remainder sums tau_3(ell)*|E_ell| over
     the moduli the sieve weights can actually reach.  Each E_ell is exact:
-    its interval count is a strided sum over the window's r_f histogram,
+    its interval count sums a progression of the window's r_f histogram,
     whose total is checked against two full-ellipse counts.
     """
     if z < 2:
@@ -111,10 +112,23 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
     j = sum((Fraction(n, m) for ell, _, n, m in moduli if ell < z), start=Fraction(0))
     main = 2.0 * math.pi * y / sd / float(j)
     g = reduce_form(f)
-    intervals = [0] * len(moduli)
+    ells = np.array([ell for ell, _, _, _ in moduli], dtype=np.int64)
+    intervals = np.zeros(len(moduli), dtype=np.int64)
     for n0, r in _window_histogram(g, math.floor(x - y), math.floor(x)):
-        for i, (ell, _, _, _) in enumerate(moduli):
-            intervals[i] += int(r[-n0 % ell::ell].sum())
+        # a progression of at most _SHORT_TERMS terms in the block is summed
+        # with the others alike, one gather per term; longer ones are strided
+        short = ells * _SHORT_TERMS >= r.size
+        step = ells[short]
+        idx = -n0 % step
+        padded = np.append(r, 0)  # index r.size stands for any past the end
+        gathered = np.zeros(step.size, dtype=np.int64)
+        for _ in range(_SHORT_TERMS):
+            gathered += padded[np.minimum(idx, r.size)]
+            idx += step
+        intervals[short] += gathered
+        intervals[~short] += np.array([r[-n0 % ell::ell].sum() for ell in ells[~short].tolist()],
+                                      dtype=np.int64)
+    intervals = intervals.tolist()
     # the ell = 1 count (moduli[0]) is the whole window, which two
     # full-ellipse counts give by row lengths alone, without binning points
     total = congruence_sum_exact(g, 1, x) - congruence_sum_exact(g, 1, x - y)

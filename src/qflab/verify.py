@@ -100,10 +100,12 @@ def check_density_identity(fast: bool = False) -> CheckResult:
     abc = np.array([f.triple() for f in forms], dtype=np.int64)
     for ell in SQUAREFREE_30:
         # count / ell^2 == g exactly iff count == g * ell^2, an integer; -1
-        # stands for a g that no count matches
-        want = [g_squarefree(cls[0], ell) * ell * ell for cls in classes]
-        want = np.repeat([w.numerator if w.denominator == 1 else -1 for w in want],
-                         [len(cls) for cls in classes])
+        # stands for a g whose denominator does not divide ell^2, which no
+        # count matches
+        want = [(g.numerator * (ell * ell // g.denominator)
+                 if ell * ell % g.denominator == 0 else -1)
+                for g in (g_squarefree(cls[0], ell) for cls in classes)]
+        want = np.repeat(want, [len(cls) for cls in classes])
         bad = np.flatnonzero(_residue_counts(abc, ell) != want)
         if bad.size:
             return CheckResult(
@@ -123,8 +125,8 @@ def check_poisson_grid(fast: bool = False) -> CheckResult:
     worst = 0.0
     n = 0
     for f in forms:
-        for ell in range(1, 7):
-            for lhs, rhs in _poisson_sides(f, ell, (0.5, 1.0, 2.0)):
+        for sides in _poisson_sides(f, range(1, 7), (0.5, 1.0, 2.0)).values():
+            for lhs, rhs in sides:
                 worst = max(worst, abs(lhs - rhs) / abs(lhs))
                 n += 1
     return CheckResult(

@@ -179,6 +179,43 @@ def test_stacked_residue_rows_match_python_int_grids(monkeypatch, block):
     assert (split > 0) == (block is not None)
 
 
+def int64_grid(abc, ell, rows):
+    """m[v, u] = (ell | f(u, v)) for the first stacked rows, evaluated in
+    int64 on the coefficients reduced mod ell."""
+    a, b, c = (np.array(abc, dtype=object).reshape(-1, 3) % ell).astype(np.int64).T
+    i, v = np.divmod(np.arange(rows), ell)
+    u = np.arange(ell, dtype=np.int64)
+    vals = a[i, None] * u * u + (b[i] * v)[:, None] * u + (c[i] * v * v)[:, None]
+    return vals % ell == 0
+
+
+def test_residue_counts_across_the_int16_seam():
+    # the cells are int16 up to ell = 128 and int32 beyond; forms that are
+    # -1 mod ell in every coefficient put cells next to the 2*ell^2 bound,
+    # past the int16 range at ell = 200
+    rng = random.Random(128)
+    for ell in (127, 128, 129, 200):
+        forms = [random_big_form(rng) for _ in range(4)]
+        forms.append(QuadraticForm(10**15 * ell - 1, 10**15 * ell - 1, 10**20 * ell - 1))
+        abc = [f.triple() for f in forms]
+        want = int64_grid(abc, ell, len(abc) * ell).reshape(len(abc), -1).sum(axis=1)
+        assert arith._residue_counts(abc, ell).tolist() == want.tolist(), ell
+
+
+@pytest.mark.parametrize("ell", [32768, 32769, 40000])
+def test_residue_rows_across_the_int32_seam(monkeypatch, ell):
+    # int32 cells up to ell = 32768 and int64 beyond, where int32 cells would
+    # wrap by ell = 40000; the first block, with four rows so that b*v and
+    # c*v^2 are nonzero, against int64 evaluation.  Coefficients -64 mod ell
+    # keep the cells near 2*ell^2, and as 64 | 2^32, a wrapped cell at
+    # ell = 40000 = 64 * 625 is divisible with odds 1/625, not 1/ell
+    monkeypatch.setattr(arith, "_RESIDUE_BLOCK", 4 * ell)
+    abc = [(10**15 * ell - 64, 10**15 * ell - 64, 10**20 * ell - 64)]
+    first = next(_residue_rows(abc, ell))
+    assert first.shape == (4, ell)
+    assert np.array_equal(first, int64_grid(abc, ell, 4))
+
+
 def test_residue_rows_exact_at_largest_ell():
     # ell = 2^21 - 1 = 7^2 * 127 * 337 and a = -1 mod ell (a itself is near
     # 2^81), so the first row (v = 0) is ell | u^2, i.e. 7 * 127 * 337 | u;

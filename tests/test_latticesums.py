@@ -273,6 +273,24 @@ def test_chi_hat_reduces_coefficients_first():
             assert abs(chi_hat(f, ell, r, s) - oracle[s, r]) < 1e-12
 
 
+def test_chi_hat_needs_no_coefficient_table():
+    # the whole ell^2 table at ell = 2000 peaks near 157 MB; one coefficient
+    # sums over the residue pairs alone
+    f = QuadraticForm(1, 1, 1)
+    ell = 2000
+    tracemalloc.start()
+    try:
+        got = chi_hat(f, ell, 3, 1999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    v, u = np.divmod(latticesums._residue_keys(f, ell), ell)
+    want = sum(np.exp(-2j * math.pi * ((int(a) * 1999 + int(b) * 3) % ell) / ell)
+               for a, b in zip(u, v)) / ell**2
+    assert abs(got - want) < 1e-12
+
+
 def old_u_residues(f, ell):
     """The per-v reference the row kernel replaced."""
     a, b, c = f.a % ell, f.b % ell, f.c % ell
@@ -338,12 +356,16 @@ def test_poisson_identity_cases():
 
 def test_poisson_identity_grid_subset():
     ts = (0.5, 1.0, 2.0)
-    for f in reduced_forms_up_to(24):
-        for ell in range(1, 7):
-            # the three t values share one coefficient table
-            sides = latticesums._poisson_sides(f, ell, ts)
-            for t, (lhs, rhs) in zip(ts, sides):
-                assert (lhs, rhs) == poisson_identity_check(f, ell, t)
+    big = QuadraticForm(1, 2 * 10**8, 10**16 + 1)  # u^2 + v^2, not reduced
+    for f in reduced_forms_up_to(24) + [big]:
+        # every (ell, t) from one enumeration and one stacked dual pass per t,
+        # bit for bit what a lone (ell, t) call gives
+        sides = latticesums._poisson_sides(f, range(1, 7), ts)
+        assert list(sides) == list(range(1, 7))
+        for ell, pairs in sides.items():
+            assert len(pairs) == len(ts)
+            for t, (lhs, rhs) in zip(ts, pairs):
+                assert (lhs, rhs) == poisson_identity_check(f, ell, t), (f, ell, t)
                 assert abs(lhs - rhs) / abs(lhs) < 1e-9, (f, ell, t)
 
 

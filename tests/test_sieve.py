@@ -367,6 +367,26 @@ def test_sieve_bound_recorded_values():
         assert sieved_sum_exact(f, 1e6, 1e4, z) == exact, (f, z)
 
 
+@pytest.mark.parametrize("block", [None, 37])
+def test_sieve_bound_gathered_progressions_match_strided_sums(monkeypatch, block):
+    # _SHORT_TERMS = 0 sums every modulus's progression strided; 40 gathers
+    # every one once blocks hold 37 numbers; block 37 splits the windows
+    import qflab.latticesums as latticesums
+    import qflab.sieve as sieve
+
+    if block is not None:
+        monkeypatch.setattr(latticesums, "_WINDOW_BLOCK", block)
+    rng = random.Random(8)
+    cases = [(reduce_form(random_form(rng, max_a=3, max_extra=4)),
+              rng.uniform(1e3, 2e4), rng.uniform(5.0, 2000.0), rng.uniform(2.0, 40.0))
+             for _ in range(10)]
+    monkeypatch.setattr(sieve, "_SHORT_TERMS", 0)
+    strided = [sieve_upper_bound(*case) for case in cases]
+    for terms in (1, 3, 8, 40):
+        monkeypatch.setattr(sieve, "_SHORT_TERMS", terms)
+        assert [sieve_upper_bound(*case) for case in cases] == strided, terms
+
+
 def test_sieve_bound_refuses_before_the_walk(monkeypatch):
     import qflab.sieve as sieve
 

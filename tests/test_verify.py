@@ -2,6 +2,7 @@
 it, and run_check must time a check that raised."""
 
 import time
+from fractions import Fraction
 
 from qflab import arith, verify
 from qflab.forms import enumerate_reduced_forms
@@ -13,6 +14,21 @@ def test_density_identity_names_a_planted_mismatch(monkeypatch):
     def planted(f, ell):
         g = real(f, ell)
         return g + 1 if (f.D, ell) == (47, 7) else g
+
+    monkeypatch.setattr(verify, "g_squarefree", planted)
+    result = verify.run_check(verify.check_density_identity, fast=True)
+    first = enumerate_reduced_forms(47).forms[0]
+    assert not result.passed
+    assert result.detail == f"mismatch at form {first.triple()}, ell = 7"
+
+
+def test_density_identity_names_a_g_no_count_can_match(monkeypatch):
+    # a denominator that does not divide ell^2: no integer count equals
+    # g * ell^2, so the check fails on that form rather than raising
+    real = verify.g_squarefree
+
+    def planted(f, ell):
+        return Fraction(1, ell * ell + 1) if (f.D, ell) == (47, 7) else real(f, ell)
 
     monkeypatch.setattr(verify, "g_squarefree", planted)
     result = verify.run_check(verify.check_density_identity, fast=True)
