@@ -38,18 +38,22 @@ _VMAX_BUDGET = 80_000_000
 _ROW_CHUNK = 1 << 20
 _WINDOW_BLOCK = 1 << 17
 _DUAL_BLOCK = 1 << 16
+_CHI_TABLE_BYTES = 16 * 2048**2  # 64 MiB: the complex chi-hat table of ell <= 2048
 
 
 class BudgetError(RuntimeError):
     """Enumeration would exceed the configured time/memory budget."""
 
 
-def _residue_keys(f: QuadraticForm, ell: int) -> np.ndarray:
+def _residue_keys(f: QuadraticForm, ell: int, rows: int | None = None) -> np.ndarray:
     """The residue pairs (u, v) mod ell with ell | f(u, v) as the ascending
-    int64 keys v*ell + u."""
+    int64 keys v*ell + u, from the residue rows v < rows (all ell by default)."""
+    rows = ell if rows is None else rows
     keys, row0 = [], 0
     for m in _residue_rows([f.triple()], ell):
-        keys.append(np.flatnonzero(m) + row0 * ell)
+        if row0 >= rows:
+            break
+        keys.append(np.flatnonzero(m[:rows - row0]) + row0 * ell)
         row0 += len(m)
     return np.concatenate(keys)
 
@@ -107,7 +111,8 @@ def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
     if X < 1:
         return 0
     f = reduce_form(f)
-    keys = _residue_keys(f, ell)
+    # the rows v = 0..vmax of _lattice_rows meet only the residue rows v mod ell <= vmax
+    keys = _residue_keys(f, ell, math.isqrt(4 * f.a * X // f.D) + 1)
     # a row v with c = v mod ell and residues S_c = {u mod ell : ell | f(u, v)}
     # holds G(hi) - G(lo - 1) of its u in [lo, hi], where G(h) = (h // ell) *
     # |S_c| + #{r in S_c : r <= h mod ell}.  The searchsorted count takes in
@@ -243,7 +248,13 @@ def chi_hat(f: QuadraticForm, ell: int, r: int, s: int) -> complex:
 
 
 def _chi_hat_table(f: QuadraticForm, ell: int) -> np.ndarray:
-    """All ell^2 coefficients at once, indexed [s, r], via a 2-D FFT."""
+    """All ell^2 coefficients at once, indexed [s, r], via a 2-D FFT; an ell
+    whose complex table exceeds _CHI_TABLE_BYTES is refused with BudgetError
+    before anything is allocated."""
+    if 16 * ell * ell > _CHI_TABLE_BYTES:
+        raise BudgetError(f"ell = {ell}: the {ell}^2 chi-hat table exceeds its memory "
+                          f"budget of {_CHI_TABLE_BYTES >> 20} MiB "
+                          f"(ell <= {math.isqrt(_CHI_TABLE_BYTES // 16)})")
     indicator = np.concatenate(list(_residue_rows([f.triple()], ell))).T  # indexed [u, v]
     return np.fft.fft2(indicator.astype(np.float64)) / ell**2
 

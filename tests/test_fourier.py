@@ -660,12 +660,18 @@ def test_greedy_search_memo_matches_single_tuple_calls(monkeypatch):
 
 
 def test_bandlimited_path_needs_no_quadrature(monkeypatch):
+    import qflab.quadrature
+
     def refuse(*args, **kwargs):
         raise AssertionError("quad_segments called")
 
-    monkeypatch.setattr(fourier, "quad_segments", refuse)
+    # fourier binds no adaptive driver, and neither family reaches it
+    assert not hasattr(fourier, "quad_segments")
+    monkeypatch.setattr(qflab.quadrature, "quad_segments", refuse)
     res = greedy_search(28.0, 3, budget=400)
     assert (res.fn.coeffs, res.evaluations) == ((66.0, 5.0, 1.0), 437)
+    gauss_poly_report(GaussPolyFn((0.3, -0.5, 0.2, 0.7)), 2.0)
+    dn_estimate(2, budget=40)
 
 
 def test_greedy_search_f0_once_per_tuple(monkeypatch):
@@ -795,12 +801,121 @@ def test_gauss_poly_tail_abs_against_mpmath():
         norm = math.sqrt(sum(c * c for c in coeffs))
         p = tuple(c / norm for c in coeffs)
         got = gauss_poly_report(GaussPolyFn(p), 1.0).tail_abs
-        # twice an integral taken to the family's absolute tolerance
-        assert abs(got - _gauss_tail_abs_oracle(p)) <= 2 * fourier._GAUSS_QUAD_TOL, p
+        # twice the absolute tolerance of the adaptive integral this replaced
+        assert abs(got - _gauss_tail_abs_oracle(p)) <= 2e-10, p
+
+
+def _gauss_oracle(p):
+    """(||F||_1, concentration, tail_pos, tail_abs) of F = P(x) exp(-pi x^2)
+    in mpmath at 30 digits.  x^k exp(-pi x^2) transforms to
+    (-i/(2 sqrt(pi)))^k H_k(sqrt(pi) t) exp(-pi t^2), so Re Q collects the
+    even k and Im Q the odd k.  Each integral breaks at the real roots of
+    the polynomials it takes the absolute or positive part of: P for the
+    norm, Re Q for tail_pos, and both Re Q and Im Q for tail_abs, between
+    whose roots |F-hat| bends sharply."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        sp, inf = mpmath.sqrt(mpmath.pi), mpmath.inf
+        P = [mpmath.mpf(c) for c in p]
+        re, im = [mpmath.mpf(0)] * len(p), [mpmath.mpf(0)] * len(p)
+        h_prev, h = [], [mpmath.mpf(1)]  # H_(k-1), H_k at sqrt(pi) t, in powers of t
+        for k, c in enumerate(P):
+            part, sign = (re, 1) if k % 2 == 0 else (im, -1)  # (-i)^k = sign * i^(k % 2) * (-1)^(k//2)
+            for i, hi in enumerate(h):
+                part[i] += sign * (-1) ** (k // 2) * c / (2 * sp) ** k * hi
+            h_prev, h = h, [2 * sp * a - 2 * k * b for a, b in zip([0, *h], [*h_prev, 0, 0])]
+
+        def roots(q, lo):
+            q = list(q)
+            while q and not q[-1]:
+                q.pop()
+            found = mpmath.polyroots(q[::-1], maxsteps=200, extraprec=200) if len(q) > 1 else []
+            return [r.real for r in found if abs(r.imag) < 1e-25 and r.real > lo]
+
+        gauss = lambda x: mpmath.exp(-mpmath.pi * x * x)
+        abs_f = lambda x: abs(mpmath.polyval(P[::-1], x)) * gauss(x)
+        re_q = lambda t: mpmath.polyval(re[::-1], t)
+        im_q = lambda t: mpmath.polyval(im[::-1], t)
+        p_roots, re_roots, im_roots = roots(P, -inf), roots(re, 1), roots(im, 1)
+        l1 = mpmath.quad(abs_f, [-inf, *sorted(p_roots), inf])
+        inner = mpmath.quad(abs_f, [-1, *sorted(r for r in p_roots if -1 < r < 1), 1])
+        tail_pos = 2 * mpmath.quad(lambda t: max(re_q(t), 0) * gauss(t), [1, *sorted(re_roots), inf])
+        tail_abs = 2 * mpmath.quad(lambda t: mpmath.hypot(re_q(t), im_q(t)) * gauss(t),
+                                   [1, *sorted(re_roots + im_roots), inf])
+        return float(l1), float(inner / l1), float(tail_pos), float(tail_abs)
+
+
+def _gauss_fixtures():
+    """Unit-norm P: random ones of degree 0-8, even, odd and of mixed
+    parity, and four with a root where an integral is cut: near 1 (the
+    concentration's edge), near 8 (the norm's cut), and, through the
+    transform of an even Q, a root of Re Q just past the tails' edge 1."""
+    rng = random.Random(20)
+    polys = [(1.0,)]
+    for deg in range(1, 9):
+        for parity in (0, 1, None):
+            p = [rng.uniform(-1, 1) if parity is None or k % 2 == parity else 0.0
+                 for k in range(deg + 1)]
+            polys.append(p if p[-1] else p[:-1])  # the top degree has the other parity
+    polys.append(np.polynomial.polynomial.polyfromroots([1 + 2.0**-30, -0.5]))
+    polys.append(np.polynomial.polynomial.polyfromroots([-1 - 2.0**-30, 0.3, 2.0]))
+    polys.append(np.polynomial.polynomial.polyfromroots([8 - 2.0**-20, -3.0, 0.5]))
+    polys.append(gauss_poly_hat_coeffs((-(1 + 1e-9) ** 2, 0.0, 1.0, 0.0, 0.3)).real)
+    return [tuple(c / math.sqrt(sum(x * x for x in p)) for c in p) for p in polys]
+
+
+GAUSS_FIXTURES = _gauss_fixtures()
+
+
+@pytest.mark.parametrize("p", GAUSS_FIXTURES)
+def test_gauss_family_against_mpmath(p):
+    rep = gauss_poly_report(GaussPolyFn(p), 1.0)
+    got = (rep.l1_norm, fourier._concentration(list(p)), rep.tail_pos, rep.tail_abs)
+    want = _gauss_oracle(p)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14, (got, want)
+
+
+def test_gauss_family_rule_constants(monkeypatch):
+    def values():
+        reps = [gauss_poly_report(GaussPolyFn(p), 1.0) for p in GAUSS_FIXTURES]
+        return np.array([(r.l1_norm, r.tail_pos, r.tail_abs) for r in reps]
+                        + [[fourier._concentration(list(p))] * 3 for p in GAUSS_FIXTURES])
+
+    base = values()
+    # twice the nodes on panels half as wide change nothing: 15 nodes and
+    # 1/4 are past where the rule has converged
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    with monkeypatch.context() as m:
+        m.setattr(fourier, "_GL_NODES", nodes)
+        m.setattr(fourier, "_GL_WEIGHTS", weights)
+        m.setattr(fourier, "_GL_PANEL", 0.125)
+        assert np.abs(values() - base).max() <= 1e-15
+    # one panel over each piece misses by far more, 15 nodes or 40: the
+    # panel width, not the order, sets the error
+    for order in (15, 40):
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        with monkeypatch.context() as m:
+            m.setattr(fourier, "_GL_NODES", nodes)
+            m.setattr(fourier, "_GL_WEIGHTS", weights)
+            m.setattr(fourier, "_GL_PANEL", 16.0)
+            assert np.abs(values() - base).max() > 1e-12, order
+
+
+def test_gauss_family_tail_abs_near_a_complex_root():
+    # Q has roots at 1.0360 - 0.0066i and 1.4217 - 0.0250i: |F-hat| is smooth
+    # but bends sharply there, and 15 nodes on panels of 1/4 cut only at the
+    # real roots of Re Q and Im Q were 1e-11 off; the panels graded toward
+    # each complex root bring it within 1e-17
+    p = (0.334885184569857, 0.30211904321907496, 0.5061872655869555, 0.3219065606411051,
+         0.4563587985107136, 0.2585519476696607, -0.03427356577204491, -0.3455907515056528,
+         0.20250063652968994)
+    want = _gauss_oracle(p)
+    assert abs(gauss_poly_report(GaussPolyFn(p), 1.0).tail_abs - want[3]) <= 1e-16
 
 
 def test_dn_estimates():
-    assert dn_estimate(0) == pytest.approx(math.erf(math.sqrt(math.pi)), abs=1e-6)
+    assert dn_estimate(0) == pytest.approx(math.erf(math.sqrt(math.pi)), rel=0, abs=1e-14)
     vals = [dn_estimate(n, budget=400) for n in range(5)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(v < 1.0 for v in vals)

@@ -77,6 +77,24 @@ def test_congruence_sum_budget():
         congruence_sum_exact(QuadraticForm(1, 0, 1), 1, 1e18)
 
 
+def test_congruence_sum_builds_only_the_residue_rows_it_meets():
+    # the rows v = 0..vmax meet the residue rows v mod ell <= vmax alone, so
+    # an ell past vmax + 1 builds vmax + 1 of its ell residue rows
+    for f, vmax in ((QuadraticForm(1, 0, 2), 70), (QuadraticForm(2, 1, 3), 58)):  # at x = 1e4
+        for ell in (vmax - 1, vmax, vmax + 1, vmax + 2, vmax + 3, 1009):
+            assert congruence_sum_exact(f, ell, 1e4) == brute_congruence_sum(f, ell, 1e4), (f, ell)
+    f = QuadraticForm(1, 0, 2)
+    assert congruence_sum_exact(f, 16001, 1e5) == brute_congruence_sum(f, 16001, 1e5)
+    # all 16001^2 = 2.6e8 residue cells took about 2 s; x = 1e6 meets 708 rows
+    t0 = time.perf_counter()
+    got = congruence_sum_exact(f, 16001, 1e6)
+    elapsed = time.perf_counter() - t0
+    u, v = np.ogrid[-1002:1003, -709:710]
+    n = u * u + 2 * v * v
+    assert got == np.count_nonzero((n >= 1) & (n <= 10**6) & (n % 16001 == 0)) == 272
+    assert elapsed < 0.5
+
+
 def test_lattice_rows_match_box_search():
     # the kernel yields the rows v >= 0; their mirror (-u, -v) is the rest
     rng = random.Random(31)
@@ -337,6 +355,22 @@ def test_residue_kernel_refuses_ell_beyond_int64_bound():
     finally:
         tracemalloc.stop()
     assert elapsed < 0.5 and peak < 1 << 20
+
+
+def test_chi_hat_table_refuses_ell_past_its_memory_budget():
+    # the complex table is 16 ell^2 bytes, 64 MiB at ell = 2048 (its whole
+    # Poisson check peaked near 195 MB there); 2049 is refused unallocated
+    f = QuadraticForm(1, 1, 1)
+    tracemalloc.start()
+    try:
+        for call in (lambda: latticesums._chi_hat_table(f, 2049),
+                     lambda: poisson_identity_check(f, 2049, 0.7)):
+            with pytest.raises(BudgetError, match="2048"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_poisson_identity_selfdual_closed_form():
