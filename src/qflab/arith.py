@@ -124,7 +124,8 @@ def g_squarefree(f: QuadraticForm, ell: int) -> Fraction:
     primes = factorize(ell)
     if any(e > 1 for e in primes.values()):
         raise ValueError(f"{ell} is not squarefree; use residue_density")
-    return Fraction(math.prod(p + kronecker(-f.D, p) * (p - 1) for p in primes), ell * ell)
+    D = f.D
+    return Fraction(math.prod(p + kronecker(-D, p) * (p - 1) for p in primes), ell * ell)
 
 
 _RESIDUE_BLOCK = 1 << 16
@@ -132,21 +133,49 @@ _RESIDUE_ELL_LIMIT = 1 << 21
 
 
 def residue_density(f: QuadraticForm, ell: int) -> Fraction:
-    """(1/ell^2) * #{(u, v) in [0, ell)^2 : ell | f(u, v)}, exact; ell < 2^21."""
+    """(1/ell^2) * #{(u, v) in [0, ell)^2 : ell | f(u, v)}, exact; ell < 2^21.
+    The count walks d(ell) residue rows of ell cells (see _residue_counts),
+    not the whole ell^2 grid."""
     return Fraction(int(_residue_counts([f.triple()], ell)[0]), ell * ell)
 
 
 def _residue_counts(abc, ell: int) -> np.ndarray:
-    """#{(u, v) in [0, ell)^2 : ell | f(u, v)} for each form (a, b, c) in abc."""
-    rows = [np.count_nonzero(m, axis=1) for m in _residue_rows(abc, ell)]
-    return np.concatenate(rows).reshape(-1, ell).sum(axis=1)
+    """#{(u, v) in [0, ell)^2 : ell | f(u, v)} for each form (a, b, c) in abc,
+    counted by gcd class of the row v, directly mod the composite ell.
+
+    A row v with gcd(v, ell) = g is v = g*t mod ell for a unit t mod ell, and
+    f(t*u, t*g) = t^2 * f(u, g), so u -> t*u carries the zeros of row g onto
+    those of row v.  The phi(ell/g) rows of class g thus hold as many zeros
+    as row g, and the count is the sum over g | ell of phi(ell/g) times the
+    zeros of row g (row ell is row 0): d(ell) rows of ell cells per form."""
+    _check_residue_modulus(ell)
+    primes = factorize(ell)
+    g = np.array([1], dtype=np.int64)
+    for p, e in primes.items():
+        g = np.outer(g, p ** np.arange(e + 1, dtype=np.int64)).ravel()
+    n = ell // g
+    phi = n  # phi(ell/g), from the primes of ell dividing ell/g
+    for p in primes:
+        phi = np.where(n % p == 0, phi // p * (p - 1), phi)
+    rows = [np.count_nonzero(m, axis=1) for m in _residue_rows(abc, ell, g % ell)]
+    return np.concatenate(rows).reshape(-1, len(g)) @ phi
 
 
-def _residue_rows(abc, ell: int):
-    """Yield the indicators m[v, u] = (ell | f(u, v)) over [0, ell)^2 of the
-    forms f = (a, b, c), the rows of the (F, 3) array abc, stacked form by
-    form (form 0's rows v = 0..ell-1, then form 1's, ...), as boolean
-    blocks of consecutive stacked rows.
+def _check_residue_modulus(ell: int) -> None:
+    """Refuse ell < 1, and ell >= 2^21, past the residue kernel's exact int64 range."""
+    if ell < 1:
+        raise ValueError("need ell >= 1")
+    if ell >= _RESIDUE_ELL_LIMIT:
+        raise ValueError(f"ell = {ell} too large for exact 64-bit residue counting "
+                         "(need ell < 2^21)")
+
+
+def _residue_rows(abc, ell: int, v=None):
+    """Yield the indicators m[v, u] = (ell | f(u, v)), u in [0, ell), of the
+    residue rows v (all of 0..ell-1 by default, else the int64 array v of
+    rows below ell) of the forms f = (a, b, c), the rows of the (F, 3) array
+    abc, stacked form by form (form 0's rows, then form 1's, ...), as
+    boolean blocks of consecutive stacked rows.
 
     Each block holds at most _RESIDUE_BLOCK cells (one row when a row alone
     is longer), so a block may hold the end of one form's rows and the start
@@ -158,21 +187,19 @@ def _residue_rows(abc, ell: int):
     narrowest type that holds that: int16 up to ell = 128, int32 up to
     ell = 32768, int64 beyond.
     """
-    if ell < 1:
-        raise ValueError("need ell >= 1")
-    if ell >= _RESIDUE_ELL_LIMIT:
-        raise ValueError(f"ell = {ell} too large for exact 64-bit residue counting "
-                         "(need ell < 2^21)")
+    _check_residue_modulus(ell)
     a, b, c = (np.array(abc, dtype=object).reshape(-1, 3) % ell).astype(np.int64).T
+    v = np.arange(ell, dtype=np.int64) if v is None else v
     # the narrower the cells, the faster their remainder
     cell = np.int16 if ell <= 128 else np.int32 if ell <= 32768 else np.int64
     u = np.arange(ell, dtype=cell)
     u2 = u * u % ell
     step = max(1, _RESIDUE_BLOCK // ell)
-    for k0 in range(0, len(a) * ell, step):
-        i, v = np.divmod(np.arange(k0, min(k0 + step, len(a) * ell)), ell)
+    for k0 in range(0, len(a) * len(v), step):
+        i, j = np.divmod(np.arange(k0, min(k0 + step, len(a) * len(v))), len(v))
         # a*u^2 + (b*v)*u + c*v^2 with every factor reduced below ell
-        A, B, C = (t.astype(cell)[:, None] for t in (a[i], b[i] * v % ell, c[i] * v * v % ell))
+        A, B, C = (t.astype(cell)[:, None]
+                   for t in (a[i], b[i] * v[j] % ell, c[i] * v[j] * v[j] % ell))
         yield (A * u2 + B * u + C) % ell == 0
 
 

@@ -248,15 +248,29 @@ def chi_hat(f: QuadraticForm, ell: int, r: int, s: int) -> complex:
 
 
 def _chi_hat_table(f: QuadraticForm, ell: int) -> np.ndarray:
-    """All ell^2 coefficients at once, indexed [s, r], via a 2-D FFT; an ell
-    whose complex table exceeds _CHI_TABLE_BYTES is refused with BudgetError
-    before anything is allocated."""
+    """All ell^2 coefficients of f at once, indexed [s, r]: _chi_hat_tables
+    on a stack of one form."""
+    return next(_chi_hat_tables([f.triple()], ell))[0]
+
+
+def _chi_hat_tables(abc, ell: int):
+    """Yield the coefficient tables of the forms (a, b, c), the rows of the
+    (F, 3) array abc, as blocks indexed [form, s, r] of whole forms, each
+    within _CHI_TABLE_BYTES (one form at least): one residue-kernel pass and
+    one 2-D FFT over the last two axes per block.  An ell whose lone table
+    exceeds _CHI_TABLE_BYTES is refused with BudgetError before anything is
+    allocated."""
     if 16 * ell * ell > _CHI_TABLE_BYTES:
         raise BudgetError(f"ell = {ell}: the {ell}^2 chi-hat table exceeds its memory "
                           f"budget of {_CHI_TABLE_BYTES >> 20} MiB "
                           f"(ell <= {math.isqrt(_CHI_TABLE_BYTES // 16)})")
-    indicator = np.concatenate(list(_residue_rows([f.triple()], ell))).T  # indexed [u, v]
-    return np.fft.fft2(indicator.astype(np.float64)) / ell**2
+    abc = np.array(abc, dtype=object).reshape(-1, 3)
+    step = _CHI_TABLE_BYTES // (16 * ell * ell)
+    for k in range(0, len(abc), step):
+        block = abc[k:k + step]
+        indicator = np.concatenate(list(_residue_rows(block, ell))).reshape(-1, ell, ell)
+        # the rows come indexed [form, v, u]; the tables are the FFT over [u, v]
+        yield np.fft.fft2(indicator.transpose(0, 2, 1).astype(np.float64)) / ell**2
 
 
 def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float, float]:
@@ -269,34 +283,45 @@ def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float,
     coefficients.  Both sides are invariants of proper equivalence and are
     evaluated on reduce_form(f), whose coefficients size the grids.
     """
-    return _poisson_sides(f, (ell,), (t,))[ell][0]
+    return _poisson_sides([f], (ell,), (t,))[0][ell][0]
 
 
-def _poisson_sides(f: QuadraticForm, ells, ts) -> dict[int, list[tuple[float, float]]]:
-    """poisson_identity_check's (lhs, rhs) for every ell in ells and t in ts,
-    as {ell: [(lhs, rhs) for each t]}.
+def _poisson_sides(forms, ells, ts) -> list[dict[int, list[tuple[float, float]]]]:
+    """poisson_identity_check's (lhs, rhs) for every form in forms, ell in
+    ells and t in ts, as one {ell: [(lhs, rhs) for each t]} per form.
 
-    The direct sides all come from one enumeration of f(u, v) <= the largest
-    ncut, each filtered by its own ncut and ell: fsum rounds the exact sum of
-    the same terms once, so each lhs is the one a lone enumeration gives.
-    The dual sides of one t come from one pass over the shifts of every
-    ell, stacked, in blocks of at most _DUAL_BLOCK grid cells per shift set.
+    Each ell's coefficient tables come for the whole stack of reduced forms
+    at once (see _chi_hat_tables).  Per form, the direct sides all come from
+    one enumeration of f(u, v) <= the largest ncut, each filtered by its own
+    ncut and ell: fsum rounds the exact sum of the same terms once, so each
+    lhs is the one a lone enumeration gives.  The dual sides of one t come
+    from one pass over the shifts of every ell, stacked, in blocks of at most
+    _DUAL_BLOCK disk points per shift set.
     """
     ells, ts = list(ells), list(ts)
     if min(ts) <= 0:
         raise ValueError("need t > 0")
-    f = reduce_form(f)
+    forms = [reduce_form(f) for f in forms]
+    abc = [f.triple() for f in forms]
+    # the (s, r) indices and values of each form's nonzero coefficients, per ell
+    nonzero = [[] for _ in forms]
+    for ell in ells:
+        tables = (table for block in _chi_hat_tables(abc, ell) for table in block)
+        for kept, table in zip(nonzero, tables):
+            s, r = np.nonzero(np.abs(table) >= 1e-18)
+            kept.append((s, r, table[s, r]))
+    return [_form_sides(f, ells, ts, kept) for f, kept in zip(forms, nonzero)]
+
+
+def _form_sides(f: QuadraticForm, ells, ts, nonzero) -> dict[int, list[tuple[float, float]]]:
+    """_poisson_sides for the reduced form f, from the (s, r, coefficient)
+    arrays of its nonzero coefficients at each ell."""
     a, b, c, D = f.a, f.b, f.c, f.D
     lat = lattice_basis(f)
     d1, d2 = np.array(lat.dual1), np.array(lat.dual2)
-    shifts, coefficients = [], []
-    for ell in ells:
-        table = _chi_hat_table(f, ell)
-        s, r = np.nonzero(np.abs(table) >= 1e-18)
-        shifts.append((s[:, None] * d1 + r[:, None] * d2) / ell)
-        coefficients.append(table[s, r])
-    shift = np.concatenate(shifts)
-    splits = np.cumsum([len(k) for k in coefficients])[:-1]
+    shift = np.concatenate([(s[:, None] * d1 + r[:, None] * d2) / ell
+                            for ell, (s, r, _) in zip(ells, nonzero)])
+    splits = np.cumsum([len(s) for s, _, _ in nonzero])[:-1]
 
     # direct side: f(u, v) is an integer, so enumerate values <= ncut
     ncuts = [int(46.0 / (math.pi * t)) + 40 for t in ts]
@@ -311,19 +336,26 @@ def _poisson_sides(f: QuadraticForm, ells, ts) -> dict[int, list[tuple[float, fl
         inside = vals <= ncut
         terms = np.exp(-math.pi * t * vals[inside]) * mirrored[inside]
 
-        # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient
+        # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient,
+        # over the dual points p with |p| <= radius.  Each shift has
+        # |shift| < |d1| + |d2|, so every point dropped has |p - shift| >
+        # sqrt(46t/pi), where the Gaussian is below exp(-46).  The disk lies in
+        # the box |m| <= radius*sqrt(a), |n| <= radius*sqrt(c), as m = p.omega1
+        # and n = p.omega2.
         radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
         mrange, nrange = (np.arange(-k, k + 1, dtype=np.float64)
                           for k in (math.ceil(radius * math.sqrt(a)) + 1,
                                     math.ceil(radius * math.sqrt(c)) + 1))
-        px = mrange[:, None] * d1[0] + nrange[None, :] * d2[0]
-        py = mrange[:, None] * d1[1] + nrange[None, :] * d2[1]
+        px = (mrange[:, None] * d1[0] + nrange[None, :] * d2[0]).ravel()
+        py = (mrange[:, None] * d1[1] + nrange[None, :] * d2[1]).ravel()
+        disk = px * px + py * py <= radius * radius
+        px, py = px[disk], py[disk]
         step = max(1, _DUAL_BLOCK // px.size)
         theta = np.concatenate([
-            np.exp(-math.pi * ((px - sx[:, None, None]) ** 2
-                               + (py - sy[:, None, None]) ** 2) / t).sum(axis=(1, 2)) / t
+            np.exp(-math.pi * ((px - sx[:, None]) ** 2 + (py - sy[:, None]) ** 2) / t)
+            .sum(axis=1) / t
             for sx, sy in (shift[k:k + step].T for k in range(0, len(shift), step))])
-        for ell, coeff, th in zip(ells, coefficients, np.split(theta, splits)):
+        for ell, (_, _, coeff), th in zip(ells, nonzero, np.split(theta, splits)):
             lhs = math.fsum(terms[divisible[ell][inside]].tolist())
             # summed in (s, r) order, as the real part of sum(coefficient * theta)
             rhs = math.sqrt(4.0 / D) * sum((coeff * th).real.tolist())

@@ -124,9 +124,9 @@ def check_poisson_grid(fast: bool = False) -> CheckResult:
     forms = _reduced_forms_with_d_up_to(dmax)
     worst = 0.0
     n = 0
-    for f in forms:
-        for sides in _poisson_sides(f, range(1, 7), (0.5, 1.0, 2.0)).values():
-            for lhs, rhs in sides:
+    for sides in _poisson_sides(forms, range(1, 7), (0.5, 1.0, 2.0)):
+        for pairs in sides.values():
+            for lhs, rhs in pairs:
                 worst = max(worst, abs(lhs - rhs) / abs(lhs))
                 n += 1
     return CheckResult(

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,56 @@ def test_residue_rows_exact_at_largest_ell():
     first = next(_residue_rows([f.triple()], ell))
     assert first.shape == (1, ell)
     assert np.array_equal(np.flatnonzero(first[0]), np.arange(0, ell, 7 * 127 * 337))
+
+
+def grid_counts(abc, ell):
+    """The residue counts from the whole ell^2 grid of every form in abc."""
+    rows = [np.count_nonzero(m, axis=1) for m in _residue_rows(abc, ell)]
+    return np.concatenate(rows).reshape(-1, ell).sum(axis=1)
+
+
+def test_residue_counts_by_gcd_class_match_the_whole_grid():
+    # every form of the density identity (D <= 500) at every ell <= 60: the
+    # non-squarefree ell and the primes dividing 2D included
+    abc = [f.triple() for D in range(3, 501) if D % 4 in (0, 3)
+           for f in enumerate_reduced_forms(D)]
+    for ell in range(1, 61):
+        assert arith._residue_counts(abc, ell).tolist() == grid_counts(abc, ell).tolist(), ell
+
+
+def test_residue_counts_by_gcd_class_on_big_coefficients():
+    rng = random.Random(400)
+    for _ in range(20):
+        f = random_big_form(rng)
+        assert f.c >= 10**12
+        ell = rng.randint(1, 400)
+        assert arith._residue_counts([f.triple()], ell).tolist() == \
+            grid_counts([f.triple()], ell).tolist(), (f, ell)
+
+
+def test_residue_rows_of_one_gcd_class_are_unit_multiples():
+    # a row v with gcd(v, ell) = g is v = g*t for a unit t mod ell, and its
+    # zeros are t times those of row g, which _residue_counts counts instead
+    rng = random.Random(12)
+    for ell in (1, 8, 9, 12, 36, 45, 49, 60):
+        for f in [random_form(rng, max_a=9, max_extra=15) for _ in range(3)]:
+            grid = np.concatenate(list(_residue_rows([f.triple()], ell)))
+            units = [t for t in range(ell) if math.gcd(t, ell) == 1]
+            for v in range(ell):
+                g = math.gcd(v, ell)
+                t = next(t for t in units if g * t % ell == v)
+                image = sorted(t * u % ell for u in np.flatnonzero(grid[g % ell]))
+                assert np.flatnonzero(grid[v]).tolist() == image, (f, ell, v)
+
+
+def test_residue_density_at_a_large_prime_ell():
+    # 100003 is prime and divides neither 2D, so the count is g_squarefree's;
+    # two rows of 100003 cells where the whole grid had 10^10
+    ell = 100003
+    t0 = time.perf_counter()
+    for f in (QuadraticForm(1, 0, 2), QuadraticForm(1, 1, 1)):
+        assert residue_density(f, ell) == g_squarefree(f, ell)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_chi_table_matches_scalar_kronecker():

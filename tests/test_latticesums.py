@@ -394,13 +394,48 @@ def test_poisson_identity_grid_subset():
     for f in reduced_forms_up_to(24) + [big]:
         # every (ell, t) from one enumeration and one stacked dual pass per t,
         # bit for bit what a lone (ell, t) call gives
-        sides = latticesums._poisson_sides(f, range(1, 7), ts)
+        sides = latticesums._poisson_sides([f], range(1, 7), ts)[0]
         assert list(sides) == list(range(1, 7))
         for ell, pairs in sides.items():
             assert len(pairs) == len(ts)
             for t, (lhs, rhs) in zip(ts, pairs):
                 assert (lhs, rhs) == poisson_identity_check(f, ell, t), (f, ell, t)
                 assert abs(lhs - rhs) / abs(lhs) < 1e-9, (f, ell, t)
+
+
+@pytest.mark.parametrize("budget", [None, 16 * 6 * 6 * 7])
+def test_stacked_poisson_sides_match_one_form_calls(monkeypatch, budget):
+    # the 45 forms of the poisson-identity check (D <= 50) at once, bit for
+    # bit what each form gives alone; a budget of seven ell = 6 tables
+    # splits the stack into blocks at every ell
+    if budget is not None:
+        monkeypatch.setattr(latticesums, "_CHI_TABLE_BYTES", budget)
+    ts = (0.5, 1.0, 2.0)
+    forms = reduced_forms_up_to(50)
+    assert len(forms) == 45
+    stacked = latticesums._poisson_sides(forms, range(1, 7), ts)
+    assert len(stacked) == len(forms)
+    for f, sides in zip(forms, stacked):
+        assert sides == latticesums._poisson_sides([f], range(1, 7), ts)[0], f
+
+
+def test_stacked_chi_hat_tables_match_lone_tables(monkeypatch):
+    # the stacked FFT against a lone 2-D FFT of each form's indicator, bit for
+    # bit, and split into blocks of whole forms by the table budget
+    forms = reduced_forms_up_to(200)
+    abc = [f.triple() for f in forms]
+    for ell in range(1, 13):
+        blocks = list(latticesums._chi_hat_tables(abc, ell))
+        assert len(blocks) == 1 and blocks[0].shape == (len(forms), ell, ell)
+        for f, table in zip(forms, blocks[0]):
+            indicator = np.concatenate(list(arith._residue_rows([f.triple()], ell))).T
+            assert np.array_equal(table, np.fft.fft2(indicator.astype(np.float64)) / ell**2)
+            assert np.array_equal(table, latticesums._chi_hat_table(f, ell))
+    monkeypatch.setattr(latticesums, "_CHI_TABLE_BYTES", 16 * 12 * 12 * 50)
+    blocks = list(latticesums._chi_hat_tables(abc, 12))
+    assert [len(b) for b in blocks] == [50] * (len(forms) // 50) + [len(forms) % 50]
+    assert np.array_equal(np.concatenate(blocks),
+                          np.stack([latticesums._chi_hat_table(f, 12) for f in forms]))
 
 
 def test_poisson_direct_side_matches_box_sum():
