@@ -168,14 +168,22 @@ def _json_default(o):
 
 # column-table rows per write: few write calls, and memory bounded by one
 # chunk of text
-_EMIT_CHUNK = 4096
+_EMIT_CHUNK = 16384
 
-# the text of one column value in a column table, by the column's exact
-# type, for which the builtin repr is int.__repr__ or float.__repr__ and
-# calls faster; floats are finite (the JSON encoder would write NaN, Infinity);
-# a str column is text already rendered, written as it is (None)
-_JSON_TEXT = {bool: ("false", "true").__getitem__, int: repr, float: repr, str: None}
-_CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format, str: None}
+# the text of one column value in a column table, by its Python type, for
+# which the builtin repr is int.__repr__ or float.__repr__ and calls faster;
+# floats are finite (the JSON encoder would write NaN, Infinity)
+_JSON_TEXT = {bool: ("false", "true").__getitem__, int: repr, float: repr}
+_CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format}
+
+# the array of a list column's chunk whose values share one of these types
+_DTYPES = {bool: np.bool_, int: np.int64, float: np.float64}
+# shortest-digits decisions this close to their bound, relative to it, are
+# left to repr; the computed distances are good to about 1e-16
+_FLOAT_BAND = 1e-9
+# 10**j exactly: in uint64 up to 10**19, in float64 up to 10**22
+_P10 = 10 ** np.arange(20, dtype=np.uint64)
+_P10F = np.array([float(10 ** j) for j in range(23)])
 
 
 @dataclass
@@ -190,9 +198,10 @@ class TextReport:
 def emit(records, fmt: str, stream) -> None:
     """Write records to stream as JSON lines or as CSV headed by the first
     record's keys.  Records are a list of dicts, written in one pass, or a
-    dict of equal-length columns (lists of ints, floats, bools or rendered
-    str), written as the rows they hold in chunks of _EMIT_CHUNK rows.  A
-    TextReport is run with each line written and flushed as it comes."""
+    dict of equal-length columns (lists or numpy arrays of ints, floats or
+    bools), written as the rows they hold in chunks of _EMIT_CHUNK rows with
+    the bytes the row dicts would give.  A TextReport is run with each line
+    written and flushed as it comes."""
     if isinstance(records, TextReport):
         def write(line: str) -> None:
             stream.write(line + "\n")
@@ -216,30 +225,168 @@ def emit(records, fmt: str, stream) -> None:
                       for v in (rec[k] for k in keys)] for rec in records)
 
 
-def _emit_columns(columns: dict[str, list], fmt: str, stream) -> None:
-    """Write a column table with the bytes emit gives its row dicts.  Each
-    _EMIT_CHUNK slice is one flat list of strings, n copies of the row
-    template (key separators, text slots, line end) whose slots are filled
-    column by column by strided slice assignment, written with one join;
-    so each value is converted once and at most one chunk of text is held."""
+def _emit_columns(columns: dict, fmt: str, stream) -> None:
+    """Write a column table as a byte table, one write per _EMIT_CHUNK rows:
+    each column's chunk becomes a uint8 matrix of text slots padded with
+    zero bytes (_slots), laid side by side with the key separators; dropping
+    the zero bytes leaves the rows' text."""
     keys, cols = list(columns), list(columns.values())
-    if not cols[0]:
-        return
     if fmt == "json":
         seps = ["{" + json.dumps(keys[0]) + ": "] + [", " + json.dumps(k) + ": " for k in keys[1:]]
         text, end, head = _JSON_TEXT, "}\n", ""
     else:
         seps = [""] + [","] * (len(keys) - 1)
         text, end, head = _CSV_TEXT, "\n", ",".join(keys) + "\n"
-    row = [part for sep in seps for part in (sep, "")] + [end]
-    convs = [text[type(col[0])] for col in cols]
-    for i in range(0, len(cols[0]), _EMIT_CHUNK):
-        parts = row * min(_EMIT_CHUNK, len(cols[0]) - i)
-        for j, (conv, col) in enumerate(zip(convs, cols)):
-            chunk = col[i:i + _EMIT_CHUNK]
-            parts[2 * j + 1::len(row)] = chunk if conv is None else map(conv, chunk)
-        stream.write(head + "".join(parts))
+    n = len(cols[0])
+    consts = [np.tile(np.frombuffer(sep.encode(), np.uint8), (min(n, _EMIT_CHUNK), 1))
+              for sep in seps + [end]]
+    for i in range(0, n, _EMIT_CHUNK):
+        size = min(_EMIT_CHUNK, n - i)
+        table = np.concatenate([part for const, col in zip(consts, cols)
+                                for part in (const[:size], _slots(col[i:i + size], text))]
+                               + [consts[-1][:size]], axis=1).ravel()
+        stream.write(head + table[table != 0].tobytes().decode("ascii"))
         head = ""
+
+
+def _slots(chunk, text: dict) -> np.ndarray:
+    """Each value's text as a row of uint8, padded with zero bytes: numpy
+    digits for ints within int64, constant text for bools, and in JSON the
+    certified digits of _float_bytes; every other value, CSV's floats among
+    them, takes its text from text[type(value)]."""
+    if not isinstance(chunk, np.ndarray):
+        types = set(map(type, chunk))
+        dtype = _DTYPES.get(types.pop(), object) if len(types) == 1 else object
+        try:
+            chunk = np.array(chunk, dtype)
+        except OverflowError:  # an int beyond int64
+            chunk = np.array(chunk, object)
+    kind = chunk.dtype.kind
+    if kind == "b":
+        return _text_bytes([text[bool](False), text[bool](True)])[chunk.view(np.uint8)]
+    if kind in "iu" and np.can_cast(chunk.dtype, np.int64):
+        v = chunk.astype(np.int64)
+        return np.column_stack([(v < 0) * np.uint8(45), _digits(np.abs(v).view(np.uint64))])
+    if chunk.dtype == np.float64 and text is _JSON_TEXT:
+        slots, rest = _float_bytes(chunk)
+    else:
+        slots, rest = np.zeros((len(chunk), 0), np.uint8), np.arange(len(chunk))
+    if rest.size:  # the per-value text, in columns of its own
+        extra = _text_bytes([text[type(v)](v) for v in chunk[rest].tolist()])
+        slots = np.concatenate([np.zeros((len(chunk), extra.shape[1]), np.uint8), slots], axis=1)
+        slots[rest, :extra.shape[1]] = extra
+    return slots
+
+
+def _text_bytes(texts: list[str]) -> np.ndarray:
+    """ASCII texts as the rows of a uint8 matrix, padded with zero bytes."""
+    cells = np.array(texts, dtype=np.bytes_)
+    return cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+
+
+def _digits(u: np.ndarray) -> np.ndarray:
+    """The decimal digits of each uint64 of u as ASCII, right-aligned to the
+    longest, with zero bytes for leading zeros (0 is written "0")."""
+    width = max(int(np.searchsorted(_P10, u.max(), side="right")), 1)
+    out = np.empty((len(u), width), np.uint8)
+    rest = u
+    for j in range(width - 1, -1, -1):
+        if (width - 1 - j) % 9 == 0:  # the next nine digits, divided in 32 bits
+            rest, limb = np.divmod(rest, np.uint64(10 ** 9))
+            limb = limb.astype(np.uint32)
+        q = limb // 10
+        out[:, j] = limb - q * 10 + 48
+        limb = q
+    for j in range(width - 1):  # leading zeros become zero bytes
+        out[:, j] *= u >= _P10[width - 1 - j]
+    return out
+
+
+def _float_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """repr's text of the floats of x as in _slots, and the indices of the
+    rows left zero for repr: x outside 1e-6 <= |x| < 1e6 or not finite, and
+    x whose digits _shortest does not certify."""
+    a = np.abs(x)
+    inside = (a >= 1e-6) & (a < 1e6)
+    # outside, a placeholder whose 17 digits _shortest settles in two steps
+    m, k, sure = _shortest(np.where(inside, a, 1 + 2.0 ** -52))
+    m = m.view(np.uint64)
+    # repr's layout of m * 10**-k: positional for exponents -4 <= e10 < 16,
+    # with ".0" on integral values, else d.ddde-XX (|x| < 1e6 keeps e10 < 6)
+    nd = np.searchsorted(_P10, m, side="right")
+    e10 = nd - 1 - k
+    sci = e10 < -4
+    point = np.where(sci, nd - 1, k)
+    whole, frac = np.divmod(m, _P10[np.minimum(point, nd)])  # m < 10**nd
+    point = np.where(sci, point, np.maximum(point, 1))  # digits after the point
+    zeros = point - np.maximum(np.searchsorted(_P10, frac, side="right"), 1)
+    digits = _digits(frac)
+    digits[point == 0] = 0
+    # sign, whole part, point, the fraction's leading zeros and digits, exponent
+    expo = [ord("e"), ord("-"), 48 + -e10 // 10, 48 + -e10 % 10]
+    text = np.column_stack([(x < 0) * np.uint8(45), _digits(whole), (point > 0) * np.uint8(46)]
+                           + [(j < zeros) * np.uint8(48) for j in range(zeros.max(initial=0))]
+                           + [digits] + [(sci * c).astype(np.uint8) for c in expo])
+    rest = np.flatnonzero(~(inside & sure))
+    text[rest] = 0
+    return text, rest
+
+
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits of each a in [1e-6, 1e6) as m * 10**-k with the least
+    k >= 0, and whether every decision was certain.  Coarser grids are
+    subsets of finer ones, so 16 significant digits are tried first, then
+    17 where they fail (17 always round-trip), or fewer while they hold."""
+    up = np.spacing(a) / 2  # half the gap to the next double above
+    lo = np.where(np.frexp(a)[0] == 0.5, up / 2, up)  # below a power of two it halves
+    e10 = np.searchsorted(np.concatenate([1 / _P10F[5:0:-1], _P10F[:6]]), a, side="right") - 6
+    k = 15 - e10
+
+    def grid(rows, k):
+        return _grid_point(a[rows], _P10F[k], lo[rows], up[rows])
+
+    m, ok, sure = grid(slice(None), k)
+    more = np.flatnonzero(~ok)
+    k[more] += 1
+    m[more], ok17, sure17 = grid(more, k[more])
+    sure[more] &= ok17 & sure17
+    fewer = np.flatnonzero(ok & sure & (k > 0))
+    while fewer.size:
+        mf, okf, suref = grid(fewer, k[fewer] - 1)
+        sure[fewer] = suref
+        fewer, mf = fewer[okf & suref], mf[okf & suref]
+        k[fewer] -= 1
+        m[fewer] = mf
+        fewer = fewer[k[fewer] > 0]
+    return m, k, sure
+
+
+def _grid_point(a, s, lo, up) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """On the grid 10**-k, s = 10**k: the point m * 10**-k nearest each a,
+    or its neighbour where only that one rounds to a; whether either does;
+    and whether each decision lies outside _FLOAT_BAND of its bound.  A
+    point rounds to a when closer than half the gap to the next double on
+    its side, lo below and up above (Ryu's criterion, Adams 2018), measured
+    on y = a * s = p + e held exactly by Dekker's TwoProduct (1971)."""
+    p = a * s
+    ca, cs = 134217729.0 * a, 134217729.0 * s  # Dekker's split at 2**27 + 1
+    ah, sh = ca - (ca - a), cs - (cs - s)  # the high 26 bits
+    al, sl = a - ah, s - sh
+    e = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    q = np.rint(p)
+    t = (p - q) + e
+    j = np.rint(t)
+    d = t - j  # y - (q + j), good to about 1e-16 of the bound it meets
+    below = d >= 0  # the nearest point lies at or below y, its neighbour above
+    near, far = np.abs(d), 1 - np.abs(d)
+    lim_near = np.where(below, lo, up) * s  # exact: a power of two times s
+    lim_far = np.where(below, up, lo) * s
+    ok_near, ok_far = near < lim_near, far < lim_far
+    sure = ((np.abs(near - lim_near) > _FLOAT_BAND * lim_near)
+            & (np.abs(far - lim_far) > _FLOAT_BAND * lim_far)
+            & ~(ok_near & ok_far & (np.abs(near - 0.5) <= _FLOAT_BAND)))
+    m = q.astype(np.int64) + j.astype(np.int64) + np.where(ok_near, 0, np.where(below, 1, -1))
+    return m, ok_near | ok_far, sure
 
 
 def _worker_count() -> int:
@@ -333,11 +480,10 @@ def _sieve_pif(p):
 
 def _sieve_gaps(p):
     i, primes, gaps = prime_gap_scan(p["form"], p["x"], p["min_p"])
-    ps = list(map(repr, primes.tolist()))  # each prime's text, as both formats write ints
-    is_max = [False] * gaps.size
+    is_max = np.zeros(gaps.size, dtype=bool)
     is_max[i] = True
-    return {"p_n": ps[:-1], "p_next": ps[1:], "gap": np.diff(primes).tolist(),
-            "normalized": gaps.tolist(), "is_max": is_max}
+    return {"p_n": primes[:-1], "p_next": primes[1:], "gap": np.diff(primes),
+            "normalized": gaps, "is_max": is_max}
 
 
 def _sieve_bt_constants(p):

@@ -5,9 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qflab.cli as cli
@@ -193,6 +195,107 @@ def test_sieve_gaps_bytes_match_a_row_oracle(capsys):
     assert len(rows) > 5000
 
 
+def _column_json(values) -> str:
+    out = io.StringIO()
+    emit({"x": values}, "json", out)
+    return out.getvalue()
+
+
+def _row_json(values) -> str:
+    out = io.StringIO()
+    emit([{"x": v} for v in values], "json", out)
+    return out.getvalue()
+
+
+def _fallbacks(values) -> int:
+    # values of a JSON float column left to float.__repr__
+    slots, rest = cli._float_bytes(np.asarray(values, dtype=np.float64))
+    return rest.size
+
+
+def test_float_text_matches_repr_on_any_double():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=1, max_size=40))
+    def check(values):
+        assert _column_json(values) == _row_json(values)
+        assert _column_json(np.array(values)) == _row_json(values)
+
+    check()
+
+
+def test_float_text_matches_repr_across_every_binade():
+    rng = np.random.default_rng(2024)
+    # 40 random significands in each binade of the doubles, and 2,000 in
+    # each binade that meets [1e-6, 1e6), where the digits are computed
+    mant = rng.integers(0, 2 ** 52, size=(2046, 40), dtype=np.uint64)
+    expo = np.arange(1, 2047, dtype=np.uint64)[:, None] << np.uint64(52)
+    every = (mant | expo).view(np.float64).ravel()
+    inner = np.ldexp(rng.uniform(1, 2, size=(41, 2000)), np.arange(-20, 21)[:, None]).ravel()
+    x = np.concatenate([every, inner]) * rng.choice([-1.0, 1.0], size=every.size + inner.size)
+    assert x.size >= 10 ** 5
+    assert _column_json(x) == _row_json(x.tolist())
+    a = np.abs(x)
+    assert _fallbacks(x) == np.count_nonzero((a < 1e-6) | (a >= 1e6))
+
+
+def test_float_text_at_the_edges():
+    twos = [2.0 ** e for e in range(-22, 22)]
+    edges = ([v for t in twos for v in (np.nextafter(t, 0), t, np.nextafter(t, 2 * t))]
+             + [1e-4, 9.999999999999999e-05, 0.1, 1 / 3, 0.9999999999999999, 1e-5, 1e-6,
+                np.nextafter(1e-6, 1), np.nextafter(1e6, 0), 999999.9999999999, 123456.5,
+                np.nextafter(1e16, 0), 1e16, 1.5, 2.5e-5, 0.3, 2 / 3])
+    edges = [float(v) for v in edges]
+    values = edges + [-v for v in edges] + [0.0, -0.0, 5e-324, 1e6, 1e300]
+    assert _column_json(values) == _row_json(values)
+    inside = [v for v in edges if 1e-6 <= v < 1e6]
+    assert _fallbacks(inside) == 0
+
+
+def test_float_text_falls_back_to_repr(monkeypatch):
+    # 10.7340240478515625 is a double halfway between two 17-digit decimals:
+    # such a tie, like any decision near its bound, is left to repr
+    tie = [10.7340240478515625, 0.5, 0.1]
+    assert _fallbacks(tie) == 1
+    assert _column_json(tie) == _row_json(tie)
+    monkeypatch.setattr(cli, "_FLOAT_BAND", 1.0)  # every decision in the band
+    values = np.linspace(1e-3, 1e3, 5000)
+    assert _fallbacks(values) == values.size
+    assert _column_json(values) == _row_json(values.tolist())
+
+
+def test_int_text_in_and_beyond_int64(monkeypatch):
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 1)
+    calls = []
+    monkeypatch.setitem(cli._JSON_TEXT, int, lambda v: calls.append(v) or repr(v))
+    ints = [0, 7, -1, -10, 10 ** 18, -(2 ** 63), 2 ** 63 - 1, 10 ** 20 + 39, -(2 ** 63) - 1]
+    assert _column_json(ints) == _row_json(ints)
+    assert calls == [10 ** 20 + 39, -(2 ** 63) - 1]
+    calls.clear()
+    assert _column_json(np.array(ints[:7])) == _row_json(ints[:7]) and calls == []
+
+
+def test_column_writer_memory_is_per_chunk():
+    class Sink:
+        def write(self, text):
+            pass
+
+    rng = np.random.default_rng(5)
+    peaks = []
+    for n in (2 ** 17, 2 ** 19):
+        p = np.cumsum(rng.integers(1, 200, n + 1))
+        table = {"p_n": p[:-1], "p_next": p[1:], "gap": np.diff(p),
+                 "normalized": rng.uniform(0, 2, n), "is_max": np.arange(n) == n // 2}
+        tracemalloc.start()
+        emit(table, "json", Sink())
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
+
 def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
     for fmt in ("json", "csv"):
@@ -200,8 +303,11 @@ def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
                 "--min-p", "10"]
         records = execute_plan(parse_invocation(argv))
         assert isinstance(records, dict)
-        assert list(records) == ["p_n", "p_next", "gap", "normalized", "is_max"]
+        assert [(k, col.dtype.kind) for k, col in records.items()] == [
+            ("p_n", "i"), ("p_next", "i"), ("gap", "i"), ("normalized", "f"), ("is_max", "b")]
         assert len({len(col) for col in records.values()}) == 1
+        assert (records["p_n"][1:] == records["p_next"][:-1]).all()
+        assert records["is_max"].sum() == 1
         assert main(argv) == 0
         out = capsys.readouterr().out
         path = tmp_path / f"gaps.{fmt}"
