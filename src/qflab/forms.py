@@ -158,30 +158,15 @@ def enumerate_reduced_forms(D: int) -> FormClassSet:
 
 
 def representation_count(f: QuadraticForm, n: int) -> int:
-    """Number of integer pairs (u, v) with f(u, v) = n.
+    """Number of integer pairs (u, v) with f(u, v) = n: the one-value window
+    (n - 1, n] of the lattice kernel's r_f histogram on the reduced form, which
+    has the same count.  The kernel refuses 4an > 2^52 with BudgetError."""
+    from .latticesums import _window_histogram  # latticesums imports this module
 
-    The count is taken on the reduced form, which has the same one.  Uses
-    4a*f(u,v) = (2au + bv)^2 + D*v^2, so v runs over |v| <= sqrt(4an/D)
-    and u is solved exactly per v.
-    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    f = reduce_form(f)
-    a, b, D = f.a, f.b, f.D
-    two_a = 2 * a
-    count = 0
-    vmax = math.isqrt(4 * a * n // D)
-    for v in range(-vmax, vmax + 1):
-        m = 4 * a * n - D * v * v
-        t = math.isqrt(m)
-        if t * t != m:
-            continue
-        for tt in ((t, -t) if t else (0,)):
-            if (tt - b * v) % two_a == 0:
-                count += 1
-    return count
+    _, r = next(_window_histogram(reduce_form(f), n - 1, n))
+    return int(r[0])
 
 
 def delta_f(f: QuadraticForm) -> Fraction:

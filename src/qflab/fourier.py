@@ -80,9 +80,9 @@ class GaussPolyFn:
 
 
 def eval_h(coeffs, x):
-    """Evaluate H(x); removable singularities at x = (2j-1)/4 are handled by
-    a short series for the offending term within |x - pole| < 1e-3.  A term
-    with no point that close skips the series."""
+    """Evaluate H(x).  Within 1e-3 of its removable singularity x = m/4, the
+    j-th term cos(2*pi*x)/(m^2 - 16x^2) (m = 2j - 1) comes from the exact
+    identity (-1)^(j-1) (pi/2) sinc(2(x - m/4))/(m + 4x); elsewhere the quotient."""
     x_arr = np.asarray(x, dtype=np.float64)
     ax = np.abs(x_arr)
     cos_all = np.cos(_TWO_PI * ax)
@@ -94,19 +94,9 @@ def eval_h(coeffs, x):
         m = 2 * j - 1
         delta = ax - 0.25 * m
         near = np.abs(delta) < _POLE_GUARD
-        if not near.any():
-            out = out + aj * (cos_all / (m * m - x16))
-            continue
-        denom = np.where(near, 1.0, m * m - x16)
-        direct = cos_all / denom
-        d = np.where(near, delta, 0.0)
-        # cos(2*pi*x)/(m^2-16x^2) = sign * (sin(2*pi*d)/d) / (8m*(1 + 2d/m))
-        sin_over = _TWO_PI - _TWO_PI**3 * d * d / 6.0 + _TWO_PI**5 * d**4 / 120.0
-        q = 2.0 * d / m
-        geo = 1.0 - q + q * q - q**3 + q**4
-        sign = 1.0 if j % 2 == 1 else -1.0
-        series = sign * sin_over * geo / (8.0 * m)
-        out = out + aj * np.where(near, series, direct)
+        direct = cos_all / np.where(near, 1.0, m * m - x16)
+        pole = (-1) ** (j - 1) * (math.pi / 2) * np.sinc(2.0 * delta) / (m + 4.0 * ax)
+        out = out + aj * np.where(near, pole, direct)
     return float(out) if out.ndim == 0 else out
 
 

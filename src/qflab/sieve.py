@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import _odd_prime_mask, kronecker, prime_mask
-from .forms import QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form
+from .forms import (QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form,
+                    representation_count)
 from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
 
 __all__ = [
@@ -162,13 +163,20 @@ def sieved_sum_exact(f: QuadraticForm, x: float, y: float, z: float) -> int:
 
 
 def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
-    """Boolean array m with m[n] True iff 1 <= n <= x is represented by f."""
-    return _marked_values(f, x, odd=False)
+    """Boolean array m with m[n] True iff 1 <= n <= x is represented by f:
+    r_f(n) > 0 from the window (0, x] of the r_f histogram."""
+    X = math.floor(x)
+    if X > _MASK_BUDGET:
+        raise BudgetError(f"representation mask of size {X} exceeds budget")
+    mask = np.zeros(max(X + 1, 1), dtype=bool)
+    for n0, r in _window_histogram(reduce_form(f), 0, X):
+        mask[n0:n0 + r.size] = r > 0
+    return mask
 
 
-def _marked_values(f: QuadraticForm, x: float, odd: bool) -> np.ndarray:
-    """The values n <= x of f as a boolean mask, m[n] or, when odd, m[n >> 1]
-    for odd n only; entry 0 (n = 0, or n = 1 when odd) is left False.
+def _marked_values(f: QuadraticForm, x: float) -> np.ndarray:
+    """The odd values n <= x of f as a boolean mask m, m[n >> 1] for n; entry
+    0 (n = 1) is left False.
 
     The rows v >= 0 of the reduced form cover every value, since f(-u, -v)
     = f(u, v).  When a | b (b = 0 or b = a), u -> -u - (b/a)v maps each row
@@ -185,7 +193,7 @@ def _marked_values(f: QuadraticForm, x: float, odd: bool) -> np.ndarray:
     X = math.floor(x)
     if X > _MASK_BUDGET:
         raise BudgetError(f"representation mask of size {X} exceeds budget")
-    mask = np.zeros(max(X + 1, 0) // 2 if odd else max(X + 1, 1), dtype=bool)
+    mask = np.zeros(max(X + 1, 0) // 2, dtype=bool)
     if X < 1:
         return mask
     g = reduce_form(f)
@@ -195,14 +203,13 @@ def _marked_values(f: QuadraticForm, x: float, odd: bool) -> np.ndarray:
             lo = np.maximum(lo, -((b // a) * v // 2))
             if a == c:
                 lo = np.maximum(lo, v)
-        step = 1 + odd * ((a + b * v) & 1)
-        if odd:
-            lo = np.where(step == 2, lo + ((1 + c * v - lo) & 1), np.where(c * v & 1, lo, hi + 1))
+        step = 1 + ((a + b * v) & 1)
+        lo = np.where(step == 2, lo + ((1 + c * v - lo) & 1), np.where(c * v & 1, lo, hi + 1))
         full = lo <= hi  # the cuts leave about half the rows empty
         for vi, l, h, st in zip(*(t[full].tolist() for t in (v, lo, hi, step))):
             u = np.arange(l, h + 1, st, dtype=np.int64)
             n = a * u * u + (b * vi) * u + c * vi * vi
-            mask[n >> 1 if odd else n] = True
+            mask[n >> 1] = True
     mask[0] = False
     return mask
 
@@ -210,9 +217,9 @@ def _marked_values(f: QuadraticForm, x: float, odd: bool) -> np.ndarray:
 def _represented_prime_flags(f: QuadraticForm, x: float) -> np.ndarray:
     """m[k] True iff 2k + 1 <= x is a prime that f represents; m[0] (n = 1) stands for 2."""
     X = math.floor(x)
-    m = _marked_values(f, X, odd=True)
+    m = _marked_values(f, X)
     m &= _odd_prime_mask(X)
-    m[:1] = X >= 2 and _marked_values(f, 2, odd=False)[2]
+    m[:1] = X >= 2 and representation_count(f, 2) > 0
     return m
 
 

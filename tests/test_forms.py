@@ -1,5 +1,7 @@
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from qflab.forms import (
     representation_count,
     unit_count,
 )
+from qflab.latticesums import BudgetError, _window_histogram
 
 
 def test_discriminant_values():
@@ -146,8 +149,56 @@ def test_rf_unimodular_invariance():
         f = random_form(rng, max_a=6, max_extra=10)
         p, q, r, s = random_unimodular(rng)
         g = f.transform(p, q, r, s)
+        # r_f(0..200) of each form as it is, unreduced
+        (_, rf_f), (_, rf_g) = (next(_window_histogram(h, -1, 200)) for h in (f, g))
         for n in range(0, 201):
-            assert representation_count(f, n) == representation_count(g, n)
+            assert rf_f[n] == rf_g[n]
+
+
+def _chi(D, p):
+    """Kronecker symbol (-D/p) for a prime p."""
+    if D % p == 0:
+        return 0
+    if p == 2:
+        return 1 if -D % 8 in (1, 7) else -1
+    return 1 if pow(-D % p, (p - 1) // 2, p) == 1 else -1
+
+
+def test_rf_against_divisor_sum_for_class_number_one():
+    """For h(-D) = 1, r_f(n) = w * sum over d | n of (-D/d), a product over
+    the prime powers p^e of n of 1 + chi(p) + ... + chi(p)^e (w the unit
+    count); checked up to n near 1e12 on n built from small primes."""
+    exponents = ({2: 2, 3: 4, 5: 3, 7: 1, 13: 2, 29: 3},  # ~ 1.2e12
+                 {2: 3, 3: 2, 5: 4, 7: 3, 11: 2, 13: 1},  # ~ 2.4e10
+                 {3: 1, 5: 2, 7: 2, 11: 1, 17: 2, 23: 1},  # ~ 2.7e8
+                 {5: 3, 13: 2, 29: 1, 37: 1, 41: 1})  # ~ 9.3e8
+    for abc in ((1, 0, 1), (1, 1, 1), (1, 1, 2), (1, 0, 2)):
+        f = QuadraticForm(*abc)
+        assert enumerate_reduced_forms(f.D).h == 1
+        for powers in exponents:
+            n = math.prod(p**e for p, e in powers.items())
+            want = unit_count(f.D) * math.prod(sum(_chi(f.D, p) ** i for i in range(e + 1))
+                                               for p, e in powers.items())
+            assert representation_count(f, n) == want, (abc, n)
+
+
+def test_rf_refuses_past_exact_64_bit_range():
+    # 4an > 2^52 is refused by the lattice kernel before any row is built
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        for f in (QuadraticForm(1, 0, 1), QuadraticForm(3, 2, 5)):
+            n = (1 << 50) // f.a + 1
+            with pytest.raises(BudgetError):
+                representation_count(f, n)
+            assert representation_count(f, 0) == 1
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 1 << 20
+    # a is 10^16 + 1 here, but the count is taken on the reduced u^2 + v^2
+    assert representation_count(QuadraticForm(10**16 + 1, 2 * 10**8, 1), 5) == 8
 
 
 def test_min_represented_is_a_for_reduced_forms():
@@ -156,8 +207,8 @@ def test_min_represented_is_a_for_reduced_forms():
             continue
         for f in enumerate_reduced_forms(D):
             assert f.a <= math.isqrt(D // 3)
-            smallest = next(n for n in range(1, f.a + 1)
-                            if representation_count(f, n) > 0)
+            _, rf = next(_window_histogram(f, 0, f.a))  # r_f(1..a)
+            smallest = next(n for n in range(1, f.a + 1) if rf[n - 1] > 0)
             assert smallest == f.a
 
 
@@ -223,5 +274,6 @@ def test_lattice_norms_reproduce_rf():
                     n = round(nsq)
                     if abs(nsq - n) < 1e-9 and 0 <= n <= 100:
                         counts[n] = counts.get(n, 0) + 1
+            _, rf = next(_window_histogram(f, -1, 100))  # r_f(0..100)
             for n in range(0, 101):
-                assert counts.get(n, 0) == representation_count(f, n), (f, n)
+                assert counts.get(n, 0) == rf[n], (f, n)

@@ -15,9 +15,10 @@ from qflab.forms import (
     representation_count,
     unit_count,
 )
-from qflab.latticesums import BudgetError, _lattice_rows, congruence_sum_exact
+from qflab.latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
 from qflab.sieve import (
     PrimeGapRecord,
+    _marked_values,
     _sieve_walk,
     bt_theoretical_bound,
     cor_brun_bound,
@@ -204,7 +205,8 @@ def test_pi_f_consistency_with_per_prime_rf():
     twos = set()
     forms = [f for D in range(3, 101) if D % 4 in (0, 3) for f in enumerate_reduced_forms(D)]
     for f in forms + [QuadraticForm(2, 2, 3).transform(2, 1, 1, 1)]:  # the last not reduced
-        via_rf = [p for p in range(2, 2001) if mask[p] and representation_count(f, p) > 0]
+        _, rf = next(_window_histogram(reduce_form(f), -1, 2000))  # r_f(0..2000)
+        via_rf = [p for p in range(2, 2001) if mask[p] and rf[p] > 0]
         for X in (0, 1, 2, 3, 4, 5, 1000, 2000):
             want = [p for p in via_rf if p <= X]
             assert represented_primes(f, X).tolist() == want, (f, X)
@@ -227,9 +229,10 @@ def test_pi_f_class_number_two_by_residues():
 
 
 def test_pi_f_odd_path_matches_whole_masks():
-    """The odd-only marks and sieve against the whole represented mask ANDed
-    with the whole prime mask, for u^2 + 14v^2 at 2e5 (D = 56 has two
-    classes per genus, which no residue rule tells apart)."""
+    """The odd-only marks and sieve against the whole represented mask, r_f > 0
+    from the window histogram, ANDed with the whole prime mask, for
+    u^2 + 14v^2 at 2e5 (D = 56 has two classes per genus, which no residue
+    rule tells apart)."""
     x = 200_000
     f = QuadraticForm(1, 0, 14)
     want = np.flatnonzero(represented_mask(f, x) & prime_mask(x))
@@ -438,7 +441,8 @@ def test_represented_mask_matches_rf():
 
 def test_represented_mask_matches_brute_values():
     """Every reduced form with D <= 300, the b = 0 and b = a forms (half
-    rows) and the others (whole rows), against the values on a box."""
+    rows in the odd marks) and the others (whole rows), against the values
+    on a box: the whole mask, and the odd marks at the odd n >= 3."""
     rng = random.Random(300)
     kinds = set()
     for D in range(3, 301):
@@ -451,7 +455,9 @@ def test_represented_mask_matches_brute_values():
             vals = f.a * u * u + f.b * u * v + f.c * v * v
             want = np.zeros(X + 1, dtype=bool)
             want[vals[(vals >= 1) & (vals <= X)]] = True
-            assert np.array_equal(represented_mask(f, X + rng.random()), want), (f, X)
+            x = X + rng.random()
+            assert np.array_equal(represented_mask(f, x), want), (f, X)
+            assert np.array_equal(_marked_values(f, x)[1:], want[3::2]), (f, X)
             kinds.add("b = 0" if f.b == 0 else "b = a" if f.b == f.a else "other")
     assert kinds == {"b = 0", "b = a", "other"}
 
@@ -471,8 +477,9 @@ def _full_row_mask(f, X):
 
 
 def test_represented_mask_swap_symmetric_forms():
-    """(a, 0, a) and (a, a, a), whose rows are marked for u >= v only, and
-    their SL2(Z) transforms, against every row of the untransformed form."""
+    """(a, 0, a) and (a, a, a), whose rows the odd marks take for u >= v
+    only, and their SL2(Z) transforms, against every row of the form: the
+    whole mask, and the odd marks at the odd n >= 3."""
     rng = random.Random(9)
     for a in range(1, 31):
         for f in (QuadraticForm(a, 0, a), QuadraticForm(a, a, a)):
@@ -481,8 +488,9 @@ def test_represented_mask_swap_symmetric_forms():
             top = int(np.flatnonzero(_full_row_mask(f, X))[-1])  # represented, = X at most
             for x in (1, 2, a, top, X + rng.random()):
                 for h in (f, g):
-                    assert np.array_equal(represented_mask(h, x),
-                                          _full_row_mask(h, math.floor(x))), (h, x)
+                    want = _full_row_mask(h, math.floor(x))
+                    assert np.array_equal(represented_mask(h, x), want), (h, x)
+                    assert np.array_equal(_marked_values(h, x)[1:], want[3::2]), (h, x)
 
 
 def test_normalized_gaps_match_the_scalar_formula():
