@@ -160,24 +160,10 @@ def parse_invocation(argv) -> CommandPlan:
     return CommandPlan(group, action, params, output, fmt or "json")
 
 
-def _json_default(o):
-    if isinstance(o, Fraction):
-        return str(o)
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 # column-table rows per write: few write calls, and memory bounded by one
 # chunk of text
 _EMIT_CHUNK = 16384
 
-# the text of one column value in a column table, by its Python type, for
-# which the builtin repr is int.__repr__ or float.__repr__ and calls faster;
-# floats are finite (the JSON encoder would write NaN, Infinity)
-_JSON_TEXT = {bool: ("false", "true").__getitem__, int: repr, float: repr}
-_CSV_TEXT = {bool: str, int: repr, float: "{:.6g}".format}
-
-# the array of a list column's chunk whose values share one of these types
-_DTYPES = {bool: np.bool_, int: np.int64, float: np.float64}
 # shortest-digits decisions this close to their bound, relative to it, are
 # left to repr; the computed distances are good to about 1e-16
 _FLOAT_BAND = 1e-9
@@ -198,9 +184,9 @@ class TextReport:
 def emit(records, fmt: str, stream) -> None:
     """Write records to stream as JSON lines or as CSV headed by the first
     record's keys.  Records are a list of dicts, written in one pass, or a
-    dict of equal-length columns (lists or numpy arrays of ints, floats or
-    bools), written as the rows they hold in chunks of _EMIT_CHUNK rows with
-    the bytes the row dicts would give.  A TextReport is run with each line
+    dict of equal-length columns (numpy bool, int64 or float64 arrays),
+    written as the rows they hold in chunks of _EMIT_CHUNK rows with the
+    bytes the row dicts would give.  A TextReport is run with each line
     written and flushed as it comes."""
     if isinstance(records, TextReport):
         def write(line: str) -> None:
@@ -215,8 +201,7 @@ def emit(records, fmt: str, stream) -> None:
     if not records:
         return
     if fmt == "json":
-        encode = json.JSONEncoder(default=_json_default).encode
-        stream.write("".join([encode(rec) + "\n" for rec in records]))
+        stream.write("".join([json.dumps(rec) + "\n" for rec in records]))
         return
     keys = list(records[0])
     writer = csv.writer(stream, lineterminator="\n")
@@ -233,46 +218,40 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
     keys, cols = list(columns), list(columns.values())
     if fmt == "json":
         seps = ["{" + json.dumps(keys[0]) + ": "] + [", " + json.dumps(k) + ": " for k in keys[1:]]
-        text, end, head = _JSON_TEXT, "}\n", ""
+        end, head = "}\n", ""
     else:
         seps = [""] + [","] * (len(keys) - 1)
-        text, end, head = _CSV_TEXT, "\n", ",".join(keys) + "\n"
+        end, head = "\n", ",".join(keys) + "\n"
     n = len(cols[0])
     consts = [np.tile(np.frombuffer(sep.encode(), np.uint8), (min(n, _EMIT_CHUNK), 1))
               for sep in seps + [end]]
     for i in range(0, n, _EMIT_CHUNK):
         size = min(_EMIT_CHUNK, n - i)
         table = np.concatenate([part for const, col in zip(consts, cols)
-                                for part in (const[:size], _slots(col[i:i + size], text))]
+                                for part in (const[:size], _slots(col[i:i + size], fmt))]
                                + [consts[-1][:size]], axis=1).ravel()
         stream.write(head + table[table != 0].tobytes().decode("ascii"))
         head = ""
 
 
-def _slots(chunk, text: dict) -> np.ndarray:
-    """Each value's text as a row of uint8, padded with zero bytes: numpy
-    digits for ints within int64, constant text for bools, and in JSON the
-    certified digits of _float_bytes; every other value, CSV's floats among
-    them, takes its text from text[type(value)]."""
-    if not isinstance(chunk, np.ndarray):
-        types = set(map(type, chunk))
-        dtype = _DTYPES.get(types.pop(), object) if len(types) == 1 else object
-        try:
-            chunk = np.array(chunk, dtype)
-        except OverflowError:  # an int beyond int64
-            chunk = np.array(chunk, object)
-    kind = chunk.dtype.kind
-    if kind == "b":
-        return _text_bytes([text[bool](False), text[bool](True)])[chunk.view(np.uint8)]
-    if kind in "iu" and np.can_cast(chunk.dtype, np.int64):
-        v = chunk.astype(np.int64)
-        return np.column_stack([(v < 0) * np.uint8(45), _digits(np.abs(v).view(np.uint64))])
-    if chunk.dtype == np.float64 and text is _JSON_TEXT:
-        slots, rest = _float_bytes(chunk)
-    else:
-        slots, rest = np.zeros((len(chunk), 0), np.uint8), np.arange(len(chunk))
-    if rest.size:  # the per-value text, in columns of its own
-        extra = _text_bytes([text[type(v)](v) for v in chunk[rest].tolist()])
+def _slots(chunk: np.ndarray, fmt: str) -> np.ndarray:
+    """Each value's text as a row of uint8, padded with zero bytes: constant
+    text for bools, numpy digits for int64, and for float64 "{:.6g}" in CSV
+    or, in JSON, the certified digits of _float_bytes and repr's text for
+    the rest.  Any other column raises TypeError."""
+    dtype = getattr(chunk, "dtype", type(chunk))
+    if dtype == np.bool_:
+        words = ["false", "true"] if fmt == "json" else ["False", "True"]
+        return _text_bytes(words)[chunk.view(np.uint8)]
+    if dtype == np.int64:
+        return np.column_stack([(chunk < 0) * np.uint8(45), _digits(np.abs(chunk).view(np.uint64))])
+    if dtype != np.float64:
+        raise TypeError(f"a column table holds numpy bool, int64 or float64 arrays, not {dtype}")
+    if fmt == "csv":
+        return _text_bytes([format(v, ".6g") for v in chunk.tolist()])
+    slots, rest = _float_bytes(chunk)
+    if rest.size:  # repr's text, in columns of its own
+        extra = _text_bytes([repr(v) for v in chunk[rest].tolist()])
         slots = np.concatenate([np.zeros((len(chunk), extra.shape[1]), np.uint8), slots], axis=1)
         slots[rest, :extra.shape[1]] = extra
     return slots

@@ -444,12 +444,12 @@ def gap_constant(fn, A: float, alpha: float, delta: Fraction, h: int) -> float:
 # ----- greedy search ---------------------------------------------------------
 
 _SEED_ANCHORS = [
-    ((68.0, 5.0, 1.0), 0.98644),
-    ((270.0, 21.0, 4.0), 0.988),
-    ((297.0, 18.0, 1.0), 0.977),
-    ((243.0, 9.0, -5.0), 0.9586),
-    ((81.0, -69.0, 0.0), 0.1),
-    ((189.0, -63.0, -20.0), 0.66),
+    (68.0, 5.0, 1.0),
+    (270.0, 21.0, 4.0),
+    (297.0, 18.0, 1.0),
+    (243.0, 9.0, -5.0),
+    (81.0, -69.0, 0.0),
+    (189.0, -63.0, -20.0),
 ]
 
 _STEPS = (27.0, 9.0, 3.0, 1.0, -1.0, -3.0, -9.0, -27.0)
@@ -485,13 +485,15 @@ def _golden_max(fun, lo: float, hi: float, tol: float = 1e-5):
 def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResult:
     """Coordinate ascent over integer coefficient grids (steps +-1, 3, 9, 27)
     interleaved with golden-section refinement of the dilation on
-    [0.1, 1.05], from a fixed deterministic seed list.  Budget caps the
-    number of functional evaluations; exhaustion returns best-so-far with a
-    flag."""
+    [0.1, 1.05], from a fixed deterministic seed list.  Budget (at least 1)
+    caps the number of functional evaluations; exhaustion returns
+    best-so-far with a flag."""
     if A < 1:
         raise ValueError("need A >= 1")
     if not 1 <= n_terms <= 5:
         raise ValueError("need 1 <= n_terms <= 5")
+    if budget < 1:
+        raise ValueError("need budget >= 1")
     lam_lo, lam_hi = 0.1, 1.05
     evals = 0
     exhausted = False
@@ -510,13 +512,12 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
         return (f0 - A * tp) / (lam * norm)
 
     seeds = [tuple([1.0] + [0.0] * (n_terms - 1))] + [
-        tuple((list(c) + [0.0] * n_terms)[:n_terms]) for c, _ in _SEED_ANCHORS
+        tuple((list(c) + [0.0] * n_terms)[:n_terms]) for c in _SEED_ANCHORS
     ]
-    seed_lams = [1.0] + [l for _, l in _SEED_ANCHORS]
     fill(seeds)  # one batched root solve for the seeds, then one before each sweep
     best = (-math.inf, (), 0.0)
 
-    def refine_lam(coeffs, lam):
+    def refine_lam(coeffs):
         # coarse bracket first: the objective need not be unimodal in lam
         grid = np.linspace(lam_lo, lam_hi, 20).tolist()
         vals = [objective(coeffs, g) for g in grid]
@@ -526,13 +527,8 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
         x, fx = _golden_max(lambda g: objective(coeffs, g), lo, hi)
         return (x, fx) if fx > vals[i] else (grid[i], vals[i])
 
-    for coeffs, lam0 in zip(seeds, seed_lams):
-        if not any(coeffs):
-            continue
-        if evals >= budget:
-            exhausted = True
-            break
-        lam, j_cur = refine_lam(coeffs, lam0)
+    for coeffs in seeds:
+        lam, j_cur = refine_lam(coeffs)
         improved = True
         while improved and evals < budget:
             improved = False
@@ -553,7 +549,7 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
                     j_cur, coeffs = cand_best
                     improved = True
             if improved and evals < budget:
-                lam, j_new = refine_lam(coeffs, lam)
+                lam, j_new = refine_lam(coeffs)
                 j_cur = max(j_cur, j_new)
         # j within the sweep's 1e-12 band is a tie, which the smaller tuple wins
         if j_cur > best[0] + 1e-12 or (j_cur >= best[0] - 1e-12 and coeffs < best[1]):

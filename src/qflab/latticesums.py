@@ -247,30 +247,20 @@ def chi_hat(f: QuadraticForm, ell: int, r: int, s: int) -> complex:
     return complex(np.exp(-2j * math.pi / ell * phase).sum() / ell**2)
 
 
-def _chi_hat_table(f: QuadraticForm, ell: int) -> np.ndarray:
-    """All ell^2 coefficients of f at once, indexed [s, r]: _chi_hat_tables
-    on a stack of one form."""
-    return next(_chi_hat_tables([f.triple()], ell))[0]
-
-
-def _chi_hat_tables(abc, ell: int):
-    """Yield the coefficient tables of the forms (a, b, c), the rows of the
-    (F, 3) array abc, as blocks indexed [form, s, r] of whole forms, each
-    within _CHI_TABLE_BYTES (one form at least): one residue-kernel pass and
-    one 2-D FFT over the last two axes per block.  An ell whose lone table
-    exceeds _CHI_TABLE_BYTES is refused with BudgetError before anything is
+def _chi_hat_tables(abc, ell: int) -> np.ndarray:
+    """The coefficient tables of the forms (a, b, c), the rows of the (F, 3)
+    array abc, indexed [form, s, r]: one residue-kernel pass and one 2-D FFT
+    over the last two axes.  A stack whose tables would exceed
+    _CHI_TABLE_BYTES is refused with BudgetError before anything is
     allocated."""
-    if 16 * ell * ell > _CHI_TABLE_BYTES:
-        raise BudgetError(f"ell = {ell}: the {ell}^2 chi-hat table exceeds its memory "
-                          f"budget of {_CHI_TABLE_BYTES >> 20} MiB "
-                          f"(ell <= {math.isqrt(_CHI_TABLE_BYTES // 16)})")
     abc = np.array(abc, dtype=object).reshape(-1, 3)
-    step = _CHI_TABLE_BYTES // (16 * ell * ell)
-    for k in range(0, len(abc), step):
-        block = abc[k:k + step]
-        indicator = np.concatenate(list(_residue_rows(block, ell))).reshape(-1, ell, ell)
-        # the rows come indexed [form, v, u]; the tables are the FFT over [u, v]
-        yield np.fft.fft2(indicator.transpose(0, 2, 1).astype(np.float64)) / ell**2
+    if 16 * len(abc) * ell * ell > _CHI_TABLE_BYTES:
+        raise BudgetError(f"ell = {ell}: the {len(abc)} x {ell}^2 chi-hat table exceeds its "
+                          f"memory budget of {_CHI_TABLE_BYTES >> 20} MiB "
+                          f"(ell <= {math.isqrt(_CHI_TABLE_BYTES // (16 * len(abc)))})")
+    indicator = np.concatenate(list(_residue_rows(abc, ell))).reshape(-1, ell, ell)
+    # the rows come indexed [form, v, u]; the tables are the FFT over [u, v]
+    return np.fft.fft2(indicator.transpose(0, 2, 1).astype(np.float64)) / ell**2
 
 
 def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float, float]:
@@ -306,8 +296,7 @@ def _poisson_sides(forms, ells, ts) -> list[dict[int, list[tuple[float, float]]]
     # the (s, r) indices and values of each form's nonzero coefficients, per ell
     nonzero = [[] for _ in forms]
     for ell in ells:
-        tables = (table for block in _chi_hat_tables(abc, ell) for table in block)
-        for kept, table in zip(nonzero, tables):
+        for kept, table in zip(nonzero, _chi_hat_tables(abc, ell)):
             s, r = np.nonzero(np.abs(table) >= 1e-18)
             kept.append((s, r, table[s, r]))
     return [_form_sides(f, ells, ts, kept) for f, kept in zip(forms, nonzero)]

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +60,27 @@ def test_fourier_report_with_a_huge_coefficient(capsys):
     assert abs(rows[0]["j_plus"] - rows[1]["j_plus"]) <= 1e-12
 
 
+def test_search_and_tables_refuse_budget_below_one(monkeypatch, capsys):
+    from qflab import fourier
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search evaluated")
+
+    monkeypatch.setattr(fourier, "_hat_tails", refuse)
+    for argv in (["fourier", "search", "--A", "5", "--budget", "0"],
+                 ["fourier", "search", "--A", "5", "--budget", "-5"],
+                 ["fourier", "tables", "--a-grid", "1:5:2", "--budget", "0"]):
+        with pytest.raises(ValueError, match="need budget >= 1"):
+            main(argv)
+    assert capsys.readouterr().out == ""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "qflab.cli", "fourier", "search", "--A", "5",
+                           "--budget", "0"], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode != 0 and "need budget >= 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_poisson_record():
     rec = run_cli(["repr", "poisson-check", "--form", "1,1,1",
                    "--ell", "3", "--t", "0.7"])[0]
@@ -101,8 +121,8 @@ def test_emit_streams_iterables_in_chunks(monkeypatch, chunk):
     # a row list is written in one pass whatever the chunk size; the same
     # rows as a column table are written in chunks of _EMIT_CHUNK rows
     monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
-    rows = [{"n": i, "x": i / 7, "q": Fraction(i, 3), "odd": i % 2 == 1} for i in range(10)]
-    want_json = "".join(json.dumps(r, default=str) + "\n" for r in rows)
+    rows = [{"n": i, "x": i / 7, "odd": i % 2 == 1} for i in range(10)]
+    want_json = "".join(json.dumps(r) + "\n" for r in rows)
     ref = io.StringIO()
     writer = csv.writer(ref, lineterminator="\n")
     writer.writerow(list(rows[0]))
@@ -115,26 +135,29 @@ def test_emit_streams_iterables_in_chunks(monkeypatch, chunk):
         empty = WriteLog()
         emit([], fmt, empty)
         assert empty.getvalue() == "" and empty.writes == 0
-        no_q = [{k: v for k, v in r.items() if k != "q"} for r in rows]
-        want_rows = io.StringIO()
-        emit(no_q, fmt, want_rows)
         out = WriteLog()
-        emit({k: [r[k] for r in no_q] for k in no_q[0]}, fmt, out)
-        assert out.getvalue() == want_rows.getvalue()
+        emit(_columns(rows), fmt, out)
+        assert out.getvalue() == want
         assert out.writes == -(-len(rows) // chunk)
 
 
 def _rows(columns):
-    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+    return [dict(zip(columns, row)) for row in zip(*(col.tolist() for col in columns.values()))]
+
+
+def _columns(rows):
+    """The column table of the row dicts: numpy arrays of their bools, ints
+    or floats."""
+    return {k: np.array([r[k] for r in rows]) for k in rows[0]}
 
 
 @pytest.mark.parametrize("chunk", [4096, 3])
 def test_column_table_matches_row_emit(monkeypatch, chunk):
     monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
-    table = {"p_n": [2, 3, 5, 7, 11, 13, 10**20 + 39, -4],
-             "gap": [1, 2, 2, 4, 2, 4, 0, 7],
-             "normalized": [0.1, 1e-7, 2.5e22, -0.0, 1 / 3, 123456.5, 7.0, -2e-300],
-             "is_max": [False] * 6 + [True, False]}  # the max sits in a later chunk
+    table = {"p_n": np.array([2, 3, 5, 7, 11, 13, 2**63 - 1, -4]),
+             "gap": np.array([1, 2, 2, 4, 2, 4, 0, 7]),
+             "normalized": np.array([0.1, 1e-7, 2.5e22, -0.0, 1 / 3, 123456.5, 7.0, -2e-300]),
+             "is_max": np.array([False] * 6 + [True, False])}  # the max sits in a later chunk
     one_row = {k: v[:1] for k, v in table.items()}
     for fmt in ("json", "csv"):
         for columns in (table, one_row):
@@ -145,7 +168,7 @@ def test_column_table_matches_row_emit(monkeypatch, chunk):
             assert out.getvalue() == want.getvalue()
             assert out.writes == -(-len(columns["p_n"]) // chunk)
         empty = WriteLog()
-        emit({k: [] for k in table}, fmt, empty)
+        emit({k: v[:0] for k, v in table.items()}, fmt, empty)
         assert empty.getvalue() == "" and empty.writes == 0
 
 
@@ -153,9 +176,10 @@ def test_column_table_matches_row_emit(monkeypatch, chunk):
 def test_column_writer_matches_json_and_csv_per_row(monkeypatch, chunk):
     monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
     n = 4100
-    table = {"p_n": [7 * i - 50 for i in range(n)], "gap": [i % 13 for i in range(n)],
-             "normalized": [(i - 2000) / 7 * 10.0 ** (i % 41 - 20) for i in range(n)],
-             "is_max": [i == 4095 for i in range(n)]}  # 4095: a chunk edge at each size
+    table = _columns([{"p_n": 7 * i - 50, "gap": i % 13,
+                       "normalized": (i - 2000) / 7 * 10.0 ** (i % 41 - 20),
+                       "is_max": i == 4095}  # 4095: a chunk edge at each size
+                      for i in range(n)])
     rows = _rows(table)
     ref = io.StringIO()
     writer = csv.writer(ref, lineterminator="\n")
@@ -197,7 +221,7 @@ def test_sieve_gaps_bytes_match_a_row_oracle(capsys):
 
 def _column_json(values) -> str:
     out = io.StringIO()
-    emit({"x": values}, "json", out)
+    emit({"x": np.array(values)}, "json", out)
     return out.getvalue()
 
 
@@ -222,7 +246,6 @@ def test_float_text_matches_repr_on_any_double():
                                min_size=1, max_size=40))
     def check(values):
         assert _column_json(values) == _row_json(values)
-        assert _column_json(np.array(values)) == _row_json(values)
 
     check()
 
@@ -267,15 +290,19 @@ def test_float_text_falls_back_to_repr(monkeypatch):
     assert _column_json(values) == _row_json(values.tolist())
 
 
-def test_int_text_in_and_beyond_int64(monkeypatch):
-    monkeypatch.setattr(cli, "_EMIT_CHUNK", 1)
-    calls = []
-    monkeypatch.setitem(cli._JSON_TEXT, int, lambda v: calls.append(v) or repr(v))
-    ints = [0, 7, -1, -10, 10 ** 18, -(2 ** 63), 2 ** 63 - 1, 10 ** 20 + 39, -(2 ** 63) - 1]
-    assert _column_json(ints) == _row_json(ints)
-    assert calls == [10 ** 20 + 39, -(2 ** 63) - 1]
-    calls.clear()
-    assert _column_json(np.array(ints[:7])) == _row_json(ints[:7]) and calls == []
+def test_int_text_at_the_int64_edges(monkeypatch):
+    ints = [0, 7, -1, -10, 10 ** 18, -(2 ** 63), 2 ** 63 - 1]
+    for chunk in (1, 4096):
+        monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
+        assert _column_json(ints) == _row_json(ints)
+
+
+def test_column_writer_refuses_other_dtypes():
+    for column in (np.arange(3, dtype=np.int32), np.arange(3, dtype=np.uint64),
+                   np.ones(3, dtype=np.float32), [1, 2, 3]):
+        for fmt in ("json", "csv"):
+            with pytest.raises(TypeError, match="bool, int64 or float64"):
+                emit({"x": column}, fmt, io.StringIO())
 
 
 def test_column_writer_memory_is_per_chunk():

@@ -572,6 +572,22 @@ def test_greedy_search_budget_flag():
     assert type(res.fn.lam) is float
 
 
+def test_greedy_search_refuses_budget_below_one(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search evaluated")
+
+    for name in ("_rational_part_roots", "_hat_roots", "_hat_tails"):
+        monkeypatch.setattr(fourier, name, refuse)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="need budget >= 1"):
+            greedy_search(5.0, 3, budget=budget)
+    monkeypatch.undo()
+    res = greedy_search(5.0, 3, budget=1)
+    # the first seed's dilation refinement finishes past the budget
+    assert res.exhausted and res.evaluations == 42
+    assert res.fn.coeffs == (1.0, 0.0, 0.0)
+
+
 def test_greedy_search_norm_once_per_tuple(monkeypatch):
     # the search solves for the rational parts' and H-hat's roots of a
     # sweep's candidates in one batch each; the log interleaves those

@@ -288,7 +288,7 @@ def test_chi_hat_reduces_coefficients_first():
         phase = (k[:, None, None] * us + k[None, :, None] * vs) % ell  # [s, r, pair]
         roots = np.exp(-2j * np.pi * np.arange(ell) / ell)
         oracle = roots[phase].sum(axis=2) / ell**2
-        assert np.abs(latticesums._chi_hat_table(f, ell) - oracle).max() < 1e-12
+        assert np.abs(latticesums._chi_hat_tables([f.triple()], ell)[0] - oracle).max() < 1e-12
         for r, s in ((0, 0), (1, 0), (3, 5), (ell - 1, ell - 2)):
             assert abs(chi_hat(f, ell, r, s) - oracle[s, r]) < 1e-12
 
@@ -335,7 +335,7 @@ def test_residue_kernel_callers_match_references(monkeypatch, block):
         table = np.zeros((ell, ell))
         for v, us in enumerate(want):
             table[us, v] = 1.0
-        assert np.abs(latticesums._chi_hat_table(f, ell)
+        assert np.abs(latticesums._chi_hat_tables([f.triple()], ell)[0]
                       - np.fft.fft2(table) / ell**2).max() < 1e-12
 
 
@@ -365,7 +365,7 @@ def test_chi_hat_table_refuses_ell_past_its_memory_budget():
     f = QuadraticForm(1, 1, 1)
     tracemalloc.start()
     try:
-        for call in (lambda: latticesums._chi_hat_table(f, 2049),
+        for call in (lambda: latticesums._chi_hat_tables([f.triple()], 2049),
                      lambda: poisson_identity_check(f, 2049, 0.7)):
             with pytest.raises(BudgetError, match="2048"):
                 call()
@@ -405,13 +405,9 @@ def test_poisson_identity_grid_subset():
                 assert abs(lhs - rhs) / abs(lhs) < 1e-9, (f, ell, t)
 
 
-@pytest.mark.parametrize("budget", [None, 16 * 6 * 6 * 7])
-def test_stacked_poisson_sides_match_one_form_calls(monkeypatch, budget):
+def test_stacked_poisson_sides_match_one_form_calls():
     # the 45 forms of the poisson-identity check (D <= 50) at once, bit for
-    # bit what each form gives alone; a budget of seven ell = 6 tables
-    # splits the stack into blocks at every ell
-    if budget is not None:
-        monkeypatch.setattr(latticesums, "_CHI_TABLE_BYTES", budget)
+    # bit what each form gives alone
     ts = (0.5, 1.0, 2.0)
     forms = reduced_forms_up_to(50)
     assert len(forms) == 45
@@ -421,23 +417,39 @@ def test_stacked_poisson_sides_match_one_form_calls(monkeypatch, budget):
         assert sides == latticesums._poisson_sides([f], range(1, 7), ts)[0], f
 
 
-def test_stacked_chi_hat_tables_match_lone_tables(monkeypatch):
+def test_stacked_chi_hat_tables_match_lone_tables():
     # the stacked FFT against a lone 2-D FFT of each form's indicator, bit for
-    # bit, and split into blocks of whole forms by the table budget
+    # bit, and against the form's table on a stack of one
     forms = reduced_forms_up_to(200)
     abc = [f.triple() for f in forms]
     for ell in range(1, 13):
-        blocks = list(latticesums._chi_hat_tables(abc, ell))
-        assert len(blocks) == 1 and blocks[0].shape == (len(forms), ell, ell)
-        for f, table in zip(forms, blocks[0]):
+        tables = latticesums._chi_hat_tables(abc, ell)
+        assert tables.shape == (len(forms), ell, ell)
+        for f, table in zip(forms, tables):
             indicator = np.concatenate(list(arith._residue_rows([f.triple()], ell))).T
             assert np.array_equal(table, np.fft.fft2(indicator.astype(np.float64)) / ell**2)
-            assert np.array_equal(table, latticesums._chi_hat_table(f, ell))
-    monkeypatch.setattr(latticesums, "_CHI_TABLE_BYTES", 16 * 12 * 12 * 50)
-    blocks = list(latticesums._chi_hat_tables(abc, 12))
-    assert [len(b) for b in blocks] == [50] * (len(forms) // 50) + [len(forms) % 50]
-    assert np.array_equal(np.concatenate(blocks),
-                          np.stack([latticesums._chi_hat_table(f, 12) for f in forms]))
+            assert np.array_equal(table, latticesums._chi_hat_tables([f.triple()], ell)[0])
+
+
+def test_chi_hat_stack_refused_past_its_memory_budget(monkeypatch):
+    # a budget of seven ell = 6 tables admits seven of the 45 forms of the
+    # poisson-identity check; a larger stack is refused unallocated, by the
+    # tables and by the Poisson sides
+    monkeypatch.setattr(latticesums, "_CHI_TABLE_BYTES", 16 * 6 * 6 * 7)
+    forms = reduced_forms_up_to(50)
+    abc = [f.triple() for f in forms]
+    assert latticesums._chi_hat_tables(abc[:7], 6).shape == (7, 6, 6)
+    tracemalloc.start()
+    try:
+        for call in (lambda: latticesums._chi_hat_tables(abc[:8], 6),
+                     lambda: latticesums._chi_hat_tables(abc, 6),
+                     lambda: latticesums._poisson_sides(forms, range(1, 7), (0.5, 1.0, 2.0))):
+            with pytest.raises(BudgetError, match="memory budget"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_poisson_direct_side_matches_box_sum():
@@ -459,7 +471,7 @@ def per_shift_dual_side(f, ell, t):
     a, c = f.a, f.c
     lat = latticesums.lattice_basis(f)
     d1, d2 = np.array(lat.dual1), np.array(lat.dual2)
-    table = latticesums._chi_hat_table(f, ell)
+    table = latticesums._chi_hat_tables([f.triple()], ell)[0]
     radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
     mrange = np.arange(-math.ceil(radius * math.sqrt(a)) - 1,
                        math.ceil(radius * math.sqrt(a)) + 2, dtype=np.float64)
