@@ -12,6 +12,7 @@ from qflab.forms import (
     delta_f,
     enumerate_reduced_forms,
     reduce_form,
+    representation_count,
     unit_count,
 )
 from qflab.latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
@@ -429,22 +430,26 @@ def test_sieve_routines_reduce_first():
     assert sieve_upper_bound(f, 1e4, 1e3, 10) == sieve_upper_bound(g, 1e4, 1e3, 10)
 
 
-def _box_mask(f, X):
-    """The values 1 <= n <= X of f on the box |u| <= sqrt(4cX/D), |v| <=
+def _box_counts(f, X):
+    """r_f(n) for 0 <= n <= X, counted on the box |u| <= sqrt(4cX/D), |v| <=
     sqrt(4aX/D), which holds the ellipse f <= X of any form."""
     bu, bv = (math.isqrt(4 * k * X // f.D) + 1 for k in (f.c, f.a))
     u, v = np.meshgrid(np.arange(-bu, bu + 1), np.arange(-bv, bv + 1))
     vals = f.a * u * u + f.b * u * v + f.c * v * v
-    want = np.zeros(X + 1, dtype=bool)
-    want[vals[(vals >= 1) & (vals <= X)]] = True
+    return np.bincount(vals[vals <= X], minlength=X + 1)
+
+
+def _box_mask(f, X):
+    """The values 1 <= n <= X of f on the box of _box_counts."""
+    want = _box_counts(f, X) > 0
+    want[0] = False
     return want
 
 
 def test_represented_mask_matches_brute_values():
     """Every reduced form with D <= 300, the b = 0 and b = a forms (half
-    rows in the odd marks) and the others (whole rows), and six random
-    forms, three of them not reduced, against the values on a box: the
-    whole mask, and the odd marks at the odd n >= 3."""
+    rows in the odd marks) and the others (whole rows), against the values
+    on a box: the whole mask, and the odd marks at the odd n >= 3."""
     rng = random.Random(300)
     kinds = set()
     for D in range(3, 301):
@@ -458,10 +463,19 @@ def test_represented_mask_matches_brute_values():
             assert np.array_equal(_marked_values(f, x)[1:], want[3::2]), (f, X)
             kinds.add("b = 0" if f.b == 0 else "b = a" if f.b == f.a else "other")
     assert kinds == {"b = 0", "b = a", "other"}
+
+
+def test_represented_mask_matches_rf():
+    """Six random forms, three of them not reduced, against r_f counted on
+    the box that holds the ellipse f <= 600: representation_count at every
+    n <= 600, the whole mask as r_f > 0, and the odd marks at the odd n >= 3."""
     rng = random.Random(8)
     for _ in range(6):
         f = random_form(rng, max_a=8, max_extra=15)
-        want = _box_mask(f, 600)
+        rf = _box_counts(f, 600)
+        assert [representation_count(f, n) for n in range(601)] == rf.tolist(), f
+        want = rf > 0
+        want[0] = False
         assert np.array_equal(represented_mask(f, 600), want), f
         assert np.array_equal(_marked_values(f, 600)[1:], want[3::2]), f
 
