@@ -17,6 +17,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
@@ -59,11 +60,19 @@ def _form_arg(text: str) -> QuadraticForm:
         raise argparse.ArgumentTypeError(f"bad --form {text!r}: {exc}") from exc
 
 
-def _coeffs_arg(text: str) -> tuple[float, ...]:
+def _finite_arg(text: str) -> float:
+    """A finite float: NaN and the infinities have no JSON spelling."""
     try:
-        return tuple(float(p) for p in text.split(","))
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad --coeffs {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
+def _coeffs_arg(text: str) -> tuple[float, ...]:
+    return tuple(_finite_arg(p) for p in text.split(","))
 
 
 def _grid_arg(text: str) -> list[float]:
@@ -186,8 +195,9 @@ def emit(records, fmt: str, stream) -> None:
     record's keys.  Records are a list of dicts, written in one pass, or a
     dict of equal-length columns (numpy bool, int64 or float64 arrays),
     written as the rows they hold in chunks of _EMIT_CHUNK rows with the
-    bytes the row dicts would give.  A TextReport is run with each line
-    written and flushed as it comes."""
+    bytes the row dicts would give.  A float NaN or infinity, which JSON
+    cannot spell, raises ValueError in JSON.  A TextReport is run with each
+    line written and flushed as it comes."""
     if isinstance(records, TextReport):
         def write(line: str) -> None:
             stream.write(line + "\n")
@@ -201,7 +211,7 @@ def emit(records, fmt: str, stream) -> None:
     if not records:
         return
     if fmt == "json":
-        stream.write("".join([json.dumps(rec) + "\n" for rec in records]))
+        stream.write("".join([json.dumps(rec, allow_nan=False) + "\n" for rec in records]))
         return
     keys = list(records[0])
     writer = csv.writer(stream, lineterminator="\n")
@@ -213,8 +223,13 @@ def emit(records, fmt: str, stream) -> None:
 def _emit_columns(columns: dict, fmt: str, stream) -> None:
     """Write a column table as a byte table, one write per _EMIT_CHUNK rows:
     each column's chunk becomes a uint8 matrix of text slots padded with
-    zero bytes (_slots), laid side by side with the key separators; dropping
-    the zero bytes leaves the rows' text."""
+    zero bytes (_slots), copied with the key separators into one table of
+    rows; dropping the zero bytes leaves the rows' text.
+
+    A row's text depends on its value alone, so a column that is another's
+    next row in one buffer (p_next = primes[1:] beside p_n = primes[:-1])
+    takes its slots from the other's, rendered one row longer, told from
+    the arrays' bases and data pointers, never from their values."""
     keys, cols = list(columns), list(columns.values())
     if fmt == "json":
         seps = ["{" + json.dumps(keys[0]) + ": "] + [", " + json.dumps(k) + ": " for k in keys[1:]]
@@ -222,16 +237,39 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
     else:
         seps = [""] + [","] * (len(keys) - 1)
         end, head = "\n", ",".join(keys) + "\n"
+    seps = [np.frombuffer(sep.encode(), np.uint8) for sep in seps + [end]]
+    nexts = {}  # column j -> the column that is column j one row on
+    for j, k in permutations(range(len(cols)), 2):
+        if not {j, k} & {*nexts, *nexts.values()} and _next_row_view(cols[j], cols[k]):
+            nexts[j] = k
     n = len(cols[0])
-    consts = [np.tile(np.frombuffer(sep.encode(), np.uint8), (min(n, _EMIT_CHUNK), 1))
-              for sep in seps + [end]]
     for i in range(0, n, _EMIT_CHUNK):
         size = min(_EMIT_CHUNK, n - i)
-        table = np.concatenate([part for const, col in zip(consts, cols)
-                                for part in (const[:size], _slots(col[i:i + size], fmt))]
-                               + [consts[-1][:size]], axis=1).ravel()
-        stream.write(head + table[table != 0].tobytes().decode("ascii"))
+        slots = [None] * len(cols)
+        for j, k in nexts.items():  # column j rendered one row longer serves both
+            both = _slots(np.append(cols[j][i:i + size], cols[k][i + size - 1]), fmt)
+            slots[j], slots[k] = both[:-1], both[1:]
+        for j, col in enumerate(cols):
+            if slots[j] is None:
+                slots[j] = _slots(col[i:i + size], fmt)
+        parts = [part for sep, slot in zip(seps, slots) for part in (sep, slot)] + [seps[-1]]
+        table = np.empty((size, sum(part.shape[-1] for part in parts)), np.uint8)
+        at = 0
+        for part in parts:
+            table[:, at:at + part.shape[-1]] = part
+            at += part.shape[-1]
+        stream.write(head + table.tobytes().translate(None, b"\0").decode("ascii"))
         head = ""
+
+
+def _next_row_view(col, nxt) -> bool:
+    """Whether nxt[r] is col[r + 1] in memory: both 1-d views of one buffer,
+    nxt one of col's strides on."""
+    return (isinstance(col, np.ndarray) and isinstance(nxt, np.ndarray)
+            and col.base is not None and col.base is nxt.base
+            and col.ndim == nxt.ndim == 1 and col.dtype == nxt.dtype
+            and col.strides == nxt.strides
+            and nxt.ctypes.data - col.ctypes.data == col.strides[0])
 
 
 def _slots(chunk: np.ndarray, fmt: str) -> np.ndarray:
@@ -244,11 +282,13 @@ def _slots(chunk: np.ndarray, fmt: str) -> np.ndarray:
         words = ["false", "true"] if fmt == "json" else ["False", "True"]
         return _text_bytes(words)[chunk.view(np.uint8)]
     if dtype == np.int64:
-        return np.column_stack([(chunk < 0) * np.uint8(45), _digits(np.abs(chunk).view(np.uint64))])
+        return np.vstack([(chunk < 0) * np.uint8(45), _digits(np.abs(chunk).view(np.uint64))]).T
     if dtype != np.float64:
         raise TypeError(f"a column table holds numpy bool, int64 or float64 arrays, not {dtype}")
     if fmt == "csv":
         return _text_bytes([format(v, ".6g") for v in chunk.tolist()])
+    if not np.isfinite(chunk).all():  # refused as json.dumps(allow_nan=False) refuses a row
+        raise ValueError("Out of range float values are not JSON compliant")
     slots, rest = _float_bytes(chunk)
     if rest.size:  # repr's text, in columns of its own
         extra = _text_bytes([repr(v) for v in chunk[rest].tolist()])
@@ -265,19 +305,21 @@ def _text_bytes(texts: list[str]) -> np.ndarray:
 
 def _digits(u: np.ndarray) -> np.ndarray:
     """The decimal digits of each uint64 of u as ASCII, right-aligned to the
-    longest, with zero bytes for leading zeros (0 is written "0")."""
+    longest, with zero bytes for leading zeros (0 is written "0"): the
+    columns of a (width, len(u)) uint8 matrix, built one contiguous row per
+    digit place."""
     width = max(int(np.searchsorted(_P10, u.max(), side="right")), 1)
-    out = np.empty((len(u), width), np.uint8)
+    out = np.empty((width, len(u)), np.uint8)
     rest = u
     for j in range(width - 1, -1, -1):
         if (width - 1 - j) % 9 == 0:  # the next nine digits, divided in 32 bits
             rest, limb = np.divmod(rest, np.uint64(10 ** 9))
             limb = limb.astype(np.uint32)
         q = limb // 10
-        out[:, j] = limb - q * 10 + 48
+        out[j] = limb - q * 10 + 48
         limb = q
     for j in range(width - 1):  # leading zeros become zero bytes
-        out[:, j] *= u >= _P10[width - 1 - j]
+        out[j] *= u >= _P10[width - 1 - j]
     return out
 
 
@@ -300,12 +342,13 @@ def _float_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     point = np.where(sci, point, np.maximum(point, 1))  # digits after the point
     zeros = point - np.maximum(np.searchsorted(_P10, frac, side="right"), 1)
     digits = _digits(frac)
-    digits[point == 0] = 0
+    digits[:, point == 0] = 0
     # sign, whole part, point, the fraction's leading zeros and digits, exponent
     expo = [ord("e"), ord("-"), 48 + -e10 // 10, 48 + -e10 % 10]
-    text = np.column_stack([(x < 0) * np.uint8(45), _digits(whole), (point > 0) * np.uint8(46)]
-                           + [(j < zeros) * np.uint8(48) for j in range(zeros.max(initial=0))]
-                           + [digits] + [(sci * c).astype(np.uint8) for c in expo])
+    lead = np.arange(zeros.max(initial=0))[:, None] < zeros
+    text = np.vstack([(x < 0) * np.uint8(45), _digits(whole), (point > 0) * np.uint8(46),
+                      lead * np.uint8(48), digits]
+                     + [(sci * c).astype(np.uint8) for c in expo]).T
     rest = np.flatnonzero(~(inside & sure))
     text[rest] = 0
     return text, rest
@@ -517,7 +560,7 @@ _COMMANDS = {
     ("repr", "rf"): (_repr_rf, {"form": {"type": _form_arg}, "n": {"type": int}}),
     ("repr", "congruence-sum"): (_repr_congruence_sum, {
         "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
-        "x": {"type": float}}),
+        "x": {"type": _finite_arg}}),
     ("repr", "error-scaling"): (_repr_error_scaling, {
         "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
         "grid": {"type": _grid_arg, "default": None}}),
@@ -525,19 +568,19 @@ _COMMANDS = {
         "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
         "t": {"type": float, "default": 1.0}}),
     ("sieve", "bound"): (_sieve_bound, {
-        "form": {"type": _form_arg}, "x": {"type": float}, "y": {"type": float},
+        "form": {"type": _form_arg}, "x": {"type": _finite_arg}, "y": {"type": float},
         "z": {"type": float}}),
-    ("sieve", "pif"): (_sieve_pif, {"form": {"type": _form_arg}, "x": {"type": float}}),
+    ("sieve", "pif"): (_sieve_pif, {"form": {"type": _form_arg}, "x": {"type": _finite_arg}}),
     ("sieve", "gaps"): (_sieve_gaps, {
-        "form": {"type": _form_arg}, "x": {"type": float},
+        "form": {"type": _form_arg}, "x": {"type": _finite_arg},
         "min_p": {"type": int, "default": 100}}),
     ("sieve", "bt-constants"): (_sieve_bt_constants, {
-        "form": {"type": _form_arg}, "x": {"type": float}, "y": {"type": float},
+        "form": {"type": _form_arg}, "x": {"type": _finite_arg}, "y": {"type": float},
         "variant": {"default": "cuberoot_range",
                     "choices": ("cuberoot_range", "mid_range", "sqrt_range")},
         "eps": {"type": float, "default": 0.01}}),
     ("fourier", "eval"): (_fourier_eval, {
-        "coeffs": {"type": _coeffs_arg}, "x": {"type": float},
+        "coeffs": {"type": _coeffs_arg}, "x": {"type": _finite_arg},
         "lam": {"type": float, "default": 1.0}}),
     ("fourier", "report"): (_fourier_report, {
         "coeffs": {"type": _coeffs_arg}, "lam": {"type": float, "default": 1.0},

@@ -59,13 +59,15 @@ def _residue_keys(f: QuadraticForm, ell: int, rows: int | None = None) -> np.nda
 
 
 def _exact_isqrt(m: np.ndarray) -> np.ndarray:
-    """Elementwise integer sqrt for nonnegative int64 below 2^52."""
+    """Elementwise integer sqrt for nonnegative int64 below 2^52.
+
+    Such m is an exact double, whose correctly rounded root truncates to
+    isqrt(m) or one more, so one step down and one up settle it.  (It
+    truncates to isqrt(m) itself at every k^2 - 1 and k^2 below 2^52, the
+    ends of each run where it could miss, so the steps are a guard.)"""
     t = np.sqrt(m.astype(np.float64)).astype(np.int64)
-    t = np.maximum(t, 0)
-    for _ in range(2):
-        t = np.where((t + 1) * (t + 1) <= m, t + 1, t)
-        t = np.where(t * t > m, t - 1, t)
-    return t
+    t = np.where(t * t > m, t - 1, t)
+    return np.where((t + 1) * (t + 1) <= m, t + 1, t)
 
 
 def _lattice_rows(f: QuadraticForm, N: int):

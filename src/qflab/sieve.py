@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _odd_prime_mask, kronecker, prime_mask
+from .arith import _clear_odd_composites, kronecker, prime_mask
 from .forms import (QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form,
                     representation_count)
 from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
@@ -208,7 +208,7 @@ def _marked_values(f: QuadraticForm, x: float) -> np.ndarray:
         full = lo <= hi  # the cuts leave about half the rows empty
         for vi, l, h, st in zip(*(t[full].tolist() for t in (v, lo, hi, step))):
             u = np.arange(l, h + 1, st, dtype=np.int64)
-            n = a * u * u + (b * vi) * u + c * vi * vi
+            n = (a * u + b * vi) * u + c * vi * vi
             mask[n >> 1] = True
     mask[0] = False
     return mask
@@ -217,8 +217,7 @@ def _marked_values(f: QuadraticForm, x: float) -> np.ndarray:
 def _represented_prime_flags(f: QuadraticForm, x: float) -> np.ndarray:
     """m[k] True iff 2k + 1 <= x is a prime that f represents; m[0] (n = 1) stands for 2."""
     X = math.floor(x)
-    m = _marked_values(f, X)
-    m &= _odd_prime_mask(X)
+    m = _clear_odd_composites(_marked_values(f, X))
     m[:1] = X >= 2 and representation_count(f, 2) > 0
     return m
 
@@ -323,8 +322,11 @@ def normalized_gaps(ps) -> np.ndarray:
     list or array of ints below 2^63, bit for bit as
     PrimeGapRecord.normalized_gap gives it: the int-to-float conversions,
     sqrt, * and / are correctly rounded in numpy as in math.  The logs come
-    from math.log, since np.log differs from it in the last ulp on some p."""
+    from math.log, since np.log differs from it in the last ulp on some p;
+    math.log takes an int at its nearest double, so it is handed the
+    doubles numpy rounds p to, which are the same."""
     arr = np.asarray(ps, dtype=np.int64)
     p = arr[:-1]
-    logs = np.array(list(map(math.log, p.tolist())), dtype=np.float64)
-    return (arr[1:] - p) / (np.sqrt(p) * logs)
+    pf = p.astype(np.float64)
+    logs = np.fromiter(map(math.log, pf.tolist()), dtype=np.float64, count=pf.size)
+    return (arr[1:] - p) / (np.sqrt(pf) * logs)

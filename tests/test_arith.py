@@ -407,6 +407,25 @@ def test_odd_prime_mask_is_the_odd_half():
         assert np.array_equal(odd, prime_mask(x)[1::2]), x
 
 
+def _eratosthenes(x):
+    """m[n] True iff n <= x is prime: plain Eratosthenes over every n."""
+    m = np.ones(max(x + 1, 0), dtype=bool)
+    m[:2] = False
+    for p in range(2, math.isqrt(max(x, 0)) + 1):
+        if m[p]:
+            m[p * p::p] = False
+    return m
+
+
+def test_odd_prime_mask_at_segment_edges():
+    # a segment holds the odd entries of 2 * _SEGMENT = 2^18 integers; small x
+    # cover the pre-sieved primes 3..13 and the first primes struck, 17 and 19
+    span = 2 * arith._SEGMENT
+    edges = [k * span + d for k in (1, 2, 3) for d in range(-2, 3)]
+    for x in list(range(401)) + edges:
+        assert np.array_equal(arith._odd_prime_mask(x), _eratosthenes(x)[1::2]), x
+
+
 def test_divisor_functions():
     assert divisor_tau(1) == 1 and divisor_tau3(1) == 1
     assert divisor_tau(12) == 6

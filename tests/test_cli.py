@@ -41,10 +41,28 @@ def test_usage_errors_exit_2():
         ["forms", "reduce", "--form", "1,0"],
         ["nonsense"],
         ["repr", "error-scaling", "--form", "1,0,1", "--grid", "bad:grid"],
+        # NaN and the infinities have no JSON spelling
+        ["fourier", "eval", "--coeffs", "68,5,1", "--x", "nan"],
+        ["fourier", "eval", "--coeffs", "68,5,1", "--x", "-inf"],
+        ["fourier", "eval", "--coeffs", "68,nan,1", "--x", "0.25"],
+        ["fourier", "report", "--coeffs", "inf,1", "--A", "2"],
+        ["sieve", "pif", "--form", "1,0,1", "--x", "nan"],
     ):
         with pytest.raises(SystemExit) as exc:
             parse_invocation(argv)
         assert exc.value.code == 2
+
+
+def test_json_refuses_non_finite_floats(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fourier", "eval", "--coeffs", "68,5,1", "--x", "nan"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "qflab fourier eval: error: argument --x: 'nan' is not finite"]
+    for records in ([{"x": 1.0}, {"x": float("nan")}], {"x": np.array([1.0, -np.inf])}):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            emit(records, "json", io.StringIO())
 
 
 def test_rf_and_pif_values():
@@ -192,6 +210,37 @@ def test_column_writer_matches_json_and_csv_per_row(monkeypatch, chunk):
         emit(table, fmt, out)
         assert out.getvalue() == want
         assert out.writes == -(-n // chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 4096])
+def test_column_writer_shares_digits_only_between_next_row_views(monkeypatch, chunk):
+    """A column that is another's next row in one buffer takes its digits
+    from the other's rendering; equal values in distinct arrays, or views at
+    another offset, are rendered on their own.  Every case writes the row
+    oracle's bytes, in JSON and CSV, at chunk edges."""
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
+    rendered = []
+    slots = cli._slots
+    monkeypatch.setattr(cli, "_slots", lambda col, fmt: rendered.append(len(col)) or slots(col, fmt))
+    p = np.array([-(2 ** 63), -7, 0, 9, 10, 99, 2 ** 63 - 1, 1234567, 5, -10 ** 11, 3, 2])
+    cases = [({"p_n": p[:-1], "gap": np.diff(p), "p_next": p[1:]}, True),
+             ({"p_next": p[1:], "p_n": p[:-1]}, True),  # the next row first
+             ({"p_n": p[:-1].copy(), "p_next": p[1:].copy()}, False),
+             ({"a": p, "b": p.copy()}, False),
+             ({"p_n": p[:-2], "p_next": p[2:]}, False),
+             ({"p_n": p[0:10:2], "p_next": p[1:11:2]}, False)]  # one element on, not one row
+    for columns, shared in cases:
+        n = len(next(iter(columns.values())))
+        for fmt in ("json", "csv"):
+            want = io.StringIO()
+            emit(_rows(columns), fmt, want)
+            out = io.StringIO()
+            rendered.clear()
+            emit(columns, fmt, out)
+            assert out.getvalue() == want.getvalue()
+            chunks = -(-n // chunk)
+            assert len(rendered) == chunks * (len(columns) - shared)
+            assert sum(rendered) == n * len(columns) - shared * (n - chunks)
 
 
 def test_sieve_gaps_bytes_match_a_row_oracle(capsys):

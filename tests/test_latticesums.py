@@ -96,6 +96,16 @@ def test_congruence_sum_builds_only_the_residue_rows_it_meets():
     assert elapsed < 0.5
 
 
+def test_exact_isqrt_at_square_boundaries():
+    # k^2 - 1 just below a square rounds up in float sqrt near 2^26, where
+    # 1/(2k) is below half an ulp; (2^26 - 1)^2 + 1 is still below 2^52
+    k = np.concatenate([np.arange(1, 200), np.arange(2 ** 26 - 200, 2 ** 26)]).astype(np.int64)
+    rng = np.random.default_rng(26)
+    m = np.concatenate([k * k - 1, k * k, k * k + 1, rng.integers(0, 2 ** 52, 200_000)])
+    t = latticesums._exact_isqrt(m)
+    assert all(r * r <= v < (r + 1) * (r + 1) for r, v in zip(t.tolist(), m.tolist()))
+
+
 def test_lattice_rows_match_box_search():
     # the kernel yields the rows v >= 0; their mirror (-u, -v) is the rest
     rng = random.Random(31)

@@ -240,6 +240,21 @@ def test_pi_f_odd_path_matches_whole_masks():
     assert count_represented_primes(f, x) == want.size
 
 
+def test_pi_f_keeps_the_presieved_primes_a_form_represents():
+    """The in-place sieve clears the multiples of 3, 5, 7, 11 and 13 by a
+    pattern and puts back only those primes that were marked: against the
+    whole masks, for forms that represent each of them (3, 7, 13 by
+    u^2 + uv + v^2; 3, 5, 11 by u^2 + uv + 3v^2; 5, 13 by u^2 + v^2) and
+    miss the others, at sizes within the first segment and across three."""
+    forms = [QuadraticForm(1, 1, 1), QuadraticForm(1, 1, 3), QuadraticForm(1, 0, 1)]
+    small = [set(represented_primes(f, 13).tolist()) for f in forms]
+    assert small == [{3, 7, 13}, {3, 5, 11}, {2, 5, 13}]
+    for x in (12, 13, 400, 3 * 2 ** 18 + 1):
+        for f in forms:
+            want = np.flatnonzero(represented_mask(f, x) & prime_mask(x))
+            assert np.array_equal(represented_primes(f, x), want), (f, x)
+
+
 def test_bt_bound_example():
     f = QuadraticForm(1, 0, 1)
     bt = bt_theoretical_bound(f, 1e18, 1e8, "cuberoot_range", 0.01)
