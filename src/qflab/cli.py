@@ -1,9 +1,7 @@
 """Batch command-line front end.
 
 Subcommands map one-to-one onto library operations and emit JSON lines
-(17 significant digits) or CSV (6 significant digits).  Sweeps honor the
-QFLAB_THREADS environment variable; outputs are assembled in input order
-so runs are byte-identical regardless of worker count.
+(17 significant digits) or CSV (6 significant digits).
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -27,9 +24,9 @@ from .forms import QuadraticForm, enumerate_reduced_forms, reduce_form, represen
 from .fourier import BandlimitedFn, functional_report, gap_constant, greedy_search
 from .latticesums import (
     CongruenceSumResult,
-    _error_slope,
     congruence_main_term,
     congruence_sum_exact,
+    error_scaling_report,
     poisson_identity_check,
 )
 from .sieve import (
@@ -76,14 +73,14 @@ def _coeffs_arg(text: str) -> tuple[float, ...]:
 
 
 def _grid_arg(text: str) -> list[float]:
-    """start:stop:points[:log] -> list of grid values."""
+    """start:stop:points[:log] -> list of grid values, each finite."""
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise argparse.ArgumentTypeError(
             f"bad --grid {text!r}: want start:stop:points[:log]")
     try:
-        start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
+        start, stop, points = _finite_arg(parts[0]), _finite_arg(parts[1]), int(parts[2])
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad --grid {text!r}: {exc}") from exc
     if points < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
@@ -91,8 +88,12 @@ def _grid_arg(text: str) -> list[float]:
         return [start]
     if len(parts) == 4:
         lo, hi = math.log(start), math.log(stop)
-        return [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
-    return [start + (stop - start) * i / (points - 1) for i in range(points)]
+        grid = [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
+    else:
+        grid = [start + (stop - start) * i / (points - 1) for i in range(points)]
+    if not all(map(math.isfinite, grid)):
+        raise argparse.ArgumentTypeError(f"bad --grid {text!r}: a point overflows")
+    return grid
 
 
 def build_parser(command: tuple[str, str] | None = None) -> argparse.ArgumentParser:
@@ -124,22 +125,40 @@ def build_parser(command: tuple[str, str] | None = None) -> argparse.ArgumentPar
 
 
 def _load_config(path: str, key: tuple[str, str], options: dict, parser) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    """The config file's values, each converted as the command line converts
+    its option: a string as given, any other value as its JSON text, and a
+    --grid list element by element through _finite_arg."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        parser.error(f"config {path}: {exc}")
     if not isinstance(cfg, dict):
         parser.error(f"config {path} must hold a JSON object")
+
+    def text(value) -> str:
+        return value if isinstance(value, str) else json.dumps(value)
+
     out = {}
     for name, value in cfg.items():
         if name not in options:
             parser.error(f"config key {name!r} unknown for {key[0]} {key[1]}")
-        conv = options[name].get("type")
+        conv = options[name].get("type", str)
+        choices = options[name].get("choices")
         try:
-            if conv is not None and isinstance(value, str):
-                value = conv(value)
-            elif conv is _grid_arg and isinstance(value, list):
-                value = [float(v) for v in value]
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+            if isinstance(value, list) and conv is _grid_arg:
+                if not value:
+                    raise argparse.ArgumentTypeError("grid needs at least one point")
+                value = [_finite_arg(text(v)) for v in value]
+            else:
+                value = conv(text(value))
+        except ValueError:
+            parser.error(f"config key {name!r}: invalid {conv.__name__} value {text(value)!r}")
+        except argparse.ArgumentTypeError as exc:
             parser.error(f"config key {name!r}: {exc}")
+        if choices is not None and value not in choices:
+            parser.error(f"config key {name!r}: invalid choice {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
         out[name] = value
     return out
 
@@ -411,40 +430,6 @@ def _grid_point(a, s, lo, up) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, ok_near | ok_far, sure
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("QFLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # imported here: loading it costs ~14 ms that serial runs never use
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _congruence_row(args) -> dict:
-    form_triple, ell, x = args
-    f = QuadraticForm(*form_triple)
-    return CongruenceSumResult(x, ell, congruence_sum_exact(f, ell, x),
-                               congruence_main_term(f, ell, x)).record()
-
-
-def _table_row(args) -> dict:
-    A, terms, budget = args
-    res = greedy_search(A, terms, budget)
-    coeffs = list(res.fn.coeffs) + [0.0] * (3 - len(res.fn.coeffs))
-    return {"A": A, "c_plus_lower": res.report.j_plus, "a1": coeffs[0],
-            "a2": coeffs[1], "a3": coeffs[2], "lambda": res.fn.lam}
-
-
 def _forms_reduce(p):
     f = p["form"]
     g = reduce_form(f)
@@ -471,16 +456,14 @@ def _repr_rf(p):
 
 
 def _repr_congruence_sum(p):
-    return [_congruence_row((p["form"].triple(), p["ell"], p["x"]))]
+    f, ell, x = p["form"], p["ell"], p["x"]
+    return [CongruenceSumResult(x, ell, congruence_sum_exact(f, ell, x),
+                                congruence_main_term(f, ell, x)).record()]
 
 
 def _repr_error_scaling(p):
-    grid = p["grid"] or _grid_arg("1e3:1e6:7:log")
-    rows = _map_ordered(_congruence_row, [(p["form"].triple(), p["ell"], x) for x in grid])
-    slope = _error_slope([(r["x"], r["error"]) for r in rows])
-    for r in rows:
-        r["slope"] = slope
-    return rows
+    rep = error_scaling_report(p["form"], p["ell"], p["grid"] or _grid_arg("1e3:1e6:7:log"))
+    return [dict(rec, slope=rep.slope) for rec in rep.records()]
 
 
 def _repr_poisson_check(p):
@@ -542,8 +525,13 @@ def _fourier_search(p):
 
 
 def _fourier_tables(p):
-    grid = p["a_grid"] or [1.0, 5.0, 10.0, 28.0, 34.5]
-    return _map_ordered(_table_row, [(A, p["terms"], p["budget"]) for A in grid])
+    rows = []
+    for A in p["a_grid"] or [1.0, 5.0, 10.0, 28.0, 34.5]:
+        res = greedy_search(A, p["terms"], p["budget"])
+        a1, a2, a3 = (list(res.fn.coeffs) + [0.0] * 3)[:3]
+        rows.append({"A": A, "c_plus_lower": res.report.j_plus, "a1": a1, "a2": a2,
+                     "a3": a3, "lambda": res.fn.lam})
+    return rows
 
 
 def _verify_suite(suite: str):
@@ -566,27 +554,27 @@ _COMMANDS = {
         "grid": {"type": _grid_arg, "default": None}}),
     ("repr", "poisson-check"): (_repr_poisson_check, {
         "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
-        "t": {"type": float, "default": 1.0}}),
+        "t": {"type": _finite_arg, "default": 1.0}}),
     ("sieve", "bound"): (_sieve_bound, {
-        "form": {"type": _form_arg}, "x": {"type": _finite_arg}, "y": {"type": float},
-        "z": {"type": float}}),
+        "form": {"type": _form_arg}, "x": {"type": _finite_arg}, "y": {"type": _finite_arg},
+        "z": {"type": _finite_arg}}),
     ("sieve", "pif"): (_sieve_pif, {"form": {"type": _form_arg}, "x": {"type": _finite_arg}}),
     ("sieve", "gaps"): (_sieve_gaps, {
         "form": {"type": _form_arg}, "x": {"type": _finite_arg},
         "min_p": {"type": int, "default": 100}}),
     ("sieve", "bt-constants"): (_sieve_bt_constants, {
-        "form": {"type": _form_arg}, "x": {"type": _finite_arg}, "y": {"type": float},
+        "form": {"type": _form_arg}, "x": {"type": _finite_arg}, "y": {"type": _finite_arg},
         "variant": {"default": "cuberoot_range",
                     "choices": ("cuberoot_range", "mid_range", "sqrt_range")},
-        "eps": {"type": float, "default": 0.01}}),
+        "eps": {"type": _finite_arg, "default": 0.01}}),
     ("fourier", "eval"): (_fourier_eval, {
         "coeffs": {"type": _coeffs_arg}, "x": {"type": _finite_arg},
-        "lam": {"type": float, "default": 1.0}}),
+        "lam": {"type": _finite_arg, "default": 1.0}}),
     ("fourier", "report"): (_fourier_report, {
-        "coeffs": {"type": _coeffs_arg}, "lam": {"type": float, "default": 1.0},
-        "A": {"type": float}}),
+        "coeffs": {"type": _coeffs_arg}, "lam": {"type": _finite_arg, "default": 1.0},
+        "A": {"type": _finite_arg}}),
     ("fourier", "search"): (_fourier_search, {
-        "A": {"type": float}, "terms": {"type": int, "default": 3},
+        "A": {"type": _finite_arg}, "terms": {"type": int, "default": 3},
         "budget": {"type": int, "default": 4000}}),
     ("fourier", "tables"): (_fourier_tables, {
         "a_grid": {"type": _grid_arg, "default": None},

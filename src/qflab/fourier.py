@@ -417,7 +417,7 @@ def functional_report(fn, A: float) -> FunctionalReport:
     bandlimited family the norm and the tails are closed-form."""
     if isinstance(fn, GaussPolyFn):
         return gauss_poly_report(fn, A)
-    if A < 1:
+    if not A >= 1:  # NaN too
         raise ValueError("need A >= 1")
     coeffs, lam = fn.coeffs, fn.lam
     f0 = _h_at_zero(coeffs)
@@ -488,7 +488,7 @@ def greedy_search(A: float, n_terms: int = 3, budget: int = 4000) -> SearchResul
     [0.1, 1.05], from a fixed deterministic seed list.  Budget (at least 1)
     caps the number of functional evaluations; exhaustion returns
     best-so-far with a flag."""
-    if A < 1:
+    if not A >= 1:  # NaN too
         raise ValueError("need A >= 1")
     if not 1 <= n_terms <= 5:
         raise ValueError("need 1 <= n_terms <= 5")

@@ -47,6 +47,15 @@ def test_usage_errors_exit_2():
         ["fourier", "eval", "--coeffs", "68,nan,1", "--x", "0.25"],
         ["fourier", "report", "--coeffs", "inf,1", "--A", "2"],
         ["sieve", "pif", "--form", "1,0,1", "--x", "nan"],
+        ["sieve", "bound", "--form", "1,0,1", "--x", "1e4", "--y", "1e3", "--z", "inf"],
+        ["sieve", "bound", "--form", "1,0,1", "--x", "1e4", "--y", "nan", "--z", "5"],
+        ["repr", "poisson-check", "--form", "1,1,1", "--ell", "3", "--t", "inf"],
+        ["repr", "error-scaling", "--form", "1,0,1", "--ell", "3", "--grid", "1e3:nan:3"],
+        ["repr", "error-scaling", "--form", "1,0,1", "--grid=-1e308:1e308:3"],
+        ["fourier", "search", "--A", "nan"],
+        ["fourier", "tables", "--a-grid", "1:inf:2"],
+        ["fourier", "report", "--coeffs", "1,0", "--A", "2", "--lam", "nan"],
+        ["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8", "--eps", "inf"],
     ):
         with pytest.raises(SystemExit) as exc:
             parse_invocation(argv)
@@ -421,12 +430,51 @@ def test_config_supplies_defaults(tmp_path):
                              "--ell", "5", "--config", str(cfg)])
     assert plan.params["ell"] == 5
 
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"nonsense": 1}))
+    # a non-string value is read from its JSON text, as if typed; a grid list
+    # element by element
+    cfg.write_text(json.dumps({"grid": [1000, "2e3"], "ell": 3}))
+    plan = parse_invocation(["repr", "error-scaling", "--form", "1,0,1", "--config", str(cfg)])
+    assert plan.params["grid"] == [1000.0, 2000.0] and plan.params["ell"] == 3
+
+
+_ERROR_SCALING = ["repr", "error-scaling", "--form", "1,0,1"]
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (_ERROR_SCALING, '{"nonsense": 1}', "nonsense"),
+    (_ERROR_SCALING, '{"ell": 2.5}', "ell"),
+    (_ERROR_SCALING, '{"ell": true}', "ell"),
+    (_ERROR_SCALING, '{"grid": [1000, NaN]}', "grid"),
+    (_ERROR_SCALING, '{"grid": [1000, [2000]]}', "grid"),
+    (_ERROR_SCALING, '{"grid": []}', "grid"),
+    (_ERROR_SCALING, '{"grid": "1e3:inf:3"}', "grid"),
+    (["repr", "poisson-check", "--form", "1,1,1"], '{"t": Infinity}', "t"),
+    (["fourier", "eval", "--coeffs", "1", "--x", "0"], '{"lam": NaN}', "lam"),
+    (["fourier", "tables"], '{"terms": 2.0}', "terms"),
+    (["fourier", "tables"], '{"budget": 1e3}', "budget"),
+    (["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8"],
+     '{"variant": "nope"}', "variant"),
+    (["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8"],
+     '{"variant": 1}', "variant"),
+])
+def test_config_values_take_the_options_type(tmp_path, capsys, argv, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
     with pytest.raises(SystemExit) as exc:
-        parse_invocation(["repr", "error-scaling", "--form", "1,0,1",
-                          "--config", str(bad)])
+        parse_invocation(argv + ["--config", str(cfg)])
     assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"config key {key!r}" in errors[0], errors
+
+
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    for path in (bad, tmp_path / "missing.json"):
+        with pytest.raises(SystemExit) as exc:
+            parse_invocation(_ERROR_SCALING + ["--config", str(path)])
+        assert exc.value.code == 2
+        assert f"error: config {path}: " in capsys.readouterr().err
 
 
 def test_classnum_record():
@@ -495,16 +543,25 @@ def test_one_command_parser_gives_the_full_parsers_plan(monkeypatch, capsys):
     assert "tables" in capsys.readouterr().out
 
 
-def test_parallel_sweep_is_deterministic(monkeypatch, capsys):
-    argv = ["repr", "error-scaling", "--form", "2,1,3", "--ell", "3",
-            "--grid", "1e3:3e4:5:log"]
+def test_sweeps_run_in_process_whatever_the_environment(monkeypatch, capsys):
+    import concurrent.futures
+
+    argvs = [["repr", "error-scaling", "--form", "2,1,3", "--ell", "3", "--grid", "1e3:3e4:5:log"],
+             ["fourier", "tables", "--a-grid", "1:5:2", "--budget", "60"]]
     monkeypatch.delenv("QFLAB_THREADS", raising=False)
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
+    serial = []
+    for argv in argvs:
+        assert main(argv) == 0
+        serial.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
     monkeypatch.setenv("QFLAB_THREADS", "3")
-    assert main(argv) == 0
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    for argv, want in zip(argvs, serial):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_error_scaling_rows_and_slope_match_the_library():

@@ -581,6 +581,11 @@ def test_greedy_search_refuses_budget_below_one(monkeypatch):
     for budget in (0, -5):
         with pytest.raises(ValueError, match="need budget >= 1"):
             greedy_search(5.0, 3, budget=budget)
+    for A in (0.5, math.nan):
+        with pytest.raises(ValueError, match="need A >= 1"):
+            greedy_search(A, 3)
+        with pytest.raises(ValueError, match="need A >= 1"):
+            functional_report(BandlimitedFn((1.0,), 1.0), A)
     monkeypatch.undo()
     res = greedy_search(5.0, 3, budget=1)
     # the first seed's dilation refinement finishes past the budget

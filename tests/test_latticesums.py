@@ -97,13 +97,25 @@ def test_congruence_sum_builds_only_the_residue_rows_it_meets():
 
 
 def test_exact_isqrt_at_square_boundaries():
-    # k^2 - 1 just below a square rounds up in float sqrt near 2^26, where
-    # 1/(2k) is below half an ulp; (2^26 - 1)^2 + 1 is still below 2^52
+    # near 2^26 the float sqrt of k^2 - 1 lies one ulp below k, the closest
+    # the truncated root comes to a miss; (2^26 - 1)^2 + 1 is still below 2^52
     k = np.concatenate([np.arange(1, 200), np.arange(2 ** 26 - 200, 2 ** 26)]).astype(np.int64)
     rng = np.random.default_rng(26)
     m = np.concatenate([k * k - 1, k * k, k * k + 1, rng.integers(0, 2 ** 52, 200_000)])
     t = latticesums._exact_isqrt(m)
     assert all(r * r <= v < (r + 1) * (r + 1) for r, v in zip(t.tolist(), m.tolist()))
+
+
+def test_exact_isqrt_at_both_ends_of_every_run_to_2_52():
+    # a correctly rounded sqrt is monotone, so exact roots at k^2 - 1 and
+    # k^2 for every k = 1..2^26 make the truncated root exact on all m <= 2^52
+    step = 1 << 22
+    for start in range(1, (1 << 26) + 1, step):
+        k = np.arange(start, start + step, dtype=np.int64)
+        sq = k * k
+        assert np.array_equal(latticesums._exact_isqrt(sq), k)
+        assert np.array_equal(latticesums._exact_isqrt(sq - 1), k - 1)
+    assert k[-1] * k[-1] == 1 << 52
 
 
 def test_lattice_rows_match_box_search():
