@@ -8,6 +8,7 @@ number, a prime sieve, and small divisor functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -222,9 +223,12 @@ def _chi_period(D: int) -> np.ndarray:
     return chi
 
 
+@functools.lru_cache(maxsize=1)
 def _chi_moment(D: int) -> int:
     """S = sum_{n=1}^{D} n*chi_{-D}(n) for fundamental -D, an exact int64 sum
-    (|S| < D^2/2, far below 2^63 for any table that fits in memory)."""
+    (|S| < D^2/2, far below 2^63 for any table that fits in memory).  The
+    last S is kept, so class_number_analytic(D) and dirichlet_l1(D) at one D
+    compute it once."""
     if not is_fundamental(D):
         raise ValueError(f"-{D} is not a fundamental discriminant")
     return int(np.dot(np.arange(1, D + 1, dtype=np.int64), _chi_period(D)))

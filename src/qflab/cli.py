@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
-Subcommands map one-to-one onto library operations and emit JSON lines
-(17 significant digits) or CSV (6 significant digits).
+Subcommands map one-to-one onto library operations and emit JSON lines,
+each float as Python's shortest round-trip repr (0.1 is written 0.1), or
+CSV (6 significant digits).
 """
 
 from __future__ import annotations
@@ -98,15 +99,13 @@ def _grid_arg(text: str) -> list[float]:
 
 def build_parser(command: tuple[str, str] | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of the one (group, action) command."""
-    # the same options are accepted before and after the subcommand; SUPPRESS
-    # keeps the leaf parser from clobbering values parsed at the top level
+    # --out and --format are accepted before and after the subcommand;
+    # SUPPRESS keeps the leaf parser from clobbering values parsed at the top
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS,
                         help="write records here instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), dest="fmt",
                         default=argparse.SUPPRESS, help="json (the default) or csv")
-    common.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS,
-                        help="JSON file with default parameters")
     parser = argparse.ArgumentParser(prog="qflab", description=__doc__, parents=[common])
     groups = parser.add_subparsers(dest="group", required=True)
     actions = {}
@@ -117,74 +116,23 @@ def build_parser(command: tuple[str, str] | None = None) -> argparse.ArgumentPar
             actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
         leaf = actions[group].add_parser(action, parents=[common])
         for dest, kw in options.items():
-            # argparse runs with SUPPRESS so that config-file values can slot
-            # between the command line and the table's defaults
-            kw = dict(kw, default=argparse.SUPPRESS) if "default" in kw else dict(kw, required=True)
-            leaf.add_argument("--" + dest.replace("_", "-"), dest=dest, **kw)
+            leaf.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                              required="default" not in kw, **kw)
     return parser
-
-
-def _load_config(path: str, key: tuple[str, str], options: dict, parser) -> dict:
-    """The config file's values, each converted as the command line converts
-    its option: a string as given, any other value as its JSON text, and a
-    --grid list element by element through _finite_arg."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        parser.error(f"config {path}: {exc}")
-    if not isinstance(cfg, dict):
-        parser.error(f"config {path} must hold a JSON object")
-
-    def text(value) -> str:
-        return value if isinstance(value, str) else json.dumps(value)
-
-    out = {}
-    for name, value in cfg.items():
-        if name not in options:
-            parser.error(f"config key {name!r} unknown for {key[0]} {key[1]}")
-        conv = options[name].get("type", str)
-        choices = options[name].get("choices")
-        try:
-            if isinstance(value, list) and conv is _grid_arg:
-                if not value:
-                    raise argparse.ArgumentTypeError("grid needs at least one point")
-                value = [_finite_arg(text(v)) for v in value]
-            else:
-                value = conv(text(value))
-        except ValueError:
-            parser.error(f"config key {name!r}: invalid {conv.__name__} value {text(value)!r}")
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"config key {name!r}: {exc}")
-        if choices is not None and value not in choices:
-            parser.error(f"config key {name!r}: invalid choice {value!r} "
-                         f"(choose from {', '.join(map(repr, choices))})")
-        out[name] = value
-    return out
 
 
 def parse_invocation(argv) -> CommandPlan:
     """Validate argv into an executable plan; exits with status 2 on usage
-    errors.  Precedence: command line > config file > built-in defaults.
-    Only the command that argv names, the first adjacent (group, action)
-    pair of its words, has its parser built, which halves the start-up
-    parse; without one (--help, an unknown command) every command's is."""
+    errors.  Only the command that argv names, the first adjacent (group,
+    action) pair of its words, has its parser built, which halves the
+    start-up parse; without one (--help, an unknown command) every
+    command's is."""
     parser = build_parser(next((pair for pair in zip(argv, argv[1:]) if pair in _COMMANDS), None))
-    ns = parser.parse_args(argv)
-    given = dict(vars(ns))
-    group = given.pop("group")
-    action = given.pop("action")
-    output = given.pop("out", None)
-    fmt = given.pop("fmt", None)
-    config = given.pop("config", None)
+    params = vars(parser.parse_args(argv))
+    group, action = params.pop("group"), params.pop("action")
+    output, fmt = params.pop("out", None), params.pop("fmt", None)
     if group == "verify" and fmt is not None:
         parser.error("verify writes a text report; --format does not apply to it")
-    key = (group, action)
-    _, options = _COMMANDS[key]
-    params = {dest: kw["default"] for dest, kw in options.items() if "default" in kw}
-    if config:
-        params.update(_load_config(config, key, options, parser))
-    params.update(given)
     return CommandPlan(group, action, params, output, fmt or "json")
 
 
@@ -443,11 +391,10 @@ def _forms_enumerate(p):
 
 def _forms_classnum(p):
     D = p["d"]
-    rec = {"D": D, "h_enumeration": len(enumerate_reduced_forms(D))}
-    if is_fundamental(D):
-        rec["h_analytic"] = class_number_analytic(D)
-        rec["L1_chi"] = dirichlet_l1(D)
-    return [rec]
+    if not is_fundamental(D):
+        return [{"D": D, "h_enumeration": len(enumerate_reduced_forms(D))}]
+    h = class_number_analytic(D)  # raises ConsistencyError unless the enumeration gives h
+    return [{"D": D, "h_enumeration": h, "h_analytic": h, "L1_chi": dirichlet_l1(D)}]
 
 
 def _repr_rf(p):

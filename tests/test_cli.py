@@ -56,6 +56,14 @@ def test_usage_errors_exit_2():
         ["fourier", "tables", "--a-grid", "1:inf:2"],
         ["fourier", "report", "--coeffs", "1,0", "--A", "2", "--lam", "nan"],
         ["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8", "--eps", "inf"],
+        # an int option refuses a float's text, a choice an unknown word
+        ["repr", "error-scaling", "--form", "1,0,1", "--ell", "2.5"],
+        ["fourier", "tables", "--terms", "2.0"],
+        ["fourier", "tables", "--budget", "1e3"],
+        ["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8",
+         "--variant", "nope"],
+        # every option comes from the command line; --config is refused
+        ["repr", "rf", "--form", "1,0,1", "--n", "5", "--config", "c.json"],
     ):
         with pytest.raises(SystemExit) as exc:
             parse_invocation(argv)
@@ -121,7 +129,7 @@ def test_json_round_trip(tmp_path):
     emit(records, "json", buf)
     parsed = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert parsed[0]["exact"] == records[0]["exact"]
-    assert parsed[0]["main"] == records[0]["main"]  # 17 digits round-trips
+    assert parsed[0]["main"] == records[0]["main"]  # repr round-trips
 
 
 def test_csv_round_trip():
@@ -418,70 +426,40 @@ def test_out_file(tmp_path):
     assert json.loads(lines[0]) == {"D": 108, "a": 1, "b": 0, "c": 27}
 
 
-def test_config_supplies_defaults(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid": "1e3:1e4:3:log", "ell": 2}))
-    plan = parse_invocation(["repr", "error-scaling", "--form", "1,0,1",
-                             "--config", str(cfg)])
-    assert plan.params["ell"] == 2
-    assert len(plan.params["grid"]) == 3
-    # command line wins over config
-    plan = parse_invocation(["repr", "error-scaling", "--form", "1,0,1",
-                             "--ell", "5", "--config", str(cfg)])
-    assert plan.params["ell"] == 5
-
-    # a non-string value is read from its JSON text, as if typed; a grid list
-    # element by element
-    cfg.write_text(json.dumps({"grid": [1000, "2e3"], "ell": 3}))
-    plan = parse_invocation(["repr", "error-scaling", "--form", "1,0,1", "--config", str(cfg)])
-    assert plan.params["grid"] == [1000.0, 2000.0] and plan.params["ell"] == 3
-
-
-_ERROR_SCALING = ["repr", "error-scaling", "--form", "1,0,1"]
-
-
-@pytest.mark.parametrize("argv, text, key", [
-    (_ERROR_SCALING, '{"nonsense": 1}', "nonsense"),
-    (_ERROR_SCALING, '{"ell": 2.5}', "ell"),
-    (_ERROR_SCALING, '{"ell": true}', "ell"),
-    (_ERROR_SCALING, '{"grid": [1000, NaN]}', "grid"),
-    (_ERROR_SCALING, '{"grid": [1000, [2000]]}', "grid"),
-    (_ERROR_SCALING, '{"grid": []}', "grid"),
-    (_ERROR_SCALING, '{"grid": "1e3:inf:3"}', "grid"),
-    (["repr", "poisson-check", "--form", "1,1,1"], '{"t": Infinity}', "t"),
-    (["fourier", "eval", "--coeffs", "1", "--x", "0"], '{"lam": NaN}', "lam"),
-    (["fourier", "tables"], '{"terms": 2.0}', "terms"),
-    (["fourier", "tables"], '{"budget": 1e3}', "budget"),
-    (["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8"],
-     '{"variant": "nope"}', "variant"),
-    (["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8"],
-     '{"variant": 1}', "variant"),
-])
-def test_config_values_take_the_options_type(tmp_path, capsys, argv, text, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
-    with pytest.raises(SystemExit) as exc:
-        parse_invocation(argv + ["--config", str(cfg)])
-    assert exc.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and f"config key {key!r}" in errors[0], errors
-
-
-def test_unreadable_config_is_a_usage_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{bad")
-    for path in (bad, tmp_path / "missing.json"):
-        with pytest.raises(SystemExit) as exc:
-            parse_invocation(_ERROR_SCALING + ["--config", str(path)])
-        assert exc.value.code == 2
-        assert f"error: config {path}: " in capsys.readouterr().err
-
-
 def test_classnum_record():
     rec = run_cli(["forms", "classnum", "--d", "23"])[0]
     assert rec["h_enumeration"] == 3 and rec["h_analytic"] == 3
     rec = run_cli(["forms", "classnum", "--d", "108"])[0]
     assert rec["h_enumeration"] == 3 and "h_analytic" not in rec
+
+
+def test_classnum_does_each_piece_of_work_once(monkeypatch):
+    """At a fundamental D the forms are enumerated once, inside
+    class_number_analytic's cross-check, and S = _chi_moment(D) is computed
+    once (_chi_period runs once per computation) for both h and L(1, chi)."""
+    from qflab import arith
+    from qflab.arith import dirichlet_l1
+    from qflab.forms import enumerate_reduced_forms
+
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    enumerate_counted = counted("enumerate_reduced_forms", enumerate_reduced_forms)
+    monkeypatch.setattr(cli, "enumerate_reduced_forms", enumerate_counted)
+    monkeypatch.setattr(arith, "enumerate_reduced_forms", enumerate_counted)
+    monkeypatch.setattr(arith, "_chi_period", counted("_chi_period", arith._chi_period))
+    D = 2999
+    arith._chi_moment.cache_clear()
+    rec = run_cli(["forms", "classnum", "--d", str(D)])[0]
+    assert sorted(calls) == ["_chi_period", "enumerate_reduced_forms"]
+    assert list(rec) == ["D", "h_enumeration", "h_analytic", "L1_chi"]
+    assert rec["h_enumeration"] == rec["h_analytic"] == len(enumerate_reduced_forms(D)) == 73
+    assert rec["L1_chi"] == dirichlet_l1(D)
+    calls.clear()
+    assert run_cli(["forms", "classnum", "--d", "108"])[0] == {"D": 108, "h_enumeration": 3}
+    assert calls == ["enumerate_reduced_forms"]
 
 
 def test_bt_constants_record():
@@ -521,11 +499,10 @@ def test_one_command_parser_gives_the_full_parsers_plan(monkeypatch, capsys):
     argvs = [
         ["--format", "csv", "--out", "x.csv", "fourier", "search", "--A", "5", "--terms", "1"],
         ["fourier", "report", "--coeffs", "68,-5,1", "--A", "28", "--lam", "0.5"],
-        ["--config", "c.json", "repr", "rf", "--form", "1,0,1", "--n", "5", "--out", "o"],
+        ["repr", "rf", "--form", "1,0,1", "--n", "5", "--out", "o"],
         ["verify", "fast", "--out", "report.txt"],
         ["sieve", "gaps", "--form", "1,1,2", "--x", "1e3", "--format", "csv"],
     ]
-    monkeypatch.setattr(cli, "_load_config", lambda *args: {})
     plans = [parse_invocation(argv) for argv in argvs]
     built = []
     monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
@@ -592,22 +569,22 @@ def test_verify_subcommand_routing(monkeypatch):
 @pytest.mark.parametrize("argv, status, to_file", [
     (["--out", "report.txt", "verify", "fast"], 0, True),
     (["verify", "fast", "--out", "report.txt"], 0, True),
-    (["verify", "fast", "--config", "empty.json"], 0, False),
+    (["verify", "fast"], 0, False),
     (["--format", "csv", "verify", "fast"], 2, False),
     (["verify", "fast", "--format", "json"], 2, False),
-    (["verify", "fast", "--config", "unknown_key.json"], 2, False),
+    (["verify", "fast", "--config", "empty.json"], 2, False),
 ])
 def test_verify_option_contract(monkeypatch, tmp_path, capsys, argv, status, to_file):
-    """verify parses --out, --format and --config like every command: the
-    report goes to --out, a config may hold no key, and --format is refused."""
+    """verify parses --out and --format like every command: the report goes
+    to --out or stdout, and --format is refused, as --config is, with one
+    error line."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.json").write_text("{}")
-    (tmp_path / "unknown_key.json").write_text(json.dumps({"x": 1}))
     try:
         got = main(argv)
     except SystemExit as exc:
         got = exc.code
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert got == status
     assert (tmp_path / "report.txt").exists() == to_file
     report = (tmp_path / "report.txt").read_text() if to_file else out
@@ -616,6 +593,7 @@ def test_verify_option_contract(monkeypatch, tmp_path, capsys, argv, status, to_
         assert report.count("\n") == 11 and out == ("" if to_file else report)
     else:
         assert out == ""
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
 
 def test_verify_failure_exit_status(monkeypatch, capsys):
