@@ -426,6 +426,41 @@ def test_out_file(tmp_path):
     assert json.loads(lines[0]) == {"D": 108, "a": 1, "b": 0, "c": 27}
 
 
+_ERROR_SCALING = ["repr", "error-scaling", "--form", "1,0,1"]
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (_ERROR_SCALING, '{"nonsense": 1}', "nonsense"),
+    (_ERROR_SCALING, '{"ell": 2.5}', "ell"),
+    (_ERROR_SCALING, '{"ell": true}', "ell"),
+    (_ERROR_SCALING, '{"grid": [1000, NaN]}', "grid"),
+    (_ERROR_SCALING, '{"grid": [1000, [2000]]}', "grid"),
+    (_ERROR_SCALING, '{"grid": []}', "grid"),
+    (_ERROR_SCALING, '{"grid": "1e3:inf:3"}', "grid"),
+    (["repr", "poisson-check", "--form", "1,1,1"], '{"t": Infinity}', "t"),
+    (["fourier", "eval", "--coeffs", "1", "--x", "0"], '{"lam": NaN}', "lam"),
+    (["fourier", "tables"], '{"terms": 2.0}', "terms"),
+    (["fourier", "tables"], '{"budget": 1e3}', "budget"),
+    (["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8"],
+     '{"variant": "nope"}', "variant"),
+    (["sieve", "bt-constants", "--form", "1,0,1", "--x", "1e18", "--y", "1e8"],
+     '{"variant": 1}', "variant"),
+])
+def test_config_values_take_the_options_type(capsys, argv, text, key):
+    """Every option comes from the command line, so a value once read from a
+    JSON config, typed as the option's text (a JSON string without its
+    quotes), meets the option's own type or choices: exit 2 and one error
+    line naming the option."""
+    value = text[1:-1].split(": ", 1)[1]
+    if value.startswith('"'):
+        value = json.loads(value)
+    with pytest.raises(SystemExit) as exc:
+        parse_invocation(argv + [f"--{key}", value])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"--{key}" in errors[0], errors
+
+
 def test_classnum_record():
     rec = run_cli(["forms", "classnum", "--d", "23"])[0]
     assert rec["h_enumeration"] == 3 and rec["h_analytic"] == 3
