@@ -11,7 +11,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,9 +138,15 @@ def parse_invocation(argv) -> CommandPlan:
     return CommandPlan(group, action, params, output, fmt or "json")
 
 
-# column-table rows per write: few write calls, and memory bounded by one
-# chunk of text
+# column-table rows per write: few write calls, and memory bounded by a
+# few chunks of text
 _EMIT_CHUNK = 16384
+# threads rendering column-table chunks, one chunk each per round; they
+# overlap on the numpy calls that release the GIL
+_EMIT_THREADS = 2
+# exit status when the reader of stdout closes the pipe (`| head`), as a
+# shell reports a process that SIGPIPE ended
+_EXIT_BROKEN_PIPE = 141
 
 # shortest-digits decisions this close to their bound, relative to it, are
 # left to repr; the computed distances are good to about 1e-16
@@ -193,6 +201,16 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
     zero bytes (_slots), copied with the key separators into one table of
     rows; dropping the zero bytes leaves the rows' text.
 
+    The chunks are rendered in rounds of _EMIT_THREADS, one chunk per
+    thread of a _Crew, in two stages: the slots, then the table and the
+    compaction that drops its zero bytes.  This thread allocates the round's
+    tables and masks between the stages and drops them after the second, so
+    every buffer of a round exists at its end whatever the threads' timing:
+    the peak memory is that of one round, not of how the threads
+    interleave.  The chunks are written here in order, the last of a round
+    while the next round's slots are rendered, so at most _EMIT_THREADS + 1
+    chunks are held.
+
     A row's text depends on its value alone, so a column that is another's
     next row in one buffer (p_next = primes[1:] beside p_n = primes[:-1])
     takes its slots from the other's, rendered one row longer, told from
@@ -210,7 +228,12 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
         if not {j, k} & {*nexts, *nexts.values()} and _next_row_view(cols[j], cols[k]):
             nexts[j] = k
     n = len(cols[0])
-    for i in range(0, n, _EMIT_CHUNK):
+    starts = range(0, n, _EMIT_CHUNK)
+    texts = []  # (first row, text bytes) of chunks rendered and not yet written
+
+    def parts_of(i: int) -> list[np.ndarray]:
+        """The key separators and text slots of the chunk from row i, in
+        the order they are laid side by side."""
         size = min(_EMIT_CHUNK, n - i)
         slots = [None] * len(cols)
         for j, k in nexts.items():  # column j rendered one row longer serves both
@@ -219,14 +242,90 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
         for j, col in enumerate(cols):
             if slots[j] is None:
                 slots[j] = _slots(col[i:i + size], fmt)
-        parts = [part for sep, slot in zip(seps, slots) for part in (sep, slot)] + [seps[-1]]
-        table = np.empty((size, sum(part.shape[-1] for part in parts)), np.uint8)
+        return [part for sep, slot in zip(seps, slots) for part in (sep, slot)] + [seps[-1]]
+
+    def compact(job) -> np.ndarray:
+        parts, table, mask = job
         at = 0
         for part in parts:
             table[:, at:at + part.shape[-1]] = part
             at += part.shape[-1]
-        stream.write(head + table.tobytes().translate(None, b"\0").decode("ascii"))
-        head = ""
+        np.not_equal(table, 0, out=mask)
+        # numpy's boolean compaction releases the GIL, which bytes.translate holds
+        return table.ravel()[mask.ravel()]
+
+    def write_texts(keep: int = 0) -> None:
+        """Write the chunks rendered, in order, all but the last keep."""
+        while len(texts) > keep:
+            i, text = texts.pop(0)
+            stream.write((head if i == 0 else "") + str(text, "ascii"))
+
+    def render_round(round_starts) -> None:
+        write_texts(keep=1)
+        crew.start(parts_of, round_starts)
+        write_texts()  # the previous round's last chunk, while these slots render
+        parts = crew.wait()
+        # the first chunk whose slots raised, or len(parts): the chunks before it go on
+        failed = next((k for k, p in enumerate(parts) if isinstance(p, BaseException)), len(parts))
+        tables = [np.empty((len(p[1]), sum(part.shape[-1] for part in p)), np.uint8)
+                  for p in parts[:failed]]  # p[1], the first column's slots, has a row per row
+        crew.start(compact, [(p, t, np.empty(t.shape, bool)) for p, t in zip(parts, tables)])
+        for i, text in zip(round_starts, crew.wait() + parts[failed:failed + 1]):
+            if isinstance(text, BaseException):  # raised once the chunks before it are written
+                write_texts()
+                raise text
+            texts.append((i, text))
+
+    with _Crew(min(_EMIT_THREADS, len(starts))) as crew:
+        for r in range(0, len(starts), _EMIT_THREADS):
+            render_round(starts[r:r + _EMIT_THREADS])
+        write_texts()
+
+
+class _Crew:
+    """Worker threads that run one job on a list of items together, item k
+    on thread k: start(job, items) begins a stage and wait() ends it,
+    returning each job's result, or the exception it raised, in item order.
+    Leaving the with block stops and joins every thread, on an error too."""
+
+    def __init__(self, size: int):
+        self._barrier = threading.Barrier(size + 1)
+        self._job, self._items, self._out = None, [], [None] * size
+        self._threads = [threading.Thread(target=self._work, args=(k,), daemon=True)
+                         for k in range(size)]
+        for thread in self._threads:
+            thread.start()
+
+    def _work(self, k: int) -> None:
+        try:
+            while True:
+                self._barrier.wait()  # a stage begins
+                if k < len(self._items):
+                    try:
+                        self._out[k] = self._job(self._items[k])
+                    except BaseException as exc:  # handed to wait's caller, which raises it
+                        self._out[k] = exc
+                self._barrier.wait()  # the stage ends
+        except threading.BrokenBarrierError:  # the crew was closed
+            return
+
+    def start(self, job: Callable, items) -> None:
+        self._job, self._items = job, list(items)
+        self._barrier.wait()
+
+    def wait(self) -> list:
+        self._barrier.wait()
+        out = self._out[:len(self._items)]
+        self._items, self._out = [], [None] * len(self._out)  # nothing held past the stage
+        return out
+
+    def __enter__(self) -> _Crew:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._barrier.abort()
+        for thread in self._threads:
+            thread.join()
 
 
 def _next_row_view(col, nxt) -> bool:
@@ -546,7 +645,18 @@ def main(argv=None) -> int:
         with open(plan.output, "w", encoding="utf-8") as fh:
             emit(records, plan.fmt, fh)
     else:
-        emit(records, plan.fmt, sys.stdout)
+        try:
+            emit(records, plan.fmt, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed stdout (`| head`); emit has joined its
+            # threads.  stdout's descriptor is pointed at devnull, so the
+            # interpreter's last flush of the text left buffered does not
+            # raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _EXIT_BROKEN_PIPE
     return records.status if isinstance(records, TextReport) else 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _residue_counts, g_squarefree, is_fundamental, class_number_analytic
+from .arith import _residue_counts, class_number_analytic, factorize, is_fundamental, kronecker
 from .forms import QuadraticForm, enumerate_reduced_forms
 from .fourier import BandlimitedFn, GaussPolyFn, dn_estimate, functional_report, gap_constant
 from .latticesums import (
@@ -88,25 +88,31 @@ def check_gap_constant(fast: bool = False) -> CheckResult:
         {"constant": c, "ratio": ratio})
 
 
+def _density_numerators(Ds, ells) -> np.ndarray:
+    """N(ell) = g(ell) * ell^2 = prod over p | ell of (p + chi(p)*(p - 1)),
+    with chi(p) the Kronecker symbol (-D/p), for each D of Ds (rows) and
+    squarefree ell of ells (columns): the numerator of arith.g_squarefree,
+    taken from one table of chi over the primes that divide the ells."""
+    primes = np.array(sorted({p for ell in ells for p in factorize(ell)}), dtype=np.int64)
+    chi = np.array([[kronecker(-D, int(p)) for p in primes] for D in Ds], dtype=np.int64)
+    divides = np.array([[ell % p == 0 for p in primes] for ell in ells])
+    return np.where(divides, (primes + chi * (primes - 1))[:, None, :], 1).prod(axis=2)
+
+
 def check_density_identity(fast: bool = False) -> CheckResult:
     """Criterion 3: exact rational equality of the multiplicative and
     residue-count densities for squarefree moduli <= 30, all reduced
-    primitive forms with D <= 500.  One residue-kernel pass per ell counts
-    every form; g depends only on D, so it is computed once per (D, ell)."""
+    primitive forms with D <= 500.  g(ell) = N(ell) / ell^2, so a count of
+    residue pairs equals g * ell^2 exactly iff it equals N(ell); N depends
+    only on D, and one residue-kernel pass per ell counts every form."""
     dmax = 120 if fast else 500
-    classes = [enumerate_reduced_forms(D).forms
-               for D in range(3, dmax + 1) if D % 4 in (0, 3)]
+    Ds = [D for D in range(3, dmax + 1) if D % 4 in (0, 3)]
+    classes = [enumerate_reduced_forms(D).forms for D in Ds]
     forms = [f for cls in classes for f in cls]
     abc = np.array([f.triple() for f in forms], dtype=np.int64)
-    for ell in SQUAREFREE_30:
-        # count / ell^2 == g exactly iff count == g * ell^2, an integer; -1
-        # stands for a g whose denominator does not divide ell^2, which no
-        # count matches
-        want = [(g.numerator * (ell * ell // g.denominator)
-                 if ell * ell % g.denominator == 0 else -1)
-                for g in (g_squarefree(cls[0], ell) for cls in classes)]
-        want = np.repeat(want, [len(cls) for cls in classes])
-        bad = np.flatnonzero(_residue_counts(abc, ell) != want)
+    want = np.repeat(_density_numerators(Ds, SQUAREFREE_30), [len(cls) for cls in classes], axis=0)
+    for j, ell in enumerate(SQUAREFREE_30):
+        bad = np.flatnonzero(_residue_counts(abc, ell) != want[:, j])
         if bad.size:
             return CheckResult(
                 "density-identity", False,

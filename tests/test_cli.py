@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -387,6 +388,76 @@ def test_column_writer_memory_is_per_chunk():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
+
+def test_column_writer_stops_at_the_first_failing_chunk(monkeypatch):
+    """A chunk that cannot be rendered raises in the caller after exactly
+    the chunks before it were written, a failing write propagates, and no
+    render thread outlives emit either way."""
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
+    rows = [{"n": i, "x": i / 7} for i in range(40)]
+    bad = _columns(rows)
+    bad["x"][15] = np.nan  # in the third chunk, rows 14 to 20
+    threads = threading.active_count()
+    out = WriteLog()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit(bad, "json", out)
+    assert out.getvalue() == "".join(json.dumps(r) + "\n" for r in rows[:14])
+    assert out.writes == 2 and threading.active_count() == threads
+
+    class FailingSink(WriteLog):
+        def write(self, text):
+            if self.writes == 1:
+                raise OSError("the second write fails")
+            return super().write(text)
+
+    out = FailingSink()
+    with pytest.raises(OSError, match="the second write fails"):
+        emit(_columns(rows), "json", out)
+    assert out.writes == 1 and threading.active_count() == threads
+    out = WriteLog()
+    emit(_columns(rows), "json", out)
+    assert out.writes == 6 and threading.active_count() == threads
+
+
+def test_column_writer_order_under_many_threads_and_switches(monkeypatch):
+    """More render threads than cores, switching every microsecond, still
+    write every chunk once and in order."""
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 1)
+    monkeypatch.setattr(cli, "_EMIT_THREADS", 5)
+    rows = [{"p_n": 3 * i, "normalized": i / 7 - 3.0, "is_max": i == 99} for i in range(300)]
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for fmt in ("json", "csv"):
+            want = io.StringIO()
+            emit(rows, fmt, want)
+            out = WriteLog()
+            emit(_columns(rows), fmt, out)
+            assert out.getvalue() == want.getvalue() and out.writes == len(rows)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    """A reader that closes stdout after one line (`| head -n 1`) ends the
+    command with exit status 141 and no traceback: the table's three chunks
+    are each far larger than the pipe's buffer."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with subprocess.Popen([sys.executable, "-m", "qflab.cli", "sieve", "gaps", "--form",
+                           "1,1,2", "--x", "1e6", "--min-p", "100"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            status = proc.wait(timeout=300)
+        finally:
+            proc.kill()
+    assert json.loads(first)["p_n"] == 2
+    assert b"Traceback" not in err and status == cli._EXIT_BROKEN_PIPE, err
 
 
 def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):

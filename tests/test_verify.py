@@ -2,39 +2,35 @@
 it, and run_check must time a check that raised."""
 
 import time
-from fractions import Fraction
 
 from qflab import arith, verify
 from qflab.forms import enumerate_reduced_forms
 
 
 def test_density_identity_names_a_planted_mismatch(monkeypatch):
-    real = verify.g_squarefree
+    real = verify._density_numerators
 
-    def planted(f, ell):
-        g = real(f, ell)
-        return g + 1 if (f.D, ell) == (47, 7) else g
+    def planted(Ds, ells):
+        numerators = real(Ds, ells)
+        numerators[list(Ds).index(47), list(ells).index(7)] += 1
+        return numerators
 
-    monkeypatch.setattr(verify, "g_squarefree", planted)
+    monkeypatch.setattr(verify, "_density_numerators", planted)
     result = verify.run_check(verify.check_density_identity, fast=True)
     first = enumerate_reduced_forms(47).forms[0]
     assert not result.passed
     assert result.detail == f"mismatch at form {first.triple()}, ell = 7"
 
 
-def test_density_identity_names_a_g_no_count_can_match(monkeypatch):
-    # a denominator that does not divide ell^2: no integer count equals
-    # g * ell^2, so the check fails on that form rather than raising
-    real = verify.g_squarefree
-
-    def planted(f, ell):
-        return Fraction(1, ell * ell + 1) if (f.D, ell) == (47, 7) else real(f, ell)
-
-    monkeypatch.setattr(verify, "g_squarefree", planted)
-    result = verify.run_check(verify.check_density_identity, fast=True)
-    first = enumerate_reduced_forms(47).forms[0]
-    assert not result.passed
-    assert result.detail == f"mismatch at form {first.triple()}, ell = 7"
+def test_density_numerators_are_g_squarefree_times_ell_squared():
+    """The density check's table of N(ell), against arith.g_squarefree at
+    every D <= 500 and every squarefree ell <= 30; g depends on D alone."""
+    Ds = [D for D in range(3, 501) if D % 4 in (0, 3)]
+    numerators = verify._density_numerators(Ds, verify.SQUAREFREE_30)
+    assert numerators.shape == (len(Ds), len(verify.SQUAREFREE_30))
+    for D, row in zip(Ds, numerators.tolist()):
+        f = enumerate_reduced_forms(D).forms[0]
+        assert row == [arith.g_squarefree(f, ell) * ell * ell for ell in verify.SQUAREFREE_30]
 
 
 def test_density_identity_counts_every_pair():
