@@ -141,8 +141,8 @@ def parse_invocation(argv) -> CommandPlan:
 # column-table rows per write: few write calls, and memory bounded by a
 # few chunks of text
 _EMIT_CHUNK = 16384
-# threads rendering column-table chunks, one chunk each per round; they
-# overlap on the numpy calls that release the GIL
+# column-table chunks per round, each on a thread of its own, the calling
+# thread's included; they overlap on the numpy calls that release the GIL
 _EMIT_THREADS = 2
 # exit status when the reader of stdout closes the pipe (`| head`), as a
 # shell reports a process that SIGPIPE ended
@@ -201,15 +201,14 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
     zero bytes (_slots), copied with the key separators into one table of
     rows; dropping the zero bytes leaves the rows' text.
 
-    The chunks are rendered in rounds of _EMIT_THREADS, one chunk per
-    thread of a _Crew, in two stages: the slots, then the table and the
-    compaction that drops its zero bytes.  This thread allocates the round's
-    tables and masks between the stages and drops them after the second, so
-    every buffer of a round exists at its end whatever the threads' timing:
-    the peak memory is that of one round, not of how the threads
-    interleave.  The chunks are written here in order, the last of a round
-    while the next round's slots are rendered, so at most _EMIT_THREADS + 1
-    chunks are held.
+    The chunks are rendered in rounds of _EMIT_THREADS in two stages, the
+    slots, then the table and its compaction, each one _in_threads call:
+    this thread renders the round's first chunk, a thread of its own each
+    other.  This thread allocates the round's tables and masks between the
+    stages and drops them after the second, so every buffer of a round
+    exists at its end and the peak memory is that of one round, whatever
+    the threads' timing.  A round's chunks are written in order just before
+    this thread renders its chunk of the next, overlapping the others.
 
     A row's text depends on its value alone, so a column that is another's
     next row in one buffer (p_next = primes[1:] beside p_n = primes[:-1])
@@ -254,78 +253,53 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
         # numpy's boolean compaction releases the GIL, which bytes.translate holds
         return table.ravel()[mask.ravel()]
 
-    def write_texts(keep: int = 0) -> None:
-        """Write the chunks rendered, in order, all but the last keep."""
-        while len(texts) > keep:
+    def write_texts() -> None:
+        while texts:
             i, text = texts.pop(0)
             stream.write((head if i == 0 else "") + str(text, "ascii"))
 
-    def render_round(round_starts) -> None:
-        write_texts(keep=1)
-        crew.start(parts_of, round_starts)
-        write_texts()  # the previous round's last chunk, while these slots render
-        parts = crew.wait()
+    for r in range(0, len(starts), _EMIT_THREADS):
+        round_starts = starts[r:r + _EMIT_THREADS]
+        parts = _in_threads(parts_of, round_starts, before=write_texts)
         # the first chunk whose slots raised, or len(parts): the chunks before it go on
         failed = next((k for k, p in enumerate(parts) if isinstance(p, BaseException)), len(parts))
         tables = [np.empty((len(p[1]), sum(part.shape[-1] for part in p)), np.uint8)
                   for p in parts[:failed]]  # p[1], the first column's slots, has a row per row
-        crew.start(compact, [(p, t, np.empty(t.shape, bool)) for p, t in zip(parts, tables)])
-        for i, text in zip(round_starts, crew.wait() + parts[failed:failed + 1]):
+        jobs = [(p, t, np.empty(t.shape, bool)) for p, t in zip(parts, tables)]
+        for i, text in zip(round_starts, _in_threads(compact, jobs) + parts[failed:failed + 1]):
             if isinstance(text, BaseException):  # raised once the chunks before it are written
                 write_texts()
                 raise text
             texts.append((i, text))
-
-    with _Crew(min(_EMIT_THREADS, len(starts))) as crew:
-        for r in range(0, len(starts), _EMIT_THREADS):
-            render_round(starts[r:r + _EMIT_THREADS])
-        write_texts()
+        del parts, tables, jobs, text  # no buffer of a round outlives it
+    write_texts()
 
 
-class _Crew:
-    """Worker threads that run one job on a list of items together, item k
-    on thread k: start(job, items) begins a stage and wait() ends it,
-    returning each job's result, or the exception it raised, in item order.
-    Leaving the with block stops and joins every thread, on an error too."""
+def _in_threads(job: Callable, items, before: Callable[[], None] = lambda: None) -> list:
+    """job(item) for each item, the first here after before() and each other
+    on a thread of its own, joined before this returns or raises: each
+    result, or the exception it raised, in item order."""
+    out = [None] * len(items)
 
-    def __init__(self, size: int):
-        self._barrier = threading.Barrier(size + 1)
-        self._job, self._items, self._out = None, [], [None] * size
-        self._threads = [threading.Thread(target=self._work, args=(k,), daemon=True)
-                         for k in range(size)]
-        for thread in self._threads:
-            thread.start()
-
-    def _work(self, k: int) -> None:
+    def run(k: int) -> None:
         try:
-            while True:
-                self._barrier.wait()  # a stage begins
-                if k < len(self._items):
-                    try:
-                        self._out[k] = self._job(self._items[k])
-                    except BaseException as exc:  # handed to wait's caller, which raises it
-                        self._out[k] = exc
-                self._barrier.wait()  # the stage ends
-        except threading.BrokenBarrierError:  # the crew was closed
-            return
+            out[k] = job(items[k])
+        except BaseException as exc:  # handed back in out, raised in chunk order
+            out[k] = exc
 
-    def start(self, job: Callable, items) -> None:
-        self._job, self._items = job, list(items)
-        self._barrier.wait()
-
-    def wait(self) -> list:
-        self._barrier.wait()
-        out = self._out[:len(self._items)]
-        self._items, self._out = [], [None] * len(self._out)  # nothing held past the stage
-        return out
-
-    def __enter__(self) -> _Crew:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._barrier.abort()
-        for thread in self._threads:
+    threads = []
+    try:
+        for k in range(1, len(items)):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            threads.append(thread)
+        before()
+        if items:
+            run(0)
+    finally:
+        for thread in threads:
             thread.join()
+    return out
 
 
 def _next_row_view(col, nxt) -> bool:

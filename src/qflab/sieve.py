@@ -75,7 +75,12 @@ def selberg_j(f: QuadraticForm, z: float) -> Fraction:
     1/p or 1/p^2 for chi(p) = 1, 0, -1, each below 1 for p >= 2."""
     if z < 2:
         raise ValueError("need z >= 2")
-    return sum((Fraction(n, m) for _, _, n, m in _sieve_walk(f, z, z)), start=Fraction(0))
+    return _j_sum(_sieve_walk(f, z, z), z)
+
+
+def _j_sum(nodes, z: float) -> Fraction:
+    """J = sum of h(ell) = N/M over the walk's nodes with ell < z."""
+    return sum((Fraction(n, m) for ell, _, n, m in nodes if ell < z), start=Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,7 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
         raise ValueError("need 0 <= y <= x")
     moduli = _sieve_walk(f, z, z * z)
     sd = math.sqrt(f.D)
-    j = sum((Fraction(n, m) for ell, _, n, m in moduli if ell < z), start=Fraction(0))
-    main = 2.0 * math.pi * y / sd / float(j)
+    main = 2.0 * math.pi * y / sd / float(_j_sum(moduli, z))
     g = reduce_form(f)
     ells = np.array([ell for ell, _, _, _ in moduli], dtype=np.int64)
     intervals = np.zeros(len(moduli), dtype=np.int64)

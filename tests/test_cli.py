@@ -418,6 +418,42 @@ def test_column_writer_stops_at_the_first_failing_chunk(monkeypatch):
     out = WriteLog()
     emit(_columns(rows), "json", out)
     assert out.writes == 6 and threading.active_count() == threads
+    # an interrupt in the first chunk of the round of rows 14 to 27, which
+    # the calling thread renders, and in its second, which a thread renders
+    slots = cli._slots
+    for first_row, writes in ((14, 2), (21, 3)):
+        def interrupt(chunk, fmt, first_row=first_row):
+            if chunk.dtype == np.int64 and chunk[0] == first_row:
+                raise KeyboardInterrupt
+            return slots(chunk, fmt)
+
+        monkeypatch.setattr(cli, "_slots", interrupt)
+        out = WriteLog()
+        with pytest.raises(KeyboardInterrupt):
+            emit(_columns(rows), "json", out)
+        assert out.getvalue() == "".join(json.dumps(r) + "\n" for r in rows[:first_row])
+        assert out.writes == writes and threading.active_count() == threads
+
+
+def test_column_writer_starts_no_thread_for_one_chunk(monkeypatch):
+    """A table of at most _EMIT_CHUNK rows, or of none, is rendered on the
+    calling thread alone, with the row encoder's bytes."""
+    def refuse(thread):
+        raise AssertionError("a render thread was started")
+
+    monkeypatch.setattr(cli.threading.Thread, "start", refuse)
+    rows = [{"p_n": 3 * i, "normalized": i / 7 - 3.0, "is_max": i == 99}
+            for i in range(cli._EMIT_CHUNK)]
+    for fmt in ("json", "csv"):
+        for table in (rows, rows[:1]):
+            want = io.StringIO()
+            emit(table, fmt, want)
+            out = WriteLog()
+            emit(_columns(table), fmt, out)
+            assert out.getvalue() == want.getvalue() and out.writes == 1
+        empty = WriteLog()
+        emit({k: v[:0] for k, v in _columns(rows).items()}, fmt, empty)
+        assert empty.getvalue() == "" and empty.writes == 0
 
 
 def test_column_writer_order_under_many_threads_and_switches(monkeypatch):
