@@ -125,8 +125,12 @@ def g_squarefree(f: QuadraticForm, ell: int) -> Fraction:
     primes = factorize(ell)
     if any(e > 1 for e in primes.values()):
         raise ValueError(f"{ell} is not squarefree; use residue_density")
-    D = f.D
-    return Fraction(math.prod(p + kronecker(-D, p) * (p - 1) for p in primes), ell * ell)
+    return Fraction(math.prod(_local_factors(f.D, primes)), ell * ell)
+
+
+def _local_factors(D: int, primes) -> list[int]:
+    """N(p) = g(p) * p^2 = p + chi(p)*(p - 1), chi(p) = (-D/p), for each prime p."""
+    return [p + kronecker(-D, p) * (p - 1) for p in primes]
 
 
 _RESIDUE_BLOCK = 1 << 16
@@ -275,47 +279,33 @@ def _odd_prime_mask(x: int) -> np.ndarray:
     return _clear_odd_composites(mask)
 
 
-# odd entries per sieve segment: 128 KiB of bool, which stays in cache while
-# every prime strikes it
-_SEGMENT = 1 << 17
-# the multiples of these primes among the odd entries k, n = 2k + 1, repeat
-# with period 3*5*7*11*13 = 15015 in k
-_PRESIEVE = (3, 5, 7, 11, 13)
-_PRESIEVE_PERIOD = math.prod(_PRESIEVE)
+# odd entries per sieve segment: 1 MiB of bool, half of a 2 MiB L2 cache; a
+# strike costs one slice assignment per (segment, prime), so fewer segments
+# cut the sieve's Python overhead
+_SEGMENT = 1 << 20
 
 
 def _clear_odd_composites(mask: np.ndarray) -> np.ndarray:
     """Clear in place each entry mask[k] whose 2k + 1 is an odd composite,
     keep the others, and return mask: a segmented odd-only sieve of
-    Eratosthenes as https://github.com/kimwalisch/primesieve runs one.
+    Eratosthenes (Bays and Hudson, BIT 17, 1977).
 
-    Each segment of _SEGMENT entries is ANDed with a pattern that clears the
-    multiples of 3, 5, 7, 11 and 13 (the entries of those five primes are
-    put back afterwards), then struck by each prime p from 17 to
-    sqrt(2 * mask.size - 1) from p^2 on; those primes come from the same
-    sieve run up to the root.  Run on a mask of all odd n, it leaves the
-    odd primes; run on the marks of the odd values of a form, the odd
-    primes among them."""
+    Each segment of _SEGMENT entries, a view of mask, is struck by each odd
+    prime p <= sqrt(2 * mask.size - 1) from p^2 on; those primes come from
+    the same sieve run up to the root, and no prime's own entry is struck.
+    Run on a mask of all odd n, it leaves the odd primes; run on the marks
+    of the odd values of a form, the odd primes among them."""
     n = mask.size
-    # a segment at k0 reads the pattern from k0 % _PRESIEVE_PERIOD <= k0 on
-    pattern = np.ones(min(n, _PRESIEVE_PERIOD + _SEGMENT), dtype=bool)
-    for p in _PRESIEVE:
-        pattern[p >> 1::p] = False
-    # entries 1..6 are n = 3, 5, 7, 9, 11, 13, of which 9 is no prime
-    kept = mask[1:7] & np.frombuffer(b"\1\1\1\0\1\1", dtype=bool)[:max(n - 1, 0)]
     root = math.isqrt(max(2 * n - 1, 0))
-    base = _odd_prime_mask(root) if root >= 17 else np.zeros(0, dtype=bool)
-    primes = 2 * np.flatnonzero(base[8:]) + 17
+    base = _odd_prime_mask(root) if root >= 3 else np.zeros(0, dtype=bool)
+    primes = 2 * np.flatnonzero(base) + 1
     squares = primes * primes >> 1  # the entries of p^2, ascending
     nxt = squares.copy()  # the entry of each prime's next odd multiple to strike
     for k0 in range(0, n, _SEGMENT):
         seg = mask[k0:k0 + _SEGMENT]
-        r = k0 % _PRESIEVE_PERIOD
-        seg &= pattern[r:r + seg.size]
         live = int(np.searchsorted(squares, k0 + seg.size))  # p^2 within or before seg
         step, start = primes[:live], nxt[:live] - k0
         for p, s in zip(step.tolist(), start.tolist()):
             seg[s::p] = False
         nxt[:live] += step * -((start - seg.size) // step)  # past this segment
-    mask[1:7] |= kept
     return mask

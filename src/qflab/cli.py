@@ -147,6 +147,8 @@ _EMIT_THREADS = 2
 # exit status when the reader of stdout closes the pipe (`| head`), as a
 # shell reports a process that SIGPIPE ended
 _EXIT_BROKEN_PIPE = 141
+# exit status when any other write of the output fails: EX_IOERR of sysexits.h
+_EXIT_WRITE_FAILED = 74
 
 # shortest-digits decisions this close to their bound, relative to it, are
 # left to repr; the computed distances are good to about 1e-16
@@ -615,22 +617,27 @@ def execute_plan(plan: CommandPlan) -> list[dict] | dict[str, list] | TextReport
 def main(argv=None) -> int:
     plan = parse_invocation(sys.argv[1:] if argv is None else argv)
     records = execute_plan(plan)
-    if plan.output:
-        with open(plan.output, "w", encoding="utf-8") as fh:
-            emit(records, plan.fmt, fh)
-    else:
-        try:
+    try:
+        if plan.output:
+            with open(plan.output, "w", encoding="utf-8") as fh:
+                emit(records, plan.fmt, fh)
+        else:
             emit(records, plan.fmt, sys.stdout)
             sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader closed stdout (`| head`); emit has joined its
-            # threads.  stdout's descriptor is pointed at devnull, so the
-            # interpreter's last flush of the text left buffered does not
-            # raise again
+    except OSError as exc:
+        # a write failed (the reader closed stdout, as `| head` does, or the
+        # device is full); emit has joined its threads.  stdout's descriptor
+        # is pointed at devnull, so the interpreter's last flush of the text
+        # left buffered does not raise again
+        if not plan.output:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
             return _EXIT_BROKEN_PIPE
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"qflab: error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return _EXIT_WRITE_FAILED
     return records.status if isinstance(records, TextReport) else 0
 
 

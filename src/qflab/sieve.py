@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _clear_odd_composites, kronecker, prime_mask
+from .arith import _clear_odd_composites, _local_factors, prime_mask
 from .forms import (QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form,
                     representation_count)
 from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
@@ -49,7 +49,7 @@ def _sieve_walk(f: QuadraticForm, z: float, bound: float) -> list[tuple[int, int
     below z of ell * q either divides ell or is d * q with d | ell, and
     leaves a cofactor of at least ell/d >= z."""
     primes = np.flatnonzero(prime_mask(int(z))).tolist()
-    n_p = [p + kronecker(-f.D, p) * (p - 1) for p in primes]
+    n_p = _local_factors(f.D, primes)
     nodes = []
 
     def walk(start: int, ell: int, k: int, n: int, m: int, divs: list[int]):

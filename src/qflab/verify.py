@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import _residue_counts, class_number_analytic, factorize, is_fundamental, kronecker
+from .arith import _local_factors, _residue_counts, class_number_analytic, factorize, is_fundamental
 from .forms import QuadraticForm, enumerate_reduced_forms
 from .fourier import BandlimitedFn, GaussPolyFn, dn_estimate, functional_report, gap_constant
 from .latticesums import (
@@ -89,14 +89,14 @@ def check_gap_constant(fast: bool = False) -> CheckResult:
 
 
 def _density_numerators(Ds, ells) -> np.ndarray:
-    """N(ell) = g(ell) * ell^2 = prod over p | ell of (p + chi(p)*(p - 1)),
-    with chi(p) the Kronecker symbol (-D/p), for each D of Ds (rows) and
-    squarefree ell of ells (columns): the numerator of arith.g_squarefree,
-    taken from one table of chi over the primes that divide the ells."""
-    primes = np.array(sorted({p for ell in ells for p in factorize(ell)}), dtype=np.int64)
-    chi = np.array([[kronecker(-D, int(p)) for p in primes] for D in Ds], dtype=np.int64)
+    """N(ell) = g(ell) * ell^2 = prod over p | ell of N(p), for each D of Ds
+    (rows) and squarefree ell of ells (columns): the numerator of
+    arith.g_squarefree, taken from one table of the local factors N(p) of
+    arith._local_factors over the primes that divide the ells."""
+    primes = sorted({p for ell in ells for p in factorize(ell)})
+    local = np.array([_local_factors(D, primes) for D in Ds], dtype=np.int64)
     divides = np.array([[ell % p == 0 for p in primes] for ell in ells])
-    return np.where(divides, (primes + chi * (primes - 1))[:, None, :], 1).prod(axis=2)
+    return np.where(divides, local[:, None, :], 1).prod(axis=2)
 
 
 def check_density_identity(fast: bool = False) -> CheckResult:

@@ -418,12 +418,28 @@ def _eratosthenes(x):
 
 
 def test_odd_prime_mask_at_segment_edges():
-    # a segment holds the odd entries of 2 * _SEGMENT = 2^18 integers; small x
-    # cover the pre-sieved primes 3..13 and the first primes struck, 17 and 19
+    # a segment holds the odd entries of 2 * _SEGMENT integers; small x cover
+    # the first primes struck and their squares, large x the segment seams
     span = 2 * arith._SEGMENT
     edges = [k * span + d for k in (1, 2, 3) for d in range(-2, 3)]
     for x in list(range(401)) + edges:
         assert np.array_equal(arith._odd_prime_mask(x), _eratosthenes(x)[1::2]), x
+
+
+def test_clear_odd_composites_on_any_marks():
+    """On arbitrary marks, the sieve keeps exactly the marked entries whose
+    2k + 1 is 1 or an odd prime, within one segment and across the seams;
+    each size runs twice, with entries 0..6 (n = 1, 3, ..., 13) flipped."""
+    rng = np.random.default_rng(31)
+    sizes = list(range(65)) + [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    for size in sizes:
+        keep = _eratosthenes(2 * size - 1)[1::2]
+        keep[:1] = True
+        marks = rng.random(size) < 0.5
+        for _ in range(2):
+            got = arith._clear_odd_composites(marks.copy())
+            assert np.array_equal(got, marks & keep), size
+            marks[:7] = ~marks[:7]
 
 
 def test_divisor_functions():

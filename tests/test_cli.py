@@ -496,6 +496,20 @@ def test_closed_pipe_ends_without_a_traceback():
     assert b"Traceback" not in err and status == cli._EXIT_BROKEN_PIPE, err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("out", [None, "/dev/full"])
+def test_failed_write_ends_with_one_error_line(out):
+    """A write into a full device, on stdout or through --out, ends the
+    command with exit status 74 (EX_IOERR) and one error line, no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "qflab.cli"] + (["--out", out] if out else [])
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(argv + ["sieve", "gaps", "--form", "1,1,2", "--x", "1e6"],
+                              env=env, stdout=full, stderr=subprocess.PIPE, timeout=300)
+    assert proc.returncode == cli._EXIT_WRITE_FAILED, proc.stderr
+    assert proc.stderr.decode().splitlines() == ["qflab: error: No space left on device"]
+
+
 def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
     for fmt in ("json", "csv"):

@@ -241,11 +241,11 @@ def test_pi_f_odd_path_matches_whole_masks():
 
 
 def test_pi_f_keeps_the_presieved_primes_a_form_represents():
-    """The in-place sieve clears the multiples of 3, 5, 7, 11 and 13 by a
-    pattern and puts back only those primes that were marked: against the
-    whole masks, for forms that represent each of them (3, 7, 13 by
+    """The in-place sieve strikes each odd prime's multiples from its square
+    on, so the smallest primes keep their marks: against the whole masks,
+    for forms that represent some of 3, 5, 7, 11 and 13 (3, 7, 13 by
     u^2 + uv + v^2; 3, 5, 11 by u^2 + uv + 3v^2; 5, 13 by u^2 + v^2) and
-    miss the others, at sizes within the first segment and across three."""
+    miss the others, at sizes from below 13^2 to 3 * 2^18 + 1."""
     forms = [QuadraticForm(1, 1, 1), QuadraticForm(1, 1, 3), QuadraticForm(1, 0, 1)]
     small = [set(represented_primes(f, 13).tolist()) for f in forms]
     assert small == [{3, 7, 13}, {3, 5, 11}, {2, 5, 13}]
