@@ -510,6 +510,13 @@ def test_failed_write_ends_with_one_error_line(out):
     assert proc.stderr.decode().splitlines() == ["qflab: error: No space left on device"]
 
 
+def test_out_file_that_cannot_be_opened_is_named(tmp_path, capsys):
+    path = tmp_path / "missing" / "rows.json"
+    status = main(["--out", str(path), "forms", "reduce", "--form", "2,-2,3"])
+    assert status == cli._EXIT_WRITE_FAILED
+    assert capsys.readouterr().err == f"qflab: error: No such file or directory: {path}\n"
+
+
 def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
     for fmt in ("json", "csv"):
