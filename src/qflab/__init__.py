@@ -41,7 +41,6 @@ from .fourier import (
 )
 from .latticesums import (
     TestFunctionG,
-    chi_hat,
     congruence_main_term,
     congruence_sum_exact,
     error_scaling_report,
@@ -51,7 +50,6 @@ from .latticesums import (
     translation_exception_count,
 )
 from .sieve import (
-    PrimeGapRecord,
     bt_theoretical_bound,
     cor_brun_bound,
     count_represented_primes,

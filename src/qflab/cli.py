@@ -8,6 +8,7 @@ CSV (6 significant digits).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -71,18 +72,26 @@ def _finite_arg(text: str) -> float:
     return value
 
 
+def _positive_arg(text: str) -> float:
+    """A finite float above 0."""
+    value = _finite_arg(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not above 0")
+    return value
+
+
 def _coeffs_arg(text: str) -> tuple[float, ...]:
     return tuple(_finite_arg(p) for p in text.split(","))
 
 
 def _grid_arg(text: str) -> list[float]:
-    """start:stop:points[:log] -> list of grid values, each finite."""
+    """start:stop:points[:log] -> list of grid values, each finite and above 0."""
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
         raise argparse.ArgumentTypeError(
             f"bad --grid {text!r}: want start:stop:points[:log]")
     try:
-        start, stop, points = _finite_arg(parts[0]), _finite_arg(parts[1]), int(parts[2])
+        start, stop, points = _positive_arg(parts[0]), _positive_arg(parts[1]), int(parts[2])
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad --grid {text!r}: {exc}") from exc
     if points < 1:
@@ -94,8 +103,8 @@ def _grid_arg(text: str) -> list[float]:
         grid = [math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points)]
     else:
         grid = [start + (stop - start) * i / (points - 1) for i in range(points)]
-    if not all(map(math.isfinite, grid)):
-        raise argparse.ArgumentTypeError(f"bad --grid {text!r}: a point overflows")
+    if not all(math.isfinite(v) and v > 0 for v in grid):  # 1 + (1e-320 - 1) rounds to 0
+        raise argparse.ArgumentTypeError(f"bad --grid {text!r}: a point overflows or is 0")
     return grid
 
 
@@ -484,7 +493,7 @@ def _repr_congruence_sum(p):
 
 
 def _repr_error_scaling(p):
-    rep = error_scaling_report(p["form"], p["ell"], p["grid"] or _grid_arg("1e3:1e6:7:log"))
+    rep = error_scaling_report(p["form"], p["ell"], p["grid"])
     return [dict(rec, slope=rep.slope) for rec in rep.records()]
 
 
@@ -548,7 +557,7 @@ def _fourier_search(p):
 
 def _fourier_tables(p):
     rows = []
-    for A in p["a_grid"] or [1.0, 5.0, 10.0, 28.0, 34.5]:
+    for A in p["a_grid"]:
         res = greedy_search(A, p["terms"], p["budget"])
         a1, a2, a3 = (list(res.fn.coeffs) + [0.0] * 3)[:3]
         rows.append({"A": A, "c_plus_lower": res.report.j_plus, "a1": a1, "a2": a2,
@@ -570,10 +579,10 @@ _COMMANDS = {
     ("repr", "rf"): (_repr_rf, {"form": {"type": _form_arg}, "n": {"type": int}}),
     ("repr", "congruence-sum"): (_repr_congruence_sum, {
         "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
-        "x": {"type": _finite_arg}}),
+        "x": {"type": _positive_arg}}),
     ("repr", "error-scaling"): (_repr_error_scaling, {
         "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
-        "grid": {"type": _grid_arg, "default": None}}),
+        "grid": {"type": _grid_arg, "default": "1e3:1e6:7:log"}}),
     ("repr", "poisson-check"): (_repr_poisson_check, {
         "form": {"type": _form_arg}, "ell": {"type": int, "default": 1},
         "t": {"type": _finite_arg, "default": 1.0}}),
@@ -599,7 +608,7 @@ _COMMANDS = {
         "A": {"type": _finite_arg}, "terms": {"type": int, "default": 3},
         "budget": {"type": int, "default": 4000}}),
     ("fourier", "tables"): (_fourier_tables, {
-        "a_grid": {"type": _grid_arg, "default": None},
+        "a_grid": {"type": _grid_arg, "default": [A for A, *_ in _verify.TABLE_ROWS]},
         "terms": {"type": int, "default": 3}, "budget": {"type": int, "default": 4000}}),
     ("verify", "fast"): (_verify_suite("fast"), {}),
     ("verify", "full"): (_verify_suite("full"), {}),
@@ -616,29 +625,38 @@ def execute_plan(plan: CommandPlan) -> list[dict] | dict[str, list] | TextReport
 
 def main(argv=None) -> int:
     plan = parse_invocation(sys.argv[1:] if argv is None else argv)
-    records = execute_plan(plan)
-    try:
-        if plan.output:
-            with open(plan.output, "w", encoding="utf-8") as fh:
-                emit(records, plan.fmt, fh)
-        else:
-            emit(records, plan.fmt, sys.stdout)
-            sys.stdout.flush()
+    try:  # --out is opened before the work; a command that fails leaves it empty
+        out = open(plan.output, "w", encoding="utf-8") if plan.output else sys.stdout
     except OSError as exc:
-        # a write failed (the reader closed stdout, as `| head` does, or the
-        # device is full); emit has joined its threads.  stdout's descriptor
-        # is pointed at devnull, so the interpreter's last flush of the text
-        # left buffered does not raise again
-        if not plan.output:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        if isinstance(exc, BrokenPipeError):
-            return _EXIT_BROKEN_PIPE
-        where = f": {exc.filename}" if exc.filename else ""
-        print(f"qflab: error: {exc.strerror or exc}{where}", file=sys.stderr)
-        return _EXIT_WRITE_FAILED
+        return _write_failed(exc, plan)
+    try:  # outside the try below: a library error is never a failed write
+        records = execute_plan(plan)
+    except BaseException:
+        if plan.output:
+            out.close()
+        raise
+    try:
+        with out if plan.output else contextlib.nullcontext():
+            emit(records, plan.fmt, out)
+            out.flush()
+    except OSError as exc:
+        return _write_failed(exc, plan)
     return records.status if isinstance(records, TextReport) else 0
+
+
+def _write_failed(exc: OSError, plan: CommandPlan) -> int:
+    """141 when the reader closed stdout (`| head`), else 74 after one stderr
+    line.  emit has joined its threads; stdout is pointed at devnull, so the
+    interpreter's last flush of what is buffered does not raise again."""
+    if not plan.output:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if isinstance(exc, BrokenPipeError):
+        return _EXIT_BROKEN_PIPE
+    where = f": {exc.filename}" if exc.filename else ""
+    print(f"qflab: error: {exc.strerror or exc}{where}", file=sys.stderr)
+    return _EXIT_WRITE_FAILED
 
 
 if __name__ == "__main__":

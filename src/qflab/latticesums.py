@@ -27,7 +27,6 @@ __all__ = [
     "congruence_sum_exact",
     "congruence_main_term",
     "error_scaling_report",
-    "chi_hat",
     "poisson_identity_check",
     "translation_exception_count",
     "hankel_transform",
@@ -233,20 +232,6 @@ def _error_slope(points) -> float | None:
         return None
     lx, ly = np.array(pts).T
     return float(np.polyfit(lx, ly, 1)[0])
-
-
-def chi_hat(f: QuadraticForm, ell: int, r: int, s: int) -> complex:
-    """Fourier coefficient of the divisibility indicator on the lattice mod ell.
-
-    (1/ell^2) * sum over residue pairs (u, v) with ell | f(u, v) of
-    exp(-2*pi*i*(u*s + v*r)/ell).
-    """
-    if not (0 <= r < ell and 0 <= s < ell):
-        raise ValueError("need 0 <= r, s < ell")
-    v, u = np.divmod(_residue_keys(f, ell), ell)
-    # integer phases (u*s + v*r) mod ell, below 2^42 before the remainder
-    phase = (u * s + v * r) % ell
-    return complex(np.exp(-2j * math.pi / ell * phase).sum() / ell**2)
 
 
 def _chi_hat_tables(abc, ell: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruen
 
 __all__ = [
     "SieveBound",
-    "PrimeGapRecord",
     "BTBound",
     "selberg_j",
     "sieve_upper_bound",
@@ -33,6 +32,15 @@ __all__ = [
 
 _MASK_BUDGET = 300_000_000
 _SHORT_TERMS = 8
+# the largest z: sieve bound walks the moduli below z^2 (7.5 s, 404 MB at z = 4096)
+_Z_LIMIT = 4096
+
+
+def _sieve_primes(z: float) -> list[int]:
+    """The primes p <= z, refusing z > _Z_LIMIT before any allocation."""
+    if z > _Z_LIMIT:
+        raise BudgetError(f"z = {z:g} exceeds the sieve level limit {_Z_LIMIT}")
+    return np.flatnonzero(prime_mask(int(z))).tolist()
 
 
 def _sieve_walk(f: QuadraticForm, z: float, bound: float) -> list[tuple[int, int, int, int]]:
@@ -48,7 +56,7 @@ def _sieve_walk(f: QuadraticForm, z: float, bound: float) -> list[tuple[int, int
     an ell that does not split splits, so the walk stops there: any divisor
     below z of ell * q either divides ell or is d * q with d | ell, and
     leaves a cofactor of at least ell/d >= z."""
-    primes = np.flatnonzero(prime_mask(int(z))).tolist()
+    primes = _sieve_primes(z)
     n_p = _local_factors(f.D, primes)
     nodes = []
 
@@ -153,10 +161,10 @@ def sieved_sum_exact(f: QuadraticForm, x: float, y: float, z: float) -> int:
     the window's r_f histogram summed under a coprimality mask.  It shares
     no sieve weights with the Selberg bound, which is validated against it;
     the histogram itself is checked against brute-force r_f in the tests."""
+    primes = _sieve_primes(z)
     X = math.floor(x)
     if X < 1:
         return 0
-    primes = np.flatnonzero(prime_mask(int(z))).tolist()
     total = 0
     for n0, r in _window_histogram(reduce_form(f), math.floor(x - y), X):
         coprime = np.ones(r.size, dtype=bool)
@@ -293,16 +301,6 @@ def cor_brun_bound(f: QuadraticForm, x: float) -> float:
     return 28.0 * float(delta_f(f)) * math.sqrt(x) / (enumerate_reduced_forms(f.D).h * math.log(x))
 
 
-@dataclass(frozen=True)
-class PrimeGapRecord:
-    p_n: int
-    p_next: int
-
-    @property
-    def normalized_gap(self) -> float:
-        return (self.p_next - self.p_n) / (math.sqrt(self.p_n) * math.log(self.p_n))
-
-
 def prime_gap_scan(f: QuadraticForm, X: float,
                    min_p: int = 100) -> tuple[int, np.ndarray, np.ndarray]:
     """Consecutive represented primes up to X with normalized gaps
@@ -323,12 +321,12 @@ def prime_gap_scan(f: QuadraticForm, X: float,
 
 def normalized_gaps(ps) -> np.ndarray:
     """(q - p)/(sqrt(p) log p) for each consecutive pair (p, q) of ps, a
-    list or array of ints below 2^63, bit for bit as
-    PrimeGapRecord.normalized_gap gives it: the int-to-float conversions,
-    sqrt, * and / are correctly rounded in numpy as in math.  The logs come
-    from math.log, since np.log differs from it in the last ulp on some p;
-    math.log takes an int at its nearest double, so it is handed the
-    doubles numpy rounds p to, which are the same."""
+    list or array of ints below 2^63, bit for bit as the scalar
+    (q - p)/(math.sqrt(p) * math.log(p)) gives it: the int-to-float
+    conversions, sqrt, * and / are correctly rounded in numpy as in math.
+    The logs come from math.log, since np.log differs from it in the last
+    ulp on some p; math.log takes an int at its nearest double, so it is
+    handed the doubles numpy rounds p to, which are the same."""
     arr = np.asarray(ps, dtype=np.int64)
     p = arr[:-1]
     pf = p.astype(np.float64)

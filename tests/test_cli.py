@@ -65,6 +65,10 @@ def test_usage_errors_exit_2():
          "--variant", "nope"],
         # every option comes from the command line; --config is refused
         ["repr", "rf", "--form", "1,0,1", "--n", "5", "--config", "c.json"],
+        # the congruence sums are normalized by x^(1/3) and sqrt(x)
+        ["repr", "congruence-sum", "--form", "1,0,1", "--x", "0"],
+        ["repr", "congruence-sum", "--form", "1,0,1", "--x", "-8"],
+        ["repr", "error-scaling", "--form", "1,0,1", "--grid", "0:1e3:3"],
     ):
         with pytest.raises(SystemExit) as exc:
             parse_invocation(argv)
@@ -510,11 +514,36 @@ def test_failed_write_ends_with_one_error_line(out):
     assert proc.stderr.decode().splitlines() == ["qflab: error: No space left on device"]
 
 
-def test_out_file_that_cannot_be_opened_is_named(tmp_path, capsys):
+def test_out_file_that_cannot_be_opened_is_named(monkeypatch, tmp_path, capsys):
     path = tmp_path / "missing" / "rows.json"
     status = main(["--out", str(path), "forms", "reduce", "--form", "2,-2,3"])
     assert status == cli._EXIT_WRITE_FAILED
     assert capsys.readouterr().err == f"qflab: error: No such file or directory: {path}\n"
+
+    # the path is opened before the work, which never starts
+    def refuse(plan):
+        raise AssertionError("the command ran before --out was opened")
+
+    monkeypatch.setattr(cli, "execute_plan", refuse)
+    status = main(["--out", str(path), "sieve", "pif", "--form", "1,0,1", "--x", "1e8"])
+    assert status == cli._EXIT_WRITE_FAILED
+    assert capsys.readouterr().err == f"qflab: error: No such file or directory: {path}\n"
+
+
+def test_command_that_fails_leaves_its_out_file_empty(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "gaps.json"
+    with pytest.raises(ValueError, match="fewer than two represented primes"):
+        main(["--out", str(path), "sieve", "gaps", "--form", "1,0,1", "--x", "3"])
+    assert path.read_bytes() == b""
+
+    # an OSError of the work is the library's, not a failed write's status 74
+    def fail(plan):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(cli, "execute_plan", fail)
+    with pytest.raises(OSError):
+        main(["--out", str(path), "forms", "reduce", "--form", "2,-2,3"])
+    assert capsys.readouterr().err == ""
 
 
 def test_out_file_matches_stdout(monkeypatch, tmp_path, capsys):
@@ -645,7 +674,11 @@ def test_every_command_parses_to_its_table_defaults():
             argv += ["--" + dest.replace("_", "-"), _REQUIRED[dest]]
         plan = parse_invocation(argv)
         want = {dest: options[dest]["type"](_REQUIRED[dest]) for dest in required}
-        want.update((dest, kw["default"]) for dest, kw in options.items() if "default" in kw)
+        for dest, kw in options.items():
+            if "default" in kw:
+                # argparse passes a string default through the option's type
+                text = isinstance(kw["default"], str) and "type" in kw
+                want[dest] = kw["type"](kw["default"]) if text else kw["default"]
         assert (plan.group, plan.action) == (group, action)
         assert plan.params == want, (group, action)
     assert len(cli._COMMANDS) == 17

@@ -14,6 +14,7 @@ from conftest import (
     random_form,
     random_unimodular,
 )
+from oracles import chi_hat
 from qflab import arith
 from qflab.arith import divisor_tau, residue_density
 from qflab import latticesums
@@ -22,7 +23,6 @@ from qflab.latticesums import (
     BudgetError,
     TestFunctionG,
     _window_histogram,
-    chi_hat,
     congruence_main_term,
     congruence_sum_exact,
     error_scaling_report,

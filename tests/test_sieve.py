@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import brute_rf, random_form, random_unimodular
+from oracles import PrimeGapRecord
 from qflab.arith import factorize, g_squarefree, prime_mask, residue_density
 from qflab.forms import (
     QuadraticForm,
@@ -17,7 +19,6 @@ from qflab.forms import (
 )
 from qflab.latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
 from qflab.sieve import (
-    PrimeGapRecord,
     _marked_values,
     _sieve_walk,
     bt_theoretical_bound,
@@ -538,3 +539,22 @@ def test_normalized_gaps_match_the_scalar_formula():
 def test_sieved_sum_budget():
     with pytest.raises(BudgetError):
         sieved_sum_exact(QuadraticForm(1, 0, 1), 1e18, 1e6, 5.0)
+
+
+def test_sieve_level_limit():
+    # z = 4096 is the last level accepted; past it each entry point refuses
+    # before it sieves primes or walks moduli (1e300 broke numpy's mask)
+    f = QuadraticForm(1, 0, 1)
+    assert selberg_j(f, 4096) > 1
+    for z in (4097, 1e300):
+        for call in (lambda: selberg_j(f, z),
+                     lambda: sieve_upper_bound(f, 1e4, 1e3, z),
+                     lambda: sieved_sum_exact(f, 1e4, 1e3, z)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError, match="4096"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
