@@ -8,7 +8,6 @@ CSV (6 significant digits).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
@@ -625,38 +624,39 @@ def execute_plan(plan: CommandPlan) -> list[dict] | dict[str, list] | TextReport
 
 def main(argv=None) -> int:
     plan = parse_invocation(sys.argv[1:] if argv is None else argv)
-    try:  # --out is opened before the work; a command that fails leaves it empty
+    try:  # before the work, so a path that cannot be written is refused at once
         out = open(plan.output, "w", encoding="utf-8") if plan.output else sys.stdout
     except OSError as exc:
-        return _write_failed(exc, plan)
+        print(f"qflab: error: {exc.strerror or exc}: {plan.output}", file=sys.stderr)
+        return _EXIT_WRITE_FAILED
     try:  # outside the try below: a library error is never a failed write
         records = execute_plan(plan)
     except BaseException:
         if plan.output:
-            out.close()
+            out.close()  # left empty, as a shell's > leaves it
         raise
     try:
-        with out if plan.output else contextlib.nullcontext():
-            emit(records, plan.fmt, out)
-            out.flush()
+        if plan.output:
+            with out:
+                emit(records, plan.fmt, out)
+        else:
+            emit(records, plan.fmt, sys.stdout)
+            sys.stdout.flush()
     except OSError as exc:
-        return _write_failed(exc, plan)
+        # a write failed (the reader closed stdout, as `| head` does, or the
+        # device is full); emit has joined its threads.  stdout's descriptor
+        # is pointed at devnull, so the interpreter's last flush of the text
+        # left buffered does not raise again
+        if not plan.output:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return _EXIT_BROKEN_PIPE
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"qflab: error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return _EXIT_WRITE_FAILED
     return records.status if isinstance(records, TextReport) else 0
-
-
-def _write_failed(exc: OSError, plan: CommandPlan) -> int:
-    """141 when the reader closed stdout (`| head`), else 74 after one stderr
-    line.  emit has joined its threads; stdout is pointed at devnull, so the
-    interpreter's last flush of what is buffered does not raise again."""
-    if not plan.output:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    if isinstance(exc, BrokenPipeError):
-        return _EXIT_BROKEN_PIPE
-    where = f": {exc.filename}" if exc.filename else ""
-    print(f"qflab: error: {exc.strerror or exc}{where}", file=sys.stderr)
-    return _EXIT_WRITE_FAILED
 
 
 if __name__ == "__main__":
