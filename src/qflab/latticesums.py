@@ -44,6 +44,17 @@ class BudgetError(RuntimeError):
     """Enumeration would exceed the configured time/memory budget."""
 
 
+def _floor_x(x: float) -> int:
+    """math.floor(x) for a bound x on the values, at least -1, which every
+    bound below 1 admits alike.  NaN is refused with ValueError and +inf with
+    BudgetError, where math.floor would raise ValueError or OverflowError."""
+    if x != x:
+        raise ValueError("need x to be a number, not NaN")
+    if x == math.inf:
+        raise BudgetError("x = inf exceeds every enumeration budget")
+    return math.floor(max(x, -1))
+
+
 def _residue_keys(f: QuadraticForm, ell: int, rows: int | None = None) -> np.ndarray:
     """The residue pairs (u, v) mod ell with ell | f(u, v) as the ascending
     int64 keys v*ell + u, from the residue rows v < rows (all ell by default)."""
@@ -108,7 +119,7 @@ def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
     reduced form, which has the same count."""
     if ell < 1:
         raise ValueError("need ell >= 1")
-    X = math.floor(x)
+    X = _floor_x(x)
     if X < 1:
         return 0
     f = reduce_form(f)

@@ -13,7 +13,8 @@ import numpy as np
 from .arith import _clear_odd_composites, _local_factors, prime_mask
 from .forms import (QuadraticForm, delta_f, enumerate_reduced_forms, is_reduced, reduce_form,
                     representation_count)
-from .latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
+from .latticesums import (BudgetError, _floor_x, _lattice_rows, _row_bounds, _window_histogram,
+                          congruence_sum_exact)
 
 __all__ = [
     "SieveBound",
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 _MASK_BUDGET = 300_000_000
+_MARK_BLOCK = 1 << 18  # odd entries marked at a time: 256 KiB, in L2 with the block's points
 _SHORT_TERMS = 8
 # the largest z: sieve bound walks the moduli below z^2 (7.5 s, 404 MB at z = 4096)
 _Z_LIMIT = 4096
@@ -119,15 +121,16 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
     """
     if z < 2:
         raise ValueError("need z >= 2")
-    if y < 0 or x - y < 0:
+    if not 0 <= y <= x:  # NaN in x or y as well
         raise ValueError("need 0 <= y <= x")
+    X = _floor_x(x)
     moduli = _sieve_walk(f, z, z * z)
     sd = math.sqrt(f.D)
     main = 2.0 * math.pi * y / sd / float(_j_sum(moduli, z))
     g = reduce_form(f)
     ells = np.array([ell for ell, _, _, _ in moduli], dtype=np.int64)
     intervals = np.zeros(len(moduli), dtype=np.int64)
-    for n0, r in _window_histogram(g, math.floor(x - y), math.floor(x)):
+    for n0, r in _window_histogram(g, math.floor(x - y), X):
         # a progression of at most _SHORT_TERMS terms in the block is summed
         # with the others alike, one gather per term; longer ones are strided
         short = ells * _SHORT_TERMS >= r.size
@@ -161,12 +164,14 @@ def sieved_sum_exact(f: QuadraticForm, x: float, y: float, z: float) -> int:
     the window's r_f histogram summed under a coprimality mask.  It shares
     no sieve weights with the Selberg bound, which is validated against it;
     the histogram itself is checked against brute-force r_f in the tests."""
+    X = _floor_x(x)
+    if y != y:
+        raise ValueError("need y to be a number, not NaN")
     primes = _sieve_primes(z)
-    X = math.floor(x)
     if X < 1:
         return 0
     total = 0
-    for n0, r in _window_histogram(reduce_form(f), math.floor(x - y), X):
+    for n0, r in _window_histogram(reduce_form(f), _floor_x(min(x - y, X)), X):
         coprime = np.ones(r.size, dtype=bool)
         for p in primes:
             coprime[-n0 % p::p] = False
@@ -177,7 +182,7 @@ def sieved_sum_exact(f: QuadraticForm, x: float, y: float, z: float) -> int:
 def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
     """Boolean array m with m[n] True iff 1 <= n <= x is represented by f:
     r_f(n) > 0 from the window (0, x] of the r_f histogram."""
-    X = math.floor(x)
+    X = _floor_x(x)
     if X > _MASK_BUDGET:
         raise BudgetError(f"representation mask of size {X} exceeds budget")
     mask = np.zeros(max(X + 1, 1), dtype=bool)
@@ -201,8 +206,17 @@ def _marked_values(f: QuadraticForm, x: float) -> np.ndarray:
     v^2), with u + v >= -u since 2u >= -v (Cohen, GTM 138, 5.3).
 
     As u^2 = u (mod 2), f(u, v) = u(a + bv) + cv (mod 2): if a + bv is odd, f
-    is odd at u = 1 + cv (mod 2); if not, at every u (cv odd) or at none."""
-    X = math.floor(x)
+    is odd at u = 1 + cv (mod 2); if not, at every u (cv odd) or at none.
+
+    f grows with u from u0 = ceil(-bv/2a), the cut above when a | b; when not,
+    the rest of row v, u < u0, is row -v from its u0 on, mirrored.  These
+    half-rows mark the mask one block of _MARK_BLOCK entries at a time, each
+    from its last point below the block to its last u with f <= 2k1 - 1, the
+    block's top value, by _row_bounds.  So each scatter stays in the block,
+    in L2 with the block's int32 points, where a whole row's spans the mask
+    (primesieve's cache-sized segments).  int32 is exact under _MASK_BUDGET:
+    on the ellipse f <= x, |au|, |bv| <= 2x and |(au + bv)u|, cv^2 <= 4x/3."""
+    X = _floor_x(x)
     if X > _MASK_BUDGET:
         raise BudgetError(f"representation mask of size {X} exceeds budget")
     mask = np.zeros(max(X + 1, 0) // 2, dtype=bool)
@@ -210,25 +224,35 @@ def _marked_values(f: QuadraticForm, x: float) -> np.ndarray:
         return mask
     g = reduce_form(f)
     a, b, c = g.a, g.b, g.c
-    for v, lo, hi in _lattice_rows(g, X):
-        if b % a == 0:
-            lo = np.maximum(lo, -((b // a) * v // 2))
-            if a == c:
-                lo = np.maximum(lo, v)
-        step = 1 + ((a + b * v) & 1)
-        lo = np.where(step == 2, lo + ((1 + c * v - lo) & 1), np.where(c * v & 1, lo, hi + 1))
-        full = lo <= hi  # the cuts leave about half the rows empty
-        for vi, l, h, st in zip(*(t[full].tolist() for t in (v, lo, hi, step))):
-            u = np.arange(l, h + 1, st, dtype=np.int64)
-            n = (a * u + b * vi) * u + c * vi * vi
-            mask[n >> 1] = True
+    v, lo, hi = (np.concatenate(t) for t in zip(*_lattice_rows(g, X)))
+    if b % a:  # row -v's u-range is row v's mirrored, [-hi, -lo]
+        v, hi = np.concatenate((v, -v[1:])), np.concatenate((hi, -lo[1:]))
+    u = -((b * v) // (2 * a))  # u0
+    if a == c and b % a == 0:
+        u = np.maximum(u, v)
+    step = 1 + ((a + b * v) & 1)
+    u += np.where(step == 2, (1 + c * v - u) & 1, 0)  # each half-row's first odd value
+    keep = ((step == 2) | (c * v & 1 == 1)) & (u <= hi)
+    v, u, step = v[keep], u[keep], step[keep]
+    bv, cvv, st = (t.astype(np.int32) for t in (b * v, c * v * v, step))
+    for k0 in range(0, mask.size if v.size else 0, _MARK_BLOCK):  # v.size: a <= 4x/3
+        hi = _row_bounds(g, 2 * min(k0 + _MARK_BLOCK, mask.size) - 1, v)[1]
+        count = np.maximum((hi - u) // step + 1, 0)
+        first = np.cumsum(count) - count
+        w = np.repeat(st, count) * np.arange(first[-1] + count[-1], dtype=np.int32)
+        w += np.repeat((u - step * first).astype(np.int32), count)
+        n = a * w + np.repeat(bv, count)
+        n *= w
+        n += np.repeat(cvv, count)
+        mask[(n >> 1).astype(np.intp)] = True
+        u += step * count
     mask[0] = False
     return mask
 
 
 def _represented_prime_flags(f: QuadraticForm, x: float) -> np.ndarray:
     """m[k] True iff 2k + 1 <= x is a prime that f represents; m[0] (n = 1) stands for 2."""
-    X = math.floor(x)
+    X = _floor_x(x)
     m = _clear_odd_composites(_marked_values(f, X))
     m[:1] = X >= 2 and representation_count(f, 2) > 0
     return m

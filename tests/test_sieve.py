@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_rf, random_form, random_unimodular
-from oracles import PrimeGapRecord
+from oracles import PrimeGapRecord, marked_values_by_rows
+from qflab import sieve
 from qflab.arith import factorize, g_squarefree, prime_mask, residue_density
 from qflab.forms import (
     QuadraticForm,
@@ -525,6 +526,79 @@ def test_represented_mask_swap_symmetric_forms():
                     want = _full_row_mask(h, math.floor(x))
                     assert np.array_equal(represented_mask(h, x), want), (h, x)
                     assert np.array_equal(_marked_values(h, x)[1:], want[3::2]), (h, x)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, sieve._MARK_BLOCK])
+def test_block_marker_matches_the_row_oracle(monkeypatch, block):
+    """The value blocks against the row-by-row marker, at every X <= 64 and
+    on either side of the ends of the first blocks: b = 0, b = a with and
+    without a = c, and a not dividing b, with b of either sign, reduced and
+    transformed."""
+    monkeypatch.setattr(sieve, "_MARK_BLOCK", block)
+    rng = random.Random(block)
+    forms = [QuadraticForm(*t) for t in ((1, 0, 1), (2, 0, 5), (1, 1, 1), (3, 3, 3), (2, 2, 3),
+                                          (1, 1, 6), (2, 1, 3), (2, -1, 3), (13, 7, 20))]
+    forms += [f.transform(*random_unimodular(rng)) for f in forms[::2]]
+    kinds = set()
+    for f in forms:
+        g = reduce_form(f)
+        kinds.add("b = 0" if g.b == 0 else ("a = c" if g.a == g.c else "b = a") if g.b == g.a
+                  else "other")
+        edges = [k * 2 * block + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        for X in sorted(set(range(65)) | set(edges)):
+            assert np.array_equal(_marked_values(f, X), marked_values_by_rows(f, X)), (f, X)
+    assert kinds == {"b = 0", "a = c", "b = a", "other"}
+
+
+def test_pi_f_of_the_three_classes_of_discriminant_23():
+    """h(-23) = 3, with classes (1,1,6) and (2,+-1,3): a prime p with
+    (-23/p) = 1 is represented by (1,1,6) or the pair (2,+-1,3), never both,
+    and 23 by (1,1,6) alone.  The pair's rows ask for both half-rows, across
+    about 10 blocks of the odd mask at 5e6."""
+    x = 5_000_000
+    primes = np.flatnonzero(prime_mask(x)).tolist()
+    # for p = 2, pow gives 1, the Kronecker symbol (-23/2), as -23 = 1 (mod 8)
+    split = sum(pow(-23 % p, (p - 1) // 2, p) == 1 for p in primes)
+    principal = count_represented_primes(QuadraticForm(1, 1, 6), x)
+    pair = count_represented_primes(QuadraticForm(2, 1, 3), x)
+    assert pair == count_represented_primes(QuadraticForm(2, -1, 3), x)
+    assert principal + pair == split + 1 == 174137
+
+
+def test_non_finite_x_refused_before_any_work():
+    """+inf refused with BudgetError and NaN with ValueError, each before a
+    mask, a row or a modulus is built; -inf answers as x = -1 does."""
+    f = QuadraticForm(1, 0, 1)
+    calls = {
+        "count_represented_primes": lambda x: count_represented_primes(f, x),
+        "represented_primes": lambda x: represented_primes(f, x).tolist(),
+        "prime_gap_scan": lambda x: prime_gap_scan(f, x),
+        "represented_mask": lambda x: represented_mask(f, x).tolist(),
+        "congruence_sum_exact": lambda x: congruence_sum_exact(f, 3, x),
+        "sieved_sum_exact": lambda x: sieved_sum_exact(f, x, 10.0, 40),
+        "sieve_upper_bound": lambda x: sieve_upper_bound(f, x, 10.0, 40),
+        "sieved_sum_exact y": lambda y: sieved_sum_exact(f, 1e4, y, 40),
+        "sieve_upper_bound y": lambda y: sieve_upper_bound(f, 1e4, y, 40),
+    }
+
+    def outcome(call, x):
+        try:
+            return call(x)
+        except (ValueError, BudgetError) as e:
+            return type(e)
+
+    for name, call in calls.items():
+        for x, want in ((math.inf, BudgetError), (math.nan, ValueError), (-math.inf, None)):
+            if name.endswith(" y") and not math.isnan(x):
+                continue
+            tracemalloc.start()
+            try:
+                got = outcome(call, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == (outcome(call, -1.0) if want is None else want), (name, x)
+            assert peak < 1 << 20, (name, x, peak)
 
 
 def test_normalized_gaps_match_the_scalar_formula():
