@@ -45,9 +45,10 @@ class BudgetError(RuntimeError):
 
 
 def _floor_x(x: float) -> int:
-    """math.floor(x) for a bound x on the values, at least -1, which every
-    bound below 1 admits alike.  NaN is refused with ValueError and +inf with
-    BudgetError, where math.floor would raise ValueError or OverflowError."""
+    """math.floor(x) for an upper bound x on the values, raised to -1 if
+    lower: no x < 1 admits a value n >= 1, so -inf answers as -1 does.  NaN
+    is refused with ValueError and +inf with BudgetError, where math.floor
+    would raise ValueError or OverflowError."""
     if x != x:
         raise ValueError("need x to be a number, not NaN")
     if x == math.inf:

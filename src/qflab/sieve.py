@@ -227,7 +227,7 @@ def _marked_values(f: QuadraticForm, x: float) -> np.ndarray:
     v, lo, hi = (np.concatenate(t) for t in zip(*_lattice_rows(g, X)))
     if b % a:  # row -v's u-range is row v's mirrored, [-hi, -lo]
         v, hi = np.concatenate((v, -v[1:])), np.concatenate((hi, -lo[1:]))
-    u = -((b * v) // (2 * a))  # u0
+    u = -((b * v) // (2 * a))  # u0 = ceil(-bv/2a)
     if a == c and b % a == 0:
         u = np.maximum(u, v)
     step = 1 + ((a + b * v) & 1)
@@ -235,7 +235,7 @@ def _marked_values(f: QuadraticForm, x: float) -> np.ndarray:
     keep = ((step == 2) | (c * v & 1 == 1)) & (u <= hi)
     v, u, step = v[keep], u[keep], step[keep]
     bv, cvv, st = (t.astype(np.int32) for t in (b * v, c * v * v, step))
-    for k0 in range(0, mask.size if v.size else 0, _MARK_BLOCK):  # v.size: a <= 4x/3
+    for k0 in range(0, mask.size if v.size else 0, _MARK_BLOCK):  # a half-row has a <= 4x/3
         hi = _row_bounds(g, 2 * min(k0 + _MARK_BLOCK, mask.size) - 1, v)[1]
         count = np.maximum((hi - u) // step + 1, 0)
         first = np.cumsum(count) - count

@@ -566,10 +566,10 @@ def test_pi_f_of_the_three_classes_of_discriminant_23():
 
 
 def test_non_finite_x_refused_before_any_work():
-    """+inf refused with BudgetError and NaN with ValueError, each before a
-    mask, a row or a modulus is built; -inf answers as x = -1 does."""
+    """+inf refused with BudgetError and NaN in x or y with ValueError, each
+    before a mask, a row or a modulus is built; -inf answers as x = -1 does."""
     f = QuadraticForm(1, 0, 1)
-    calls = {
+    of_x = {
         "count_represented_primes": lambda x: count_represented_primes(f, x),
         "represented_primes": lambda x: represented_primes(f, x).tolist(),
         "prime_gap_scan": lambda x: prime_gap_scan(f, x),
@@ -577,8 +577,10 @@ def test_non_finite_x_refused_before_any_work():
         "congruence_sum_exact": lambda x: congruence_sum_exact(f, 3, x),
         "sieved_sum_exact": lambda x: sieved_sum_exact(f, x, 10.0, 40),
         "sieve_upper_bound": lambda x: sieve_upper_bound(f, x, 10.0, 40),
-        "sieved_sum_exact y": lambda y: sieved_sum_exact(f, 1e4, y, 40),
-        "sieve_upper_bound y": lambda y: sieve_upper_bound(f, 1e4, y, 40),
+    }
+    of_y = {
+        "sieved_sum_exact": lambda y: sieved_sum_exact(f, 1e4, y, 40),
+        "sieve_upper_bound": lambda y: sieve_upper_bound(f, 1e4, y, 40),
     }
 
     def outcome(call, x):
@@ -587,18 +589,19 @@ def test_non_finite_x_refused_before_any_work():
         except (ValueError, BudgetError) as e:
             return type(e)
 
-    for name, call in calls.items():
-        for x, want in ((math.inf, BudgetError), (math.nan, ValueError), (-math.inf, None)):
-            if name.endswith(" y") and not math.isnan(x):
-                continue
-            tracemalloc.start()
-            try:
-                got = outcome(call, x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert got == (outcome(call, -1.0) if want is None else want), (name, x)
-            assert peak < 1 << 20, (name, x, peak)
+    probes = [(name, call, x, want) for name, call in of_x.items()
+              for x, want in ((math.inf, BudgetError), (math.nan, ValueError),
+                              (-math.inf, outcome(call, -1.0)))]
+    probes += [(name + " y", call, math.nan, ValueError) for name, call in of_y.items()]
+    for name, call, x, want in probes:
+        tracemalloc.start()
+        try:
+            got = outcome(call, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want, (name, x)
+        assert peak < 1 << 20, (name, x, peak)
 
 
 def test_normalized_gaps_match_the_scalar_formula():
