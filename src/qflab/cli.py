@@ -211,14 +211,14 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
     zero bytes (_slots), copied with the key separators into one table of
     rows; dropping the zero bytes leaves the rows' text.
 
-    The chunks are rendered in rounds of _EMIT_THREADS in two stages, the
-    slots, then the table and its compaction, each one _in_threads call:
-    this thread renders the round's first chunk, a thread of its own each
-    other.  This thread allocates the round's tables and masks between the
-    stages and drops them after the second, so every buffer of a round
-    exists at its end and the peak memory is that of one round, whatever
-    the threads' timing.  A round's chunks are written in order just before
-    this thread renders its chunk of the next, overlapping the others.
+    The chunks are rendered in rounds of _EMIT_THREADS, one _in_threads
+    call each: this thread renders the round's first chunk, a thread of its
+    own each other.  A render hands back its chunk's slots, table and mask
+    with the text, and they are dropped when the round ends, so every
+    buffer of a round exists at its end and the peak memory is that of one
+    round, whatever the threads' timing.  A round's chunks are written in
+    order just before this thread renders its chunk of the next,
+    overlapping the others.
 
     A row's text depends on its value alone, so a column that is another's
     next row in one buffer (p_next = primes[1:] beside p_n = primes[:-1])
@@ -240,9 +240,10 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
     starts = range(0, n, _EMIT_CHUNK)
     texts = []  # (first row, text bytes) of chunks rendered and not yet written
 
-    def parts_of(i: int) -> list[np.ndarray]:
-        """The key separators and text slots of the chunk from row i, in
-        the order they are laid side by side."""
+    def render(i: int) -> tuple[np.ndarray, tuple]:
+        """The text of the chunk from row i, its key separators and text
+        slots side by side in one table less the zero bytes, and the
+        buffers it was made from."""
         size = min(_EMIT_CHUNK, n - i)
         slots = [None] * len(cols)
         for j, k in nexts.items():  # column j rendered one row longer serves both
@@ -251,17 +252,16 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
         for j, col in enumerate(cols):
             if slots[j] is None:
                 slots[j] = _slots(col[i:i + size], fmt)
-        return [part for sep, slot in zip(seps, slots) for part in (sep, slot)] + [seps[-1]]
-
-    def compact(job) -> np.ndarray:
-        parts, table, mask = job
+        parts = [part for sep, slot in zip(seps, slots) for part in (sep, slot)] + [seps[-1]]
+        table = np.empty((size, sum(part.shape[-1] for part in parts)), np.uint8)
         at = 0
         for part in parts:
             table[:, at:at + part.shape[-1]] = part
             at += part.shape[-1]
-        np.not_equal(table, 0, out=mask)
-        # numpy's boolean compaction releases the GIL, which bytes.translate holds
-        return table.ravel()[mask.ravel()]
+        mask = table != 0
+        # numpy's boolean compaction releases the GIL, which bytes.translate holds;
+        # in 1-D, since a 2-D mask would build index arrays
+        return table.ravel()[mask.ravel()], (slots, table, mask)
 
     def write_texts() -> None:
         while texts:
@@ -270,18 +270,13 @@ def _emit_columns(columns: dict, fmt: str, stream) -> None:
 
     for r in range(0, len(starts), _EMIT_THREADS):
         round_starts = starts[r:r + _EMIT_THREADS]
-        parts = _in_threads(parts_of, round_starts, before=write_texts)
-        # the first chunk whose slots raised, or len(parts): the chunks before it go on
-        failed = next((k for k, p in enumerate(parts) if isinstance(p, BaseException)), len(parts))
-        tables = [np.empty((len(p[1]), sum(part.shape[-1] for part in p)), np.uint8)
-                  for p in parts[:failed]]  # p[1], the first column's slots, has a row per row
-        jobs = [(p, t, np.empty(t.shape, bool)) for p, t in zip(parts, tables)]
-        for i, text in zip(round_starts, _in_threads(compact, jobs) + parts[failed:failed + 1]):
-            if isinstance(text, BaseException):  # raised once the chunks before it are written
+        rendered = _in_threads(render, round_starts, before=write_texts)
+        for i, done in zip(round_starts, rendered):
+            if isinstance(done, BaseException):  # raised once the chunks before it are written
                 write_texts()
-                raise text
-            texts.append((i, text))
-        del parts, tables, jobs, text  # no buffer of a round outlives it
+                raise done
+            texts.append((i, done[0]))
+        del rendered, done  # every buffer of a round lives to its end and no longer
     write_texts()
 
 

@@ -37,6 +37,9 @@ _VMAX_BUDGET = 80_000_000
 _ROW_CHUNK = 1 << 20
 _WINDOW_BLOCK = 1 << 17
 _DUAL_BLOCK = 1 << 16
+# dual grid points of the Poisson check's bounding box: about 31 bytes each
+# while the disk is cut from it, so about 0.5 GB at the limit
+_DUAL_BOX_BUDGET = 1 << 24
 _CHI_TABLE_BYTES = 16 * 2048**2  # 64 MiB: the complex chi-hat table of ell <= 2048
 
 
@@ -87,11 +90,14 @@ def _lattice_rows(f: QuadraticForm, N: int):
     Each chunk is (v, u_lo, u_hi), int64 arrays over consecutive v from 0
     to vmax: the points with that v are the u in [u_lo, u_hi], solved from
     (2au + bv)^2 <= 4aN - Dv^2; row -v is the mirror [-u_hi, -u_lo].  The
-    one place that refuses inputs beyond 64-bit exactness or the row budget.
+    one place that refuses inputs beyond 64-bit exactness or the row budget:
+    4aN > 2^52, or D >= 2^63, which int64 cannot hold.
     """
     a, b, D = f.a, f.b, f.D
     if 4 * a * N > (1 << 52):
         raise BudgetError(f"x = {N:g} too large for exact 64-bit enumeration")
+    if D >= 1 << 63:
+        raise BudgetError(f"D = {D} past int64, too large for exact 64-bit enumeration")
     vmax = math.isqrt(4 * a * N // D)
     if vmax > _VMAX_BUDGET:
         raise BudgetError(f"v-range {2 * vmax + 1} exceeds enumeration budget")
@@ -160,7 +166,7 @@ def _window_histogram(f: QuadraticForm, lo: int, hi: int):
     a, b, D = f.a, f.b, f.D
     for n0 in range(max(lo, -1) + 1, hi + 1, _WINDOW_BLOCK):
         n1 = min(n0 + _WINDOW_BLOCK, hi + 1)
-        r = np.zeros(n1 - n0, dtype=np.int64)
+        r = 0  # the block's int64 counts from the first chunk of rows on, after their refusals
         for v, lo_o, hi_o in _lattice_rows(f, n1 - 1):
             lo_i, hi_i = _row_bounds(f, n0 - 1, v)
             # rows missing the inner ellipse keep the whole outer row
@@ -173,7 +179,7 @@ def _window_histogram(f: QuadraticForm, lo: int, hi: int):
             s = 2 * a * u + b * vv
             n = (s * s + D * vv * vv) // (4 * a) - n0
             # each point with v > 0 stands for its mirror as well
-            r += 2 * np.bincount(n, minlength=r.size) - np.bincount(n[vv == 0], minlength=r.size)
+            r += 2 * np.bincount(n, minlength=n1 - n0) - np.bincount(n[vv == 0], minlength=n1 - n0)
         yield n0, r
 
 
@@ -290,6 +296,8 @@ def _poisson_sides(forms, ells, ts) -> list[dict[int, list[tuple[float, float]]]
     ells, ts = list(ells), list(ts)
     if min(ts) <= 0:
         raise ValueError("need t > 0")
+    if math.inf in ts:
+        raise BudgetError("t = inf exceeds the dual grid's budget")
     forms = [reduce_form(f) for f in forms]
     abc = [f.triple() for f in forms]
     # the (s, r) indices and values of each form's nonzero coefficients, per ell
@@ -329,11 +337,15 @@ def _form_sides(f: QuadraticForm, ells, ts, nonzero) -> dict[int, list[tuple[flo
         # |shift| < |d1| + |d2|, so every point dropped has |p - shift| >
         # sqrt(46t/pi), where the Gaussian is below exp(-46).  The disk lies in
         # the box |m| <= radius*sqrt(a), |n| <= radius*sqrt(c), as m = p.omega1
-        # and n = p.omega2.
+        # and n = p.omega2; the box grows with t and sqrt(c), and is refused
+        # past _DUAL_BOX_BUDGET points before it is built.
         radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
-        mrange, nrange = (np.arange(-k, k + 1, dtype=np.float64)
-                          for k in (math.ceil(radius * math.sqrt(a)) + 1,
-                                    math.ceil(radius * math.sqrt(c)) + 1))
+        km, kn = (math.ceil(radius * math.sqrt(k)) + 1 for k in (a, c))
+        box = (2 * km + 1) * (2 * kn + 1)
+        if box > _DUAL_BOX_BUDGET:
+            raise BudgetError(f"t = {t:g}: the dual grid's box of {box} points exceeds "
+                              f"its budget of {_DUAL_BOX_BUDGET}")
+        mrange, nrange = (np.arange(-k, k + 1, dtype=np.float64) for k in (km, kn))
         px = (mrange[:, None] * d1[0] + nrange[None, :] * d2[0]).ravel()
         py = (mrange[:, None] * d1[1] + nrange[None, :] * d2[1]).ravel()
         disk = px * px + py * py <= radius * radius

@@ -185,8 +185,10 @@ def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
     X = _floor_x(x)
     if X > _MASK_BUDGET:
         raise BudgetError(f"representation mask of size {X} exceeds budget")
-    mask = np.zeros(max(X + 1, 1), dtype=bool)
+    mask = np.zeros(1, dtype=bool)  # n = 0 alone, until the first block's rows are taken
     for n0, r in _window_histogram(reduce_form(f), 0, X):
+        if n0 == 1:  # the window's first block, whose rows are refused or taken before the mask
+            mask = np.zeros(X + 1, dtype=bool)
         mask[n0:n0 + r.size] = r > 0
     return mask
 
@@ -219,12 +221,12 @@ def _marked_values(f: QuadraticForm, x: float) -> np.ndarray:
     X = _floor_x(x)
     if X > _MASK_BUDGET:
         raise BudgetError(f"representation mask of size {X} exceeds budget")
-    mask = np.zeros(max(X + 1, 0) // 2, dtype=bool)
     if X < 1:
-        return mask
+        return np.zeros(0, dtype=bool)
     g = reduce_form(f)
     a, b, c = g.a, g.b, g.c
-    v, lo, hi = (np.concatenate(t) for t in zip(*_lattice_rows(g, X)))
+    v, lo, hi = (np.concatenate(t) for t in zip(*_lattice_rows(g, X)))  # refused before the mask
+    mask = np.zeros((X + 1) // 2, dtype=bool)
     if b % a:  # row -v's u-range is row v's mirrored, [-hi, -lo]
         v, hi = np.concatenate((v, -v[1:])), np.concatenate((hi, -lo[1:]))
     u = -((b * v) // (2 * a))  # u0 = ceil(-bv/2a)

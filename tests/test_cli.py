@@ -460,6 +460,31 @@ def test_column_writer_starts_no_thread_for_one_chunk(monkeypatch):
         assert empty.getvalue() == "" and empty.writes == 0
 
 
+def test_column_writer_starts_one_thread_per_chunk_after_each_rounds_first(monkeypatch):
+    """Each chunk is rendered by one job: 49 rows in chunks of 7 make 7
+    chunks in 4 rounds of at most 2, and the calling thread renders each
+    round's first, so 3 threads start."""
+    monkeypatch.setattr(cli, "_EMIT_CHUNK", 7)
+    start = threading.Thread.start
+    started = []
+
+    def counted(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(cli.threading.Thread, "start", counted)
+    rows = [{"p_n": 3 * i, "normalized": i / 7 - 3.0, "is_max": i == 20} for i in range(49)]
+    chunks, rounds = 7, -(-7 // cli._EMIT_THREADS)
+    for fmt in ("json", "csv"):
+        want = io.StringIO()
+        emit(rows, fmt, want)
+        out = WriteLog()
+        started.clear()
+        emit(_columns(rows), fmt, out)
+        assert out.getvalue() == want.getvalue() and out.writes == chunks
+        assert len(started) == chunks - rounds == 3, fmt
+
+
 def test_column_writer_order_under_many_threads_and_switches(monkeypatch):
     """More render threads than cores, switching every microsecond, still
     write every chunk once and in order."""

@@ -397,6 +397,24 @@ def test_chi_hat_table_refuses_ell_past_its_memory_budget():
     assert peak < 1 << 20
 
 
+def test_poisson_dual_box_refused_past_its_budget():
+    """The dual grid's bounding box grows with t and sqrt(c): past
+    _DUAL_BOX_BUDGET points it is refused before it is built, and t = inf
+    with it; t = 1e4 on (1,1,1), about 600,000 points, still answers."""
+    tracemalloc.start()
+    try:
+        for f, t in ((QuadraticForm(1, 1, 1), 1e9), (QuadraticForm(1, 0, 2**61 - 1), 1.0),
+                     (QuadraticForm(1, 1, 1), math.inf)):
+            with pytest.raises(BudgetError, match="dual grid"):
+                poisson_identity_check(f, 3, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    lhs, rhs = poisson_identity_check(QuadraticForm(1, 1, 1), 3, 1e4)
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
 def test_poisson_identity_selfdual_closed_form():
     theta = math.fsum(math.exp(-math.pi * n * n) for n in range(-40, 41))
     lhs, rhs = poisson_identity_check(QuadraticForm(1, 0, 1), 1, 1.0)

@@ -18,7 +18,8 @@ from qflab.forms import (
     representation_count,
     unit_count,
 )
-from qflab.latticesums import BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact
+from qflab.latticesums import (BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact,
+                               poisson_identity_check)
 from qflab.sieve import (
     _marked_values,
     _sieve_walk,
@@ -602,6 +603,39 @@ def test_non_finite_x_refused_before_any_work():
             tracemalloc.stop()
         assert got == want, (name, x)
         assert peak < 1 << 20, (name, x, peak)
+
+
+def test_discriminant_past_int64_refused_before_any_work():
+    """A form whose D is 2^63 or more, which int64 cannot hold, is refused
+    with BudgetError by the row kernel before any mask, histogram block or
+    grid is built, as is one whose 4ax passes 2^52; D = 2^63 - 4 still
+    answers as before."""
+    for f in (QuadraticForm(1, 0, 2**61), QuadraticForm(2**40, 1, 2**40)):
+        calls = {
+            "count_represented_primes": lambda: count_represented_primes(f, 1e8),
+            "represented_primes": lambda: represented_primes(f, 1e8),
+            "prime_gap_scan": lambda: prime_gap_scan(f, 1e8),
+            "represented_mask": lambda: represented_mask(f, 1e8),
+            "congruence_sum_exact": lambda: congruence_sum_exact(f, 3, 1e8),
+            "sieved_sum_exact": lambda: sieved_sum_exact(f, 1e8, 10.0, 40),
+            "sieve_upper_bound": lambda: sieve_upper_bound(f, 1e8, 10.0, 40),
+            "representation_count": lambda: representation_count(f, 9),
+            "poisson_identity_check": lambda: poisson_identity_check(f, 3, 1.0),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError, match="64-bit"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (f, name, peak)
+    f = QuadraticForm(1, 0, 2**61 - 1)
+    assert count_represented_primes(f, 100) == 0
+    assert congruence_sum_exact(f, 3, 100) == 6
+    assert sieved_sum_exact(f, 100, 50, 5) == 0
+    assert representation_count(f, 9) == 2
 
 
 def test_normalized_gaps_match_the_scalar_formula():
