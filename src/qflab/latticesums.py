@@ -33,13 +33,10 @@ __all__ = [
     "hat_g_at_zero",
 ]
 
-_VMAX_BUDGET = 80_000_000
 _ROW_CHUNK = 1 << 20
 _WINDOW_BLOCK = 1 << 17
 _DUAL_BLOCK = 1 << 16
-# dual grid points of the Poisson check's bounding box: about 31 bytes each
-# while the disk is cut from it, so about 0.5 GB at the limit
-_DUAL_BOX_BUDGET = 1 << 24
+_POISSON_BOX_BUDGET = 1 << 24  # box points of the larger Poisson ellipse: ~0.6 GB at the limit
 _CHI_TABLE_BYTES = 16 * 2048**2  # 64 MiB: the complex chi-hat table of ell <= 2048
 
 
@@ -85,25 +82,26 @@ def _exact_isqrt(m: np.ndarray) -> np.ndarray:
 
 
 def _lattice_rows(f: QuadraticForm, N: int):
-    """Yield the rows v >= 0 of the ellipse f(u, v) <= N in chunks of v.
+    """The rows v >= 0 of the ellipse f(u, v) <= N, as a generator of chunks of v.
 
     Each chunk is (v, u_lo, u_hi), int64 arrays over consecutive v from 0
     to vmax: the points with that v are the u in [u_lo, u_hi], solved from
     (2au + bv)^2 <= 4aN - Dv^2; row -v is the mirror [-u_hi, -u_lo].  The
-    one place that refuses inputs beyond 64-bit exactness or the row budget:
-    4aN > 2^52, or D >= 2^63, which int64 cannot hold.
+    one place that refuses inputs beyond 64-bit exactness, when called, before
+    the caller's work: 4aN > 2^52, or D >= 2^63.  N < 0 gives one empty row.
     """
-    a, b, D = f.a, f.b, f.D
+    a, D = f.a, f.D
     if 4 * a * N > (1 << 52):
         raise BudgetError(f"x = {N:g} too large for exact 64-bit enumeration")
     if D >= 1 << 63:
         raise BudgetError(f"D = {D} past int64, too large for exact 64-bit enumeration")
-    vmax = math.isqrt(4 * a * N // D)
-    if vmax > _VMAX_BUDGET:
-        raise BudgetError(f"v-range {2 * vmax + 1} exceeds enumeration budget")
-    for start in range(0, vmax + 1, _ROW_CHUNK):
-        v = np.arange(start, min(start + _ROW_CHUNK, vmax + 1), dtype=np.int64)
-        yield (v, *_row_bounds(f, N, v))
+    vmax = math.isqrt(max(4 * a * N // D, 0))  # below 2^26, as 4aN <= 2^52 and D >= 3
+
+    def chunks():
+        for start in range(0, vmax + 1, _ROW_CHUNK):
+            v = np.arange(start, min(start + _ROW_CHUNK, vmax + 1), dtype=np.int64)
+            yield (v, *_row_bounds(f, N, v))
+    return chunks()
 
 
 def _row_bounds(f: QuadraticForm, N: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,6 +128,7 @@ def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
     if X < 1:
         return 0
     f = reduce_form(f)
+    rows = _lattice_rows(f, X)  # refused here, before the residue rows
     # the rows v = 0..vmax of _lattice_rows meet only the residue rows v mod ell <= vmax
     keys = _residue_keys(f, ell, math.isqrt(4 * f.a * X // f.D) + 1)
     # a row v with c = v mod ell and residues S_c = {u mod ell : ell | f(u, v)}
@@ -144,7 +143,7 @@ def congruence_sum_exact(f: QuadraticForm, ell: int, x: float) -> int:
             np.searchsorted(keys, c * ell + h % ell, side="right")))
 
     total = 0  # rows v > 0 count twice, for themselves and their mirrors -v
-    for v, lo, hi in _lattice_rows(f, X):
+    for v, lo, hi in rows:
         c = v % ell
         total += 2 * (G(c, hi) - G(c, lo - 1))
         if v[0] == 0:
@@ -234,6 +233,9 @@ def error_scaling_report(f: QuadraticForm, ell: int, x_grid) -> ErrorScalingRepo
 
     The fitted slope ignores rows where |error| < 1 (sign-change noise).
     """
+    x_grid = list(x_grid)
+    # only the refusal is wanted: _lattice_rows checks when called, before the first sum
+    _lattice_rows(reduce_form(f), _floor_x(max(x_grid, default=0)))
     rows = tuple(
         CongruenceSumResult(float(x), ell, congruence_sum_exact(f, ell, x),
                             congruence_main_term(f, ell, x))
@@ -299,6 +301,7 @@ def _poisson_sides(forms, ells, ts) -> list[dict[int, list[tuple[float, float]]]
     if math.inf in ts:
         raise BudgetError("t = inf exceeds the dual grid's budget")
     forms = [reduce_form(f) for f in forms]
+    evaluate = [_form_sides(f, ells, ts) for f in forms]  # every form's refusals, before any table
     abc = [f.triple() for f in forms]
     # the (s, r) indices and values of each form's nonzero coefficients, per ell
     nonzero = [[] for _ in forms]
@@ -306,60 +309,75 @@ def _poisson_sides(forms, ells, ts) -> list[dict[int, list[tuple[float, float]]]
         for kept, table in zip(nonzero, _chi_hat_tables(abc, ell)):
             s, r = np.nonzero(np.abs(table) >= 1e-18)
             kept.append((s, r, table[s, r]))
-    return [_form_sides(f, ells, ts, kept) for f, kept in zip(forms, nonzero)]
+    return [sides(kept) for sides, kept in zip(evaluate, nonzero)]
 
 
-def _form_sides(f: QuadraticForm, ells, ts, nonzero) -> dict[int, list[tuple[float, float]]]:
-    """_poisson_sides for the reduced form f, from the (s, r, coefficient)
-    arrays of its nonzero coefficients at each ell."""
+def _form_sides(f: QuadraticForm, ells, ts):
+    """_poisson_sides for the reduced form f: its grids are checked when it
+    is called, and it returns sides(nonzero), which evaluates them from the
+    (s, r, coefficient) arrays of f's nonzero coefficients at each ell.
+
+    The dual side needs the dual points p = -v*d1 + u*d2 with |p| <= radius:
+    each shift has |shift| < |d1| + |d2|, so every point dropped has
+    |p - shift| > sqrt(46t/pi), where the Gaussian is below exp(-46).  As
+    |p|^2 = 4f(u, v)/D, that disk is the ellipse f <= D*radius^2/4 of f
+    itself."""
     a, b, c, D = f.a, f.b, f.c, f.D
+    if 46.0 / (math.pi * min(ts)) == math.inf:
+        raise BudgetError(f"t = {min(ts):g}: the direct grid's bound 46/(pi t) passes the float range")
+    ncuts = [_floor_x(46.0 / (math.pi * t)) + 40 for t in ts]
+    rows = _lattice_rows(f, max(ncuts))  # refuses D >= 2^63 before D meets a float
     lat = lattice_basis(f)
     d1, d2 = np.array(lat.dual1), np.array(lat.dual2)
-    shift = np.concatenate([(s[:, None] * d1 + r[:, None] * d2) / ell
-                            for ell, (s, r, _) in zip(ells, nonzero)])
-    splits = np.cumsum([len(s) for s, _, _ in nonzero])[:-1]
+    radii = [math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2) for t in ts]
+    n_dual = D * max(radii) ** 2 / 4
+    if n_dual == math.inf:
+        raise BudgetError(f"t = {max(ts):g}: the dual grid's bound D*radius^2/4 passes the float range")
+    N = max(_floor_x(n_dual) + 1, *ncuts)
+    box = (2 * math.isqrt(4 * a * N // D) + 1) * (2 * math.isqrt(4 * c * N // D) + 1)
+    if box > _POISSON_BOX_BUDGET:  # the larger ellipse's, before any row of either side
+        side, t = ("direct", min(ts)) if N == max(ncuts) else ("dual", max(ts))
+        raise BudgetError(f"t = {t:g}: the {side} grid's {box}-point box passes {_POISSON_BOX_BUDGET}")
 
-    # direct side: f(u, v) is an integer, so enumerate values <= ncut
-    ncuts = [int(46.0 / (math.pi * t)) + 40 for t in ts]
-    rows = [_row_points(v, lo, hi - lo + 1) for v, lo, hi in _lattice_rows(f, max(ncuts))]
-    u, vv = (np.concatenate(p) for p in zip(*rows))
-    vals = a * u * u + (b * vv) * u + c * vv * vv
-    mirrored = 1.0 + (vv > 0)  # v > 0 terms doubled for their mirrors: exact, fsum rounds once
-    divisible = {ell: vals % ell == 0 for ell in ells}
+    def sides(nonzero):
+        shift = np.concatenate([(s[:, None] * d1 + r[:, None] * d2) / ell
+                                for ell, (s, r, _) in zip(ells, nonzero)])
+        splits = np.cumsum([len(s) for s, _, _ in nonzero])[:-1]
 
-    sides = {ell: [] for ell in ells}
-    for t, ncut in zip(ts, ncuts):
-        inside = vals <= ncut
-        terms = np.exp(-math.pi * t * vals[inside]) * mirrored[inside]
+        v, lo, hi = (np.concatenate(p) for p in zip(*rows))
+        u, vv = _row_points(v, lo, hi - lo + 1)
+        vals = a * u * u + (b * vv) * u + c * vv * vv
+        mirrored = 1.0 + (vv > 0)  # v > 0 terms doubled for their mirrors: exact, fsum rounds once
+        divisible = {ell: vals % ell == 0 for ell in ells}
+        # rows m = -v, n = u, both ascending: the box order the sums are pinned in.  The disk
+        # test decides which points count, so the rows only cover it, solved in floats a little
+        # past n_dual and padded by one (the box budget keeps their rounding below 1/4)
+        n_cover = n_dual * (1 + 2.0**-40) + 1
+        vmax = math.floor(math.sqrt(4 * a * n_cover / D)) + 1
+        m = np.arange(-vmax, vmax + 1, dtype=np.int64)
+        half = np.sqrt(np.maximum(4 * a * n_cover - float(D) * m * m, 0.0)) / (2 * a)
+        lo = np.floor(b * m / (2 * a) - half).astype(np.int64) - 1
+        n, m = _row_points(m, lo, np.ceil(b * m / (2 * a) + half).astype(np.int64) + 2 - lo)
+        px, py = (m * d1[j] + n * d2[j] for j in (0, 1))
+        del n, m
 
-        # dual side: the shifts (s*d1 + r*d2)/ell with a nonzero coefficient,
-        # over the dual points p with |p| <= radius.  Each shift has
-        # |shift| < |d1| + |d2|, so every point dropped has |p - shift| >
-        # sqrt(46t/pi), where the Gaussian is below exp(-46).  The disk lies in
-        # the box |m| <= radius*sqrt(a), |n| <= radius*sqrt(c), as m = p.omega1
-        # and n = p.omega2; the box grows with t and sqrt(c), and is refused
-        # past _DUAL_BOX_BUDGET points before it is built.
-        radius = math.sqrt(46.0 * t / math.pi) + np.linalg.norm(d1) + np.linalg.norm(d2)
-        km, kn = (math.ceil(radius * math.sqrt(k)) + 1 for k in (a, c))
-        box = (2 * km + 1) * (2 * kn + 1)
-        if box > _DUAL_BOX_BUDGET:
-            raise BudgetError(f"t = {t:g}: the dual grid's box of {box} points exceeds "
-                              f"its budget of {_DUAL_BOX_BUDGET}")
-        mrange, nrange = (np.arange(-k, k + 1, dtype=np.float64) for k in (km, kn))
-        px = (mrange[:, None] * d1[0] + nrange[None, :] * d2[0]).ravel()
-        py = (mrange[:, None] * d1[1] + nrange[None, :] * d2[1]).ravel()
-        disk = px * px + py * py <= radius * radius
-        px, py = px[disk], py[disk]
-        step = max(1, _DUAL_BLOCK // px.size)
-        theta = np.concatenate([
-            np.exp(-math.pi * ((px - sx[:, None]) ** 2 + (py - sy[:, None]) ** 2) / t)
-            .sum(axis=1) / t
-            for sx, sy in (shift[k:k + step].T for k in range(0, len(shift), step))])
-        for ell, (_, _, coeff), th in zip(ells, nonzero, np.split(theta, splits)):
-            lhs = math.fsum(terms[divisible[ell][inside]].tolist())
-            # summed in (s, r) order, as the real part of sum(coefficient * theta)
-            rhs = math.sqrt(4.0 / D) * sum((coeff * th).real.tolist())
-            sides[ell].append((lhs, rhs))
+        sides = {ell: [None] * len(ts) for ell in ells}
+        for i, t in sorted(enumerate(ts), key=lambda it: -it[1]):  # each disk cut from the last
+            inside = vals <= ncuts[i]
+            terms = np.exp(-math.pi * t * vals[inside]) * mirrored[inside]
+            disk = px * px + py * py <= radii[i] * radii[i]
+            px, py = px[disk], py[disk]
+            step = max(1, _DUAL_BLOCK // px.size)
+            theta = np.concatenate([
+                np.exp(-math.pi * ((px - sx[:, None]) ** 2 + (py - sy[:, None]) ** 2) / t)
+                .sum(axis=1) / t
+                for sx, sy in (shift[k:k + step].T for k in range(0, len(shift), step))])
+            for ell, (_, _, coeff), th in zip(ells, nonzero, np.split(theta, splits)):
+                lhs = math.fsum(terms[divisible[ell][inside]].tolist())
+                # summed in (s, r) order, as the real part of sum(coefficient * theta)
+                rhs = math.sqrt(4.0 / D) * sum((coeff * th).real.tolist())
+                sides[ell][i] = (lhs, rhs)
+        return sides
     return sides
 
 

@@ -124,10 +124,11 @@ def sieve_upper_bound(f: QuadraticForm, x: float, y: float, z: float) -> SieveBo
     if not 0 <= y <= x:  # NaN in x or y as well
         raise ValueError("need 0 <= y <= x")
     X = _floor_x(x)
+    g = reduce_form(f)
+    _lattice_rows(g, X)  # only the refusal, which comes when called: before the moduli
     moduli = _sieve_walk(f, z, z * z)
     sd = math.sqrt(f.D)
     main = 2.0 * math.pi * y / sd / float(_j_sum(moduli, z))
-    g = reduce_form(f)
     ells = np.array([ell for ell, _, _, _ in moduli], dtype=np.int64)
     intervals = np.zeros(len(moduli), dtype=np.int64)
     for n0, r in _window_histogram(g, math.floor(x - y), X):
@@ -185,10 +186,10 @@ def represented_mask(f: QuadraticForm, x: float) -> np.ndarray:
     X = _floor_x(x)
     if X > _MASK_BUDGET:
         raise BudgetError(f"representation mask of size {X} exceeds budget")
-    mask = np.zeros(1, dtype=bool)  # n = 0 alone, until the first block's rows are taken
-    for n0, r in _window_histogram(reduce_form(f), 0, X):
-        if n0 == 1:  # the window's first block, whose rows are refused or taken before the mask
-            mask = np.zeros(X + 1, dtype=bool)
+    g = reduce_form(f)
+    _lattice_rows(g, X)  # only the refusal, which comes when called: before the mask
+    mask = np.zeros(max(X + 1, 1), dtype=bool)
+    for n0, r in _window_histogram(g, 0, X):
         mask[n0:n0 + r.size] = r > 0
     return mask
 

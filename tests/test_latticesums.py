@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -399,7 +400,7 @@ def test_chi_hat_table_refuses_ell_past_its_memory_budget():
 
 def test_poisson_dual_box_refused_past_its_budget():
     """The dual grid's bounding box grows with t and sqrt(c): past
-    _DUAL_BOX_BUDGET points it is refused before it is built, and t = inf
+    _POISSON_BOX_BUDGET points it is refused before it is built, and t = inf
     with it; t = 1e4 on (1,1,1), about 600,000 points, still answers."""
     tracemalloc.start()
     try:
@@ -413,6 +414,38 @@ def test_poisson_dual_box_refused_past_its_budget():
     assert peak < 1 << 20
     lhs, rhs = poisson_identity_check(QuadraticForm(1, 1, 1), 3, 1e4)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_poisson_sides_pinned():
+    """(lhs, rhs) of seven checks, exact: the values the dual disk gave when
+    it was cut from its bounding box, which the dual rows, listed in the
+    box's order, reproduce bit for bit.  The two forms with large a have
+    4a*n_dual past 2^52, beyond exact 64-bit rows, and still answer.  A
+    stack of the same t values, unsorted and repeated, gives each t's pair
+    in its own place."""
+    pinned = {
+        ((1, 1, 1), 3, 0.7): (1.0081839264262837, 1.0081839264262835),
+        ((1, 1, 1), 3, 1e4): (1.0, 0.9999999999999999),
+        ((1, 0, 10**8), 3, 1.0): (1.0000000000010512, 1.0000000000010512),
+        ((2, 1, 3), 6, 0.7): (1.0000037209250785, 1.0000037209250785),
+        ((1, 0, 1), 3, 1e-4): (1111.111111111111, 1111.111111111111),
+        ((10000, 1, 10**6), 3, 1.0): (1.0, 1.0),
+        ((131072, 1, 131072), 3, 1.0): (1.0, 1.0),
+    }
+    for (abc, ell, t), want in pinned.items():
+        assert poisson_identity_check(QuadraticForm(*abc), ell, t) == want, (abc, ell, t)
+    sides = latticesums._poisson_sides([QuadraticForm(1, 1, 1)], (3,), (0.7, 1e4, 0.7))[0]
+    assert sides == {3: [pinned[(1, 1, 1), 3, 0.7], pinned[(1, 1, 1), 3, 1e4],
+                         pinned[(1, 1, 1), 3, 0.7]]}
+
+
+def test_poisson_grid_bounds_past_float_range_refused():
+    """t so small that 46/(pi t), or so large that the dual disk's bound
+    D*radius^2/4, passes the float range is refused with BudgetError, not
+    OverflowError, in a message that names t and its grid."""
+    for t, side in ((1e-320, "direct"), (1e307, "dual")):
+        with pytest.raises(BudgetError, match=re.escape(f"t = {t:g}: the {side} grid")):
+            poisson_identity_check(QuadraticForm(1, 0, 1), 3, t)
 
 
 def test_poisson_identity_selfdual_closed_form():

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import brute_rf, random_form, random_unimodular
 from oracles import PrimeGapRecord, marked_values_by_rows
-from qflab import sieve
+from qflab import latticesums, sieve
 from qflab.arith import factorize, g_squarefree, prime_mask, residue_density
 from qflab.forms import (
     QuadraticForm,
@@ -19,7 +19,7 @@ from qflab.forms import (
     unit_count,
 )
 from qflab.latticesums import (BudgetError, _lattice_rows, _window_histogram, congruence_sum_exact,
-                               poisson_identity_check)
+                               error_scaling_report, poisson_identity_check)
 from qflab.sieve import (
     _marked_values,
     _sieve_walk,
@@ -636,6 +636,40 @@ def test_discriminant_past_int64_refused_before_any_work():
     assert congruence_sum_exact(f, 3, 100) == 6
     assert sieved_sum_exact(f, 100, 50, 5) == 0
     assert representation_count(f, 9) == 2
+
+
+def test_refused_before_the_expensive_step(monkeypatch):
+    """x past the row kernel's 4ax <= 2^52, and a Poisson grid past its box
+    budget, are refused before the step whose work they guard: the residue
+    rows of a congruence sum, the sieve's moduli, the first congruence sum of
+    an error-scaling grid, the Poisson check's coefficient tables.  Those steps fail here, so a
+    refusal after them shows as AssertionError; each refusal is BudgetError
+    with a traced peak under 1 MiB."""
+    def expensive(*args, **kwargs):
+        raise AssertionError("the guarded step ran before the refusal")
+
+    for module, name in ((latticesums, "_residue_keys"), (sieve, "_sieve_walk"),
+                         (latticesums, "congruence_sum_exact"), (latticesums, "_chi_hat_tables")):
+        monkeypatch.setattr(module, name, expensive)
+    f = QuadraticForm(1, 0, 1)
+    calls = {
+        "congruence_sum_exact": lambda: congruence_sum_exact(f, 100003, 1e16),
+        "congruence_sum_exact ell = 1000003": lambda: congruence_sum_exact(f, 1000003, 1e20),
+        "sieve_upper_bound": lambda: sieve_upper_bound(f, 1e20, 1e3, 4096),
+        "sieve_upper_bound z = 2000": lambda: sieve_upper_bound(f, 1e20, 1e3, 2000),
+        "error_scaling_report": lambda: error_scaling_report(f, 3, np.logspace(3, 16, 14)),
+        "poisson_identity_check": lambda: poisson_identity_check(f, 3, 1e-8),
+        "poisson_identity_check ell = 2048": lambda: poisson_identity_check(f, 2048, 1e-8),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (name, peak)
 
 
 def test_normalized_gaps_match_the_scalar_formula():
