@@ -138,12 +138,13 @@ def reduce_form(f: QuadraticForm) -> QuadraticForm:
 
 
 def enumerate_reduced_forms(D: int) -> FormClassSet:
-    """All primitive reduced forms of discriminant -D (finite scan a <= sqrt(D/3))."""
+    """All primitive reduced forms of discriminant -D: a scan of a <= sqrt(D/3)
+    and of the b in [-a, a] with b = D (mod 2), since 4a divides b^2 + D."""
     if D < 3 or D % 4 not in (0, 3):
         raise InvalidDiscriminantError(f"no forms of discriminant -{D}")
     found = []
     for a in range(1, math.isqrt(D // 3) + 1):
-        for b in range(-a, a + 1):
+        for b in range(-a + (a + D) % 2, a + 1, 2):
             if (b * b + D) % (4 * a):
                 continue
             c = (b * b + D) // (4 * a)

@@ -156,27 +156,24 @@ def _window_histogram(f: QuadraticForm, lo: int, hi: int):
     r[i] = r_f(n0 + i) and each block spans at most _WINDOW_BLOCK numbers.
 
     A block [n0, n1) is the annulus between the ellipses f <= n1 - 1 and
-    f <= n0 - 1, so only its ~2*pi*(n1 - n0)/sqrt(D) points are touched;
-    they are binned by n = ((2au + bv)^2 + Dv^2) / 4a, which stays below
-    2^53 wherever the row kernel admits N.  A window starting below 0
-    begins at n = 0, whose only point is the origin (the inner ellipse
-    f <= -1 is empty).
+    f <= n0 - 1, so only its ~2*pi*(n1 - n0)/sqrt(D) points are touched: the
+    spans [lo_o, lo_i - 1] and [hi_i + 1, hi_o] tile each outer row, also one
+    that misses the inner ellipse, which _row_bounds returns as hi_i = lo_i - 1
+    at its vertex, inside [lo_o, hi_o + 1].  Points are binned by Horner's
+    rule, n = (au + bv)u + cv^2, exact in int64 wherever the row kernel admits
+    N: on the reduced forms the callers pass, a(u^2 + v^2) <= 2f, so every
+    intermediate is below 4N.  A window starting below 0 begins at n = 0,
+    whose only point is the origin (the inner ellipse f <= -1 is empty).
     """
-    a, b, D = f.a, f.b, f.D
+    a, b, c = f.a, f.b, f.c
     for n0 in range(max(lo, -1) + 1, hi + 1, _WINDOW_BLOCK):
         n1 = min(n0 + _WINDOW_BLOCK, hi + 1)
         r = 0  # the block's int64 counts from the first chunk of rows on, after their refusals
         for v, lo_o, hi_o in _lattice_rows(f, n1 - 1):
             lo_i, hi_i = _row_bounds(f, n0 - 1, v)
-            # rows missing the inner ellipse keep the whole outer row
-            empty = hi_i < lo_i
-            lo_i = np.where(empty, hi_o + 1, lo_i)
-            hi_i = np.where(empty, hi_o, hi_i)
-            # each row of the annulus is [lo_o, lo_i - 1] plus [hi_i + 1, hi_o]
             u, vv = _row_points(np.concatenate((v, v)), np.concatenate((lo_o, hi_i + 1)),
                                 np.concatenate((lo_i - lo_o, hi_o - hi_i)))
-            s = 2 * a * u + b * vv
-            n = (s * s + D * vv * vv) // (4 * a) - n0
+            n = (a * u + b * vv) * u + c * vv * vv - n0
             # each point with v > 0 stands for its mirror as well
             r += 2 * np.bincount(n, minlength=n1 - n0) - np.bincount(n[vv == 0], minlength=n1 - n0)
         yield n0, r
@@ -267,7 +264,9 @@ def _chi_hat_tables(abc, ell: int) -> np.ndarray:
                           f"(ell <= {math.isqrt(_CHI_TABLE_BYTES // (16 * len(abc)))})")
     indicator = np.concatenate(list(_residue_rows(abc, ell))).reshape(-1, ell, ell)
     # the rows come indexed [form, v, u]; the tables are the FFT over [u, v]
-    return np.fft.fft2(indicator.transpose(0, 2, 1).astype(np.float64)) / ell**2
+    table = np.fft.fft2(indicator.transpose(0, 2, 1))
+    table /= ell**2
+    return table
 
 
 def poisson_identity_check(f: QuadraticForm, ell: int, t: float) -> tuple[float, float]:
@@ -296,10 +295,8 @@ def _poisson_sides(forms, ells, ts) -> list[dict[int, list[tuple[float, float]]]
     _DUAL_BLOCK disk points per shift set.
     """
     ells, ts = list(ells), list(ts)
-    if min(ts) <= 0:
+    if not all(t > 0 for t in ts):
         raise ValueError("need t > 0")
-    if math.inf in ts:
-        raise BudgetError("t = inf exceeds the dual grid's budget")
     forms = [reduce_form(f) for f in forms]
     evaluate = [_form_sides(f, ells, ts) for f in forms]  # every form's refusals, before any table
     abc = [f.triple() for f in forms]

@@ -83,6 +83,34 @@ def test_enumerate_reduced_forms():
         enumerate_reduced_forms(6)
 
 
+def _brute_reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """Every b in [-a, a] for each a <= sqrt(D/3): the primitive (a, b, c)
+    with 4ac - b^2 = D, |b| <= a <= c, and b >= 0 when |b| = a or a = c."""
+    found = []
+    for a in range(1, math.isqrt(D // 3) + 1):
+        for b in range(-a, a + 1):
+            c = (b * b + D) // (4 * a)
+            if 4 * a * c - b * b != D or c < a or math.gcd(a, b, c) != 1:
+                continue
+            if b < 0 and (-b == a or a == c):
+                continue
+            found.append((a, b, c))
+    return sorted(found)
+
+
+def test_enumerate_reduced_forms_property_matches_brute_list():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(1, 1249), st.sampled_from((0, 3)))
+    def check(k, r):
+        D = 4 * k + r  # 4 <= D < 5000, D = 0 or 3 mod 4
+        assert [f.triple() for f in enumerate_reduced_forms(D)] == _brute_reduced_forms(D)
+
+    check()
+
+
 def _class_count_by_orbits(D: int) -> int:
     """Independent oracle: partition all forms of discriminant -D inside a
     coefficient box into proper-equivalence orbits via the two reduction

@@ -185,6 +185,30 @@ def test_window_histogram_matches_brute_rf(monkeypatch):
             assert values == [brute_rf(f, n) for n in range(first, hi + 1)]
 
 
+def test_window_histogram_property_matches_brute_rf(monkeypatch):
+    """Generated reduced forms, windows and block sizes against brute_rf.
+    Windows from lo = -1 start with the block n0 = 0, where every row misses
+    the inner ellipse f <= -1; short blocks at small n0 have rows v > 0
+    that miss the inner ellipse and meet the outer one only near its vertex."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def reduced_forms(draw):
+        a = draw(st.integers(1, 6))
+        return reduce_form(QuadraticForm(a, draw(st.integers(-a, a)), draw(st.integers(a, a + 10))))
+
+    @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+    @hypothesis.given(reduced_forms(), st.one_of(st.just(-1), st.integers(-1, 160)),
+                      st.integers(0, 40), st.sampled_from((1, 2, 5, 1 << 17)))
+    def check(f, lo, width, block):
+        monkeypatch.setattr(latticesums, "_WINDOW_BLOCK", block)
+        values = _histogram(f, lo, lo + width)[1]
+        assert values == [brute_rf(f, n) for n in range(max(lo, -1) + 1, lo + width + 1)]
+
+    check()
+
+
 def test_window_strided_counts_match_brute_congruence(monkeypatch):
     monkeypatch.setattr(latticesums, "_WINDOW_BLOCK", 50)
     rng = random.Random(29)
@@ -414,6 +438,15 @@ def test_poisson_dual_box_refused_past_its_budget():
     assert peak < 1 << 20
     lhs, rhs = poisson_identity_check(QuadraticForm(1, 1, 1), 3, 1e4)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_poisson_refuses_nan_t_as_not_positive():
+    # a NaN t is not > 0: refused as such, alone or in a stack, before any grid
+    f = QuadraticForm(1, 1, 1)
+    with pytest.raises(ValueError, match="need t > 0"):
+        poisson_identity_check(f, 3, math.nan)
+    with pytest.raises(ValueError, match="need t > 0"):
+        latticesums._poisson_sides([f], (3,), (0.7, math.nan))
 
 
 def test_poisson_sides_pinned():
